@@ -1,15 +1,12 @@
-// Deterministic parallel + incremental legalization / detailed placement
-// (the legal/dp tentpole) vs an in-bench replica of the seed serial
-// implementation.
+// Deterministic parallel legalization / detailed placement vs an
+// in-bench replica of the seed serial implementation.
 //
-// Simulates the repeat-round workload the legal/dp stages see in the
-// flow: a master placement is perturbed inside one randomly placed
-// window per round (what a padding re-tune does between rounds), then
-// legalization + detailed placement re-run. Every mode (seed replica,
-// ledger path at 1/2/8 threads) consumes the exact same precomputed
-// per-round inputs; the ledger path's post-round placements are
-// checksummed and must be bit-identical across thread counts, and its
-// periodic verified rebuild must report zero drift.
+// A master placement is perturbed inside one randomly placed window per
+// round, then legalization + detailed placement re-run from scratch.
+// Every mode (seed replica, library path at 1/2/8 threads) consumes the
+// exact same precomputed per-round inputs; the library path's post-round
+// placements are checksummed and must be bit-identical across thread
+// counts.
 //
 // Output: bench_results/BENCH_legalization.json (schema puffer-bench-v1).
 #include <algorithm>
@@ -478,11 +475,7 @@ int main() {
   const int kRounds = 10;
   const int kReps = 3;  // best-of-3 per mode
   const double kWindowFrac = 0.30;
-  const LegalizeConfig legal_cfg = [] {
-    LegalizeConfig c;
-    c.full_rebuild_interval = 4;  // exercise the drift check in-bench
-    return c;
-  }();
+  const LegalizeConfig legal_cfg;
   const DetailedPlaceConfig dp_cfg;
 
   Design design = generate_synthetic(spec);
@@ -554,19 +547,15 @@ int main() {
     return t;
   };
 
-  // ---- ledger path at a given thread count ------------------------------
-  std::uint64_t drift_total = 0;
-  int incr_rounds = 0, replayed = 0, redecided = 0;
+  // ---- library path at a given thread count -----------------------------
   auto run_new = [&](int threads) {
     par::set_num_threads(threads);
     ModeTotals t;
     Design d = design;
-    IncrementalLegalizer legalizer(legal_cfg);
-    incr_rounds = replayed = redecided = 0;
     for (int round = 0; round < kRounds; ++round) {
       restore(d, inputs, round);
       Timer tl;
-      const LegalizeResult lr = legalizer.legalize(d, pads);
+      const LegalizeResult lr = puffer::legalize(d, pads, legal_cfg);
       const double dl = tl.elapsed_seconds();
       Timer td;
       puffer::detailed_place(d, dp_cfg);
@@ -575,15 +564,9 @@ int main() {
       t.dp_s += dd;
       if (round > 0) t.repeat_s += dl + dd;
       t.failed += lr.failed_cells;
-      if (lr.incremental) {
-        ++incr_rounds;
-        replayed += lr.replayed_cells;
-        redecided += lr.redecided_cells;
-      }
     }
     t.checksum = position_checksum(d);
     t.hpwl = d.total_hpwl();
-    drift_total += legalizer.stats().drift_count;
     return t;
   };
 
@@ -602,20 +585,17 @@ int main() {
   std::printf("legal_bench: %d cells, %d rounds, window %.0f%%\n",
               spec.num_cells, kRounds, 100.0 * kWindowFrac);
   const ModeTotals seed_t = best_of(run_seed, "seed");
-  const ModeTotals new_1t = best_of([&] { return run_new(1); }, "ledger 1t");
-  const ModeTotals new_2t = best_of([&] { return run_new(2); }, "ledger 2t");
-  const ModeTotals new_8t = best_of([&] { return run_new(8); }, "ledger 8t");
+  const ModeTotals new_1t = best_of([&] { return run_new(1); }, "lib 1t");
+  const ModeTotals new_2t = best_of([&] { return run_new(2); }, "lib 2t");
+  const ModeTotals new_8t = best_of([&] { return run_new(8); }, "lib 8t");
 
-  // Legality of the final-round output (the ledger path must stay legal).
+  // Legality of the final-round output.
   Design check = design;
   {
     par::set_num_threads(8);
-    IncrementalLegalizer legalizer(legal_cfg);
-    for (int round = 0; round < kRounds; ++round) {
-      restore(check, inputs, round);
-      legalizer.legalize(check, pads);
-      puffer::detailed_place(check, dp_cfg);
-    }
+    restore(check, inputs, kRounds - 1);
+    puffer::legalize(check, pads, legal_cfg);
+    puffer::detailed_place(check, dp_cfg);
   }
   const LegalityReport legality = check_legality(check);
 
@@ -625,16 +605,14 @@ int main() {
       new_1t.repeat_s > 0.0 ? seed_t.repeat_s / new_1t.repeat_s : 0.0;
   const bool identical = new_1t.checksum == new_2t.checksum &&
                          new_2t.checksum == new_8t.checksum;
-  const bool ok = identical && drift_total == 0 && legality.legal &&
-                  new_8t.failed == 0;
+  const bool ok = identical && legality.legal && new_8t.failed == 0;
 
   std::printf(
-      "\nrepeat rounds (%d): seed %.3fs, ledger 1t %.3fs / 8t %.3fs -> "
-      "speedup %.2fx (1t %.2fx); %d/%d cells replayed on incr rounds, "
-      "drift %llu, thread bit-identical %s, final legality %s\n",
+      "\nrepeat rounds (%d): seed %.3fs, lib 1t %.3fs / 8t %.3fs -> "
+      "speedup %.2fx (1t %.2fx); thread bit-identical %s, final legality "
+      "%s\n",
       kRounds - 1, seed_t.repeat_s, new_1t.repeat_s, new_8t.repeat_s,
-      speedup_8t, speedup_1t, replayed, replayed + redecided,
-      static_cast<unsigned long long>(drift_total), identical ? "yes" : "NO",
+      speedup_8t, speedup_1t, identical ? "yes" : "NO",
       legality.legal ? "legal" : "ILLEGAL");
 
   bench::BenchReport rep("legalization");
@@ -644,7 +622,6 @@ int main() {
   rep.config("rounds", kRounds);
   rep.config("reps", kReps);
   rep.config("window_frac", kWindowFrac);
-  rep.config("full_rebuild_interval", legal_cfg.full_rebuild_interval);
   rep.config("hardware_cores",
              static_cast<int>(std::thread::hardware_concurrency()));
   rep.baseline("legalize_s", seed_t.legal_s);
@@ -659,10 +636,6 @@ int main() {
   rep.result("repeat_8t_s", new_8t.repeat_s);
   rep.result("failed_cells", new_8t.failed);
   rep.result("hpwl", new_8t.hpwl);
-  rep.result("incremental_rounds", incr_rounds);
-  rep.result("replayed_cells", replayed);
-  rep.result("redecided_cells", redecided);
-  rep.result("drift_count", static_cast<int>(drift_total));
   rep.result("final_legal", std::string(legality.legal ? "yes" : "no"));
   rep.speedup("repeat_8t_vs_seed", speedup_8t);
   rep.speedup("repeat_1t_vs_seed", speedup_1t);

@@ -1,15 +1,14 @@
 // Padding feature-pipeline timings against the in-bench scalar oracle:
-// the legacy from-scratch extractor (FeatureConfig::use_legacy_extractor)
-// runs at one thread over a recorded round sequence, then the fast
-// pipeline replays the exact same sequence -- persistent quantized maps,
-// O(1) RMQ/SAT queries, cross-round per-net caches, parallel fan-out --
-// at one thread and at PUFFER_THREADS. Results go to
+// the legacy extractor (FeatureConfig::use_legacy_extractor) runs at one
+// thread over a recorded round sequence, then the fast pipeline -- O(1)
+// RMQ/SAT queries, parallel fan-out -- replays the exact same sequence at
+// one thread and at PUFFER_THREADS. Results go to
 // bench_results/BENCH_padding_features.json (puffer-bench-v1 schema) with
 // feature checksums across PUFFER_THREADS 1/2/8 and full-flow placement
-// checksums across threads x extractor mode (fast-incremental, legacy
-// oracle, fast non-incremental) proving every path is bit-identical. On a
-// 1-core box the multi-thread legs still execute the full pool machinery;
-// speedups there are algorithmic (same accounting as bench_router).
+// checksums across threads x extractor (fast, legacy oracle) proving
+// every path is bit-identical. On a 1-core box the multi-thread legs
+// still execute the full pool machinery; speedups there are algorithmic
+// (same accounting as bench_router).
 //
 // Environment: PUFFER_SCALE (design size), PUFFER_THREADS (parallel leg's
 // worker count; default hardware concurrency).
@@ -68,10 +67,7 @@ std::uint64_t features_checksum(const std::vector<FeatureVector>& fs) {
 }
 
 // Moves ~frac of the movable cells by a bounded offset and clamps them
-// into the die. The padding rounds fire once the density overflow is
-// already below the trigger threshold, so between-round GP nudges touch
-// a small slice of the cells -- that near-converged regime is what the
-// incremental pipeline is built for.
+// into the die.
 void perturb_cells(Design& d, Rng& rng, double frac) {
   for (Cell& c : d.cells) {
     if (!c.movable() || !rng.chance(frac)) continue;
@@ -106,14 +102,13 @@ void restore_positions(Design& d, const Round& r) {
   }
 }
 
-// One full flow at the given thread count / extractor mode; fills the
-// final placement checksum.
+// One full flow at the given thread count / extractor; fills the final
+// placement checksum.
 double run_flow(const SyntheticSpec& spec, int threads, bool legacy,
-                bool incremental, std::uint64_t* sum) {
+                std::uint64_t* sum) {
   PufferConfig cfg;
   cfg.num_threads = threads;
   cfg.padding.feature.use_legacy_extractor = legacy;
-  cfg.padding.feature.incremental = incremental;
   Design d = generate_synthetic(spec);
   const auto t0 = Clock::now();
   PufferFlow flow(d, cfg);
@@ -156,12 +151,10 @@ int main() {
     }
   }
 
-  // Record the round sequence once: estimate_incremental() per round on a
-  // perturbed placement, exactly as the padding loop produces them (the
-  // dirty-Gcell/dirty-net delta chain stays continuous across the replay).
-  // One placement row per Gcell: the finest routing-resource resolution,
-  // where span queries are longest and the incremental maintenance has
-  // the most derived state to protect -- the regime the pipeline targets.
+  // Record the round sequence once: one estimate() per round on a
+  // perturbed placement, as the padding loop produces them. One placement
+  // row per Gcell: the finest routing-resource resolution, where span
+  // queries are longest.
   CongestionConfig est_cfg;
   est_cfg.rows_per_gcell = 1.0;
   std::vector<Round> rounds(kRounds);
@@ -170,17 +163,14 @@ int main() {
     Rng rng(1234);
     for (int r = 0; r < kRounds; ++r) {
       if (r > 0) perturb_cells(design, rng, 0.02);
-      rounds[static_cast<std::size_t>(r)].cr = est.estimate_incremental();
+      rounds[static_cast<std::size_t>(r)].cr = est.estimate();
       snapshot_positions(design, rounds[static_cast<std::size_t>(r)]);
     }
   }
 
   // --- feature extraction over the recorded sequence ------------------
-  // Baseline: the scalar from-scratch oracle at one thread. Result: the
-  // fast pipeline, fresh extractor per rep so every rep pays the first
-  // full build and then earns the cross-round reuse, like a real flow.
+  // Baseline: the scalar oracle at one thread. Result: the fast pipeline.
   std::uint64_t sum_legacy = 0, sum_t1 = 0, sum_t2 = 0, sum_t8 = 0;
-  PaddingStageMetrics fast_metrics;
   par::set_num_threads(1);
   FeatureConfig legacy_cfg;
   legacy_cfg.use_legacy_extractor = true;
@@ -201,15 +191,6 @@ int main() {
       fx.extract(r.cr, movable);
     }
   });
-  FeatureConfig full_cfg;
-  full_cfg.incremental = false;
-  const double t_full1 = time_best(reps, [&] {
-    FeatureExtractor fx(design, full_cfg);
-    for (const Round& r : rounds) {
-      restore_positions(design, r);
-      fx.extract(r.cr, movable);
-    }
-  });
   par::set_num_threads(par_threads);
   const double t_par = time_best(reps, [&] {
     FeatureExtractor fx(design, FeatureConfig{});
@@ -218,9 +199,8 @@ int main() {
       fx.extract(r.cr, movable);
     }
   });
-  // Feature bits across paths and thread counts (persistent extractors,
-  // replayed sequence -- the checksum of the last round must agree
-  // everywhere). Untimed; also the source of the fast-path reuse metrics.
+  // Feature bits across paths and thread counts (replayed sequence -- the
+  // checksum of the last round must agree everywhere). Untimed.
   {
     par::set_num_threads(1);
     FeatureExtractor fxl(design, legacy_cfg);
@@ -233,7 +213,6 @@ int main() {
       restore_positions(design, r);
       sum_t1 = features_checksum(fx1.extract(r.cr, movable));
     }
-    fast_metrics = fx1.stage_metrics();
     par::set_num_threads(2);
     FeatureExtractor fx2(design, FeatureConfig{});
     for (const Round& r : rounds) {
@@ -250,44 +229,25 @@ int main() {
 
   rec.baseline("features_extract_s", t_legacy);
   rec.result("features_extract_1t_s", t_fast1);
-  rec.result("features_extract_full_1t_s", t_full1);
   rec.result("features_extract_s", t_par);
   rec.speedup("features_1t", t_legacy / t_fast1);
-  rec.speedup("features_full_1t", t_legacy / t_full1);
   rec.speedup("features", t_legacy / t_par);
-  rec.result("features_dirty_gcell_frac", fast_metrics.dirty_gcell_frac());
-  rec.result("features_incidence_hit_rate",
-             fast_metrics.incidence_hit_rate());
-  rec.result("features_nets_reused", static_cast<int>(fast_metrics.nets_reused));
-  rec.result("features_drift", static_cast<int>(fast_metrics.drift_count));
   std::printf(
       "feature extraction (%d rounds): %.4fs legacy x1, %.4fs fast x1 "
-      "(%.2fx), %.4fs full x1 (%.2fx), %.4fs x%d (%.2fx)\n",
-      kRounds, t_legacy, t_fast1, t_legacy / t_fast1, t_full1,
-      t_legacy / t_full1, t_par, par_threads, t_legacy / t_par);
-  std::printf(
-      "fast-path reuse: %.1f%% gcells dirty, incidence hit %.0f%%, "
-      "%lld nets reused / %lld recomputed, drift %llu\n",
-      100.0 * fast_metrics.dirty_gcell_frac(),
-      100.0 * fast_metrics.incidence_hit_rate(),
-      static_cast<long long>(fast_metrics.nets_reused),
-      static_cast<long long>(fast_metrics.nets_recomputed),
-      static_cast<unsigned long long>(fast_metrics.drift_count));
+      "(%.2fx), %.4fs x%d (%.2fx)\n",
+      kRounds, t_legacy, t_fast1, t_legacy / t_fast1, t_par, par_threads,
+      t_legacy / t_par);
 
   // --- full-flow determinism matrix -----------------------------------
-  // Final placements across PUFFER_THREADS x extractor mode: the fast
-  // incremental pipeline at 1/2/8 threads against the legacy oracle and
-  // the non-incremental fast path.
+  // Final placements across PUFFER_THREADS x extractor: the fast pipeline
+  // at 1/2/8 threads against the legacy oracle.
   std::uint64_t flow_fast_t1 = 0, flow_fast_t2 = 0, flow_fast_t8 = 0;
   std::uint64_t flow_legacy_t1 = 0, flow_legacy_t8 = 0;
-  std::uint64_t flow_noincr_t1 = 0, flow_noincr_t8 = 0;
-  const double t_flow_fast = run_flow(spec, 1, false, true, &flow_fast_t1);
-  run_flow(spec, 2, false, true, &flow_fast_t2);
-  run_flow(spec, 8, false, true, &flow_fast_t8);
-  const double t_flow_legacy = run_flow(spec, 1, true, true, &flow_legacy_t1);
-  run_flow(spec, 8, true, true, &flow_legacy_t8);
-  run_flow(spec, 1, false, false, &flow_noincr_t1);
-  run_flow(spec, 8, false, false, &flow_noincr_t8);
+  const double t_flow_fast = run_flow(spec, 1, false, &flow_fast_t1);
+  run_flow(spec, 2, false, &flow_fast_t2);
+  run_flow(spec, 8, false, &flow_fast_t8);
+  const double t_flow_legacy = run_flow(spec, 1, true, &flow_legacy_t1);
+  run_flow(spec, 8, true, &flow_legacy_t8);
   rec.baseline("flow_s", t_flow_legacy);
   rec.result("flow_s", t_flow_fast);
   rec.speedup("flow", t_flow_legacy / t_flow_fast);
@@ -301,16 +261,12 @@ int main() {
   rec.checksum("flow_fast_t8", flow_fast_t8);
   rec.checksum("flow_legacy_t1", flow_legacy_t1);
   rec.checksum("flow_legacy_t8", flow_legacy_t8);
-  rec.checksum("flow_noincr_t1", flow_noincr_t1);
-  rec.checksum("flow_noincr_t8", flow_noincr_t8);
   const bool features_ok =
       sum_legacy == sum_t1 && sum_t1 == sum_t2 && sum_t2 == sum_t8;
   const bool flow_ok = flow_fast_t1 == flow_fast_t2 &&
                        flow_fast_t2 == flow_fast_t8 &&
                        flow_fast_t8 == flow_legacy_t1 &&
-                       flow_legacy_t1 == flow_legacy_t8 &&
-                       flow_legacy_t8 == flow_noincr_t1 &&
-                       flow_noincr_t1 == flow_noincr_t8;
+                       flow_legacy_t1 == flow_legacy_t8;
   rec.bit_identical(features_ok && flow_ok);
   std::printf(
       "feature checksum %016llx: legacy %s, threads 1/2/8 %s\n",
@@ -318,16 +274,12 @@ int main() {
       sum_legacy == sum_t1 ? "match" : "DIFFER",
       features_ok ? "match" : "DIFFER");
   std::printf(
-      "flow checksum %016llx: threads 1/2/8 %s, legacy %s, "
-      "non-incremental %s\n",
+      "flow checksum %016llx: threads 1/2/8 %s, legacy %s\n",
       static_cast<unsigned long long>(flow_fast_t1),
       flow_fast_t1 == flow_fast_t2 && flow_fast_t2 == flow_fast_t8
           ? "match"
           : "DIFFER",
       flow_fast_t1 == flow_legacy_t1 && flow_legacy_t1 == flow_legacy_t8
-          ? "match"
-          : "DIFFER",
-      flow_fast_t1 == flow_noincr_t1 && flow_noincr_t1 == flow_noincr_t8
           ? "match"
           : "DIFFER");
 

@@ -32,7 +32,7 @@
 #include "bench/bench_util.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "congestion/demand_ledger.h"
+#include "congestion/demand_quantum.h"
 #include "grid/capacity.h"
 #include "io/synthetic.h"
 #include "router/global_router.h"

@@ -8,12 +8,13 @@
 #   1. bit_identical must be "yes" in both -- the final placement (and
 #      feature) checksums agree across PUFFER_THREADS 1/2/8, with
 #      PUFFER_SIMD off, with the legacy scalar GP kernels, and across the
-#      padding extractor modes (fast-incremental, legacy oracle,
-#      non-incremental), all within this run (machine-independent).
+#      padding feature extractors (fast path, legacy oracle), all within
+#      this run (machine-independent).
 #   2. Every checksum_* field must equal the committed reference, so a
 #      placement-changing regression cannot land silently even if it
-#      changes all configurations consistently. The reference is tied to
-#      the CI toolchain (x86-64, gcc/glibc): libm differences move the
+#      changes all configurations consistently (tests/test_golden.cpp
+#      pins the same kind of checksum in tier-1). The reference is tied
+#      to the CI toolchain (x86-64, gcc/glibc): libm differences move the
 #      bits legitimately. After an intentional numeric change, or a
 #      toolchain bump, regenerate with:
 #

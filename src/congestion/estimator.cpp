@@ -1,23 +1,11 @@
 #include "congestion/estimator.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 
-#include "common/logger.h"
 #include "common/parallel.h"
-#include "common/timer.h"
-#include "io/checkpoint.h"
+#include "congestion/demand_quantum.h"
 
 namespace puffer {
-
-namespace {
-constexpr const char* kTag = "congestion";
-
-// Process-unique estimator identities for CongestionDelta::source_uid
-// (0 is reserved for "no source").
-std::atomic<std::uint64_t> g_estimator_uid{0};
-}
 
 CongestionEstimator::CongestionEstimator(const Design& design,
                                          CongestionConfig config)
@@ -27,40 +15,34 @@ CongestionEstimator::CongestionEstimator(const Design& design,
                                       config.rows_per_gcell)),
       capacity_(build_capacity_maps(design, grid_)),
       cache_(design.nets.size(), config.cache_quantum,
-             config.enable_rsmt_cache),
-      uid_(g_estimator_uid.fetch_add(1, std::memory_order_relaxed) + 1) {}
+             config.enable_rsmt_cache) {}
 
 namespace {
 
-// Decides (and applies) the detour-expansion move of one I-shaped segment
+// Decides and applies the detour-expansion move of one I-shaped segment
 // -- the exact sequential algorithm of paper step 3: find the nearest
 // parallel row/column where the whole span has slack for one more track,
 // move the unit demand there, and add perpendicular connector demand for
-// Steiner endpoints. Non-I segments return an empty (non-move) record.
-ExpansionMove decide_segment(const CongestionConfig& config, RoutingMaps& maps,
-                             const GcellIndex& ga, const GcellIndex& gb,
-                             bool a_steiner, bool b_steiner) {
-  ExpansionMove mv;
+// Steiner endpoints. Returns whether the segment moved (non-I segments
+// never do).
+bool expand_segment(const CongestionConfig& config, RoutingMaps& maps,
+                    const GcellIndex& ga, const GcellIndex& gb,
+                    bool a_steiner, bool b_steiner) {
   Map2D<double>& dmd_h = maps.dmd_h;
   Map2D<double>& dmd_v = maps.dmd_v;
   const bool horizontal = (ga.gy == gb.gy) && (ga.gx != gb.gx);
   const bool vertical = (ga.gx == gb.gx) && (ga.gy != gb.gy);
-  if (!horizontal && !vertical) return mv;
+  if (!horizontal && !vertical) return false;
 
   if (horizontal) {
-    mv.horizontal = true;
     const int y = ga.gy;
     const int x0 = std::min(ga.gx, gb.gx), x1 = std::max(ga.gx, gb.gx);
-    mv.lo = x0;
-    mv.hi = x1;
-    mv.src = y;
-    mv.dst = y;
     double worst = 0.0;
     for (int gx = x0; gx <= x1; ++gx) {
       worst = std::max(worst, dmd_h.at(gx, y) /
                                   std::max(maps.cap_h.at(gx, y), 1.0));
     }
-    if (worst <= config.congested_ratio) return mv;
+    if (worst <= config.congested_ratio) return false;
     int target = -1;
     for (int k = 1; k <= config.expand_radius && target < 0; ++k) {
       for (const int cand : {y + k, y - k}) {
@@ -77,7 +59,7 @@ ExpansionMove decide_segment(const CongestionConfig& config, RoutingMaps& maps,
         }
       }
     }
-    if (target < 0) return mv;
+    if (target < 0) return false;
     for (int gx = x0; gx <= x1; ++gx) {
       dmd_h.at(gx, y) -= 1.0;
       dmd_h.at(gx, target) += 1.0;
@@ -86,29 +68,20 @@ ExpansionMove decide_segment(const CongestionConfig& config, RoutingMaps& maps,
     // (a real detour); pin endpoints just model cell spreading.
     const int ylo = std::min(y, target), yhi = std::max(y, target);
     if (a_steiner) {
-      mv.conn_a = ga.gx;
       for (int gy = ylo; gy <= yhi; ++gy) dmd_v.at(ga.gx, gy) += 1.0;
     }
     if (b_steiner) {
-      mv.conn_b = gb.gx;
       for (int gy = ylo; gy <= yhi; ++gy) dmd_v.at(gb.gx, gy) += 1.0;
     }
-    mv.moved = true;
-    mv.dst = target;
   } else {
-    mv.horizontal = false;
     const int x = ga.gx;
     const int y0 = std::min(ga.gy, gb.gy), y1 = std::max(ga.gy, gb.gy);
-    mv.lo = y0;
-    mv.hi = y1;
-    mv.src = x;
-    mv.dst = x;
     double worst = 0.0;
     for (int gy = y0; gy <= y1; ++gy) {
       worst = std::max(worst, dmd_v.at(x, gy) /
                                   std::max(maps.cap_v.at(x, gy), 1.0));
     }
-    if (worst <= config.congested_ratio) return mv;
+    if (worst <= config.congested_ratio) return false;
     int target = -1;
     for (int k = 1; k <= config.expand_radius && target < 0; ++k) {
       for (const int cand : {x + k, x - k}) {
@@ -125,46 +98,41 @@ ExpansionMove decide_segment(const CongestionConfig& config, RoutingMaps& maps,
         }
       }
     }
-    if (target < 0) return mv;
+    if (target < 0) return false;
     for (int gy = y0; gy <= y1; ++gy) {
       dmd_v.at(x, gy) -= 1.0;
       dmd_v.at(target, gy) += 1.0;
     }
     const int xlo = std::min(x, target), xhi = std::max(x, target);
     if (a_steiner) {
-      mv.conn_a = ga.gy;
       for (int gx = xlo; gx <= xhi; ++gx) dmd_h.at(gx, ga.gy) += 1.0;
     }
     if (b_steiner) {
-      mv.conn_b = gb.gy;
       for (int gx = xlo; gx <= xhi; ++gx) dmd_h.at(gx, gb.gy) += 1.0;
     }
-    mv.moved = true;
-    mv.dst = target;
   }
-  return mv;
+  return true;
 }
 
-}  // namespace
+// One two-point segment's Gcell bounding box plus its quantized per-cell
+// demand: I-shapes carry 1.0 in their direction, L-shapes the quantized
+// average-route probabilities in both.
+struct DemandSpan {
+  int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
+  double qh = 0.0;  // added to dmd_h at every covered Gcell
+  double qv = 0.0;  // added to dmd_v at every covered Gcell
+};
 
-double CongestionEstimator::gcell_pin_capacity() const {
-  const double site_w = std::max(design_.tech.site_width, 1e-9);
-  const double row_h = std::max(design_.tech.row_height, 1e-9);
-  const double sites =
-      (grid_.gcell_w() / site_w) * (grid_.gcell_h() / row_h);
-  return std::max(1.0, sites * config_.pins_per_site);
-}
-
-void CongestionEstimator::spans_of(const RsmtTree& tree,
-                                   std::vector<LedgerSpan>& out) const {
+void spans_of(const GcellGrid& grid, const RsmtTree& tree,
+              std::vector<DemandSpan>& out) {
   out.clear();
   out.reserve(tree.segments.size());
   for (const RsmtSegment& seg : tree.segments) {
     const Point& a = tree.points[static_cast<std::size_t>(seg.a)].pos;
     const Point& b = tree.points[static_cast<std::size_t>(seg.b)].pos;
-    const GcellIndex ga = grid_.index_of(a.x, a.y);
-    const GcellIndex gb = grid_.index_of(b.x, b.y);
-    LedgerSpan s;
+    const GcellIndex ga = grid.index_of(a.x, a.y);
+    const GcellIndex gb = grid.index_of(b.x, b.y);
+    DemandSpan s;
     s.x0 = std::min(ga.gx, gb.gx);
     s.x1 = std::max(ga.gx, gb.gx);
     s.y0 = std::min(ga.gy, gb.gy);
@@ -185,58 +153,20 @@ void CongestionEstimator::spans_of(const RsmtTree& tree,
   }
 }
 
-struct CongestionEstimator::SpanBuild {
-  std::vector<RsmtTree> trees;
-  std::vector<std::vector<LedgerSpan>> spans;
-  std::vector<std::uint64_t> keys;
-};
-
-// Parallel per net: each net writes only its own tree / span slots, and
-// unchanged nets are served from the topology cache.
-CongestionEstimator::SpanBuild CongestionEstimator::build_all_spans(
-    bool want_keys) const {
-  SpanBuild b;
-  const std::size_t n_nets = design_.nets.size();
-  b.trees.resize(n_nets);
-  b.spans.resize(n_nets);
-  if (want_keys) b.keys.assign(n_nets, 0);
-  par::parallel_for(
-      0, static_cast<std::int64_t>(n_nets), 16,
-      [&](std::int64_t nb, std::int64_t ne, int) {
-        std::vector<Point> pin_pts;
-        for (std::int64_t n = nb; n < ne; ++n) {
-          const std::size_t ni = static_cast<std::size_t>(n);
-          const Net& net = design_.nets[ni];
-          pin_pts.clear();
-          pin_pts.reserve(net.pins.size());
-          for (PinId pid : net.pins) {
-            pin_pts.push_back(design_.pin_position(pid));
-          }
-          const std::uint64_t key =
-              cache_.enabled() ? cache_.key_of(pin_pts) : 0;
-          if (want_keys) b.keys[ni] = key;
-          b.trees[ni] = cache_.get_or_build(ni, pin_pts, key);
-          spans_of(b.trees[ni], b.spans[ni]);
-        }
-      },
-      256);
-  return b;
-}
-
 // Row-banded probabilistic demand: every chunk walks all spans but writes
 // only the Gcell rows it owns, so per-Gcell addition order equals the
 // serial net order for any worker count (and is exact anyway, since all
 // contributions are kDemandQuantum multiples).
-void CongestionEstimator::accumulate_base(
-    const std::vector<std::vector<LedgerSpan>>& spans, Map2D<double>& dmd_h,
-    Map2D<double>& dmd_v) const {
+void accumulate_spans(const GcellGrid& grid,
+                      const std::vector<std::vector<DemandSpan>>& spans,
+                      Map2D<double>& dmd_h, Map2D<double>& dmd_v) {
   par::parallel_for(
-      0, grid_.ny(), std::max(1, grid_.ny() / 8),
+      0, grid.ny(), std::max(1, grid.ny() / 8),
       [&](std::int64_t band_lo, std::int64_t band_hi_excl, int) {
         const int lo = static_cast<int>(band_lo);
         const int hi = static_cast<int>(band_hi_excl) - 1;
         for (const auto& net_spans : spans) {
-          for (const LedgerSpan& s : net_spans) {
+          for (const DemandSpan& s : net_spans) {
             const int y0 = std::max(s.y0, lo), y1 = std::min(s.y1, hi);
             for (int gy = y0; gy <= y1; ++gy) {
               for (int gx = s.x0; gx <= s.x1; ++gx) {
@@ -250,24 +180,47 @@ void CongestionEstimator::accumulate_base(
       8);
 }
 
+// Detour-imitating expansion over all trees in net order.
+int expand_all(const CongestionConfig& config, const GcellGrid& grid,
+               const std::vector<RsmtTree>& trees, RoutingMaps& maps) {
+  if (!config.enable_detour_expansion) return 0;
+  int expanded = 0;
+  for (const RsmtTree& tree : trees) {
+    for (const RsmtSegment& seg : tree.segments) {
+      const RsmtPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
+      const RsmtPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
+      const GcellIndex ga = grid.index_of(pa.pos.x, pa.pos.y);
+      const GcellIndex gb = grid.index_of(pb.pos.x, pb.pos.y);
+      if (expand_segment(config, maps, ga, gb, pa.is_steiner(),
+                         pb.is_steiner())) {
+        ++expanded;
+      }
+    }
+  }
+  return expanded;
+}
+
+}  // namespace
+
+double CongestionEstimator::gcell_pin_capacity() const {
+  const double site_w = std::max(design_.tech.site_width, 1e-9);
+  const double row_h = std::max(design_.tech.row_height, 1e-9);
+  const double sites =
+      (grid_.gcell_w() / site_w) * (grid_.gcell_h() / row_h);
+  return std::max(1.0, sites * config_.pins_per_site);
+}
+
 // Pin penalty + crowding: a flat per-pin term plus the superlinear
 // crowding excess (pins beyond the Gcell's access capacity each need an
-// escape wire, split evenly between the two directions). Optionally
-// records the pin counts / applied values / per-pin Gcells for the ledger.
-void CongestionEstimator::add_pin_layer(
-    Map2D<double>& dmd_h, Map2D<double>& dmd_v, Map2D<double>* pin_count_out,
-    Map2D<double>* applied_out, std::vector<std::int32_t>* pin_cell_out) const {
+// escape wire, split evenly between the two directions).
+void CongestionEstimator::add_pin_layer(Map2D<double>& dmd_h,
+                                        Map2D<double>& dmd_v) const {
   if (config_.pin_penalty <= 0.0 && config_.pin_crowding <= 0.0) return;
   Map2D<double> pin_cnt(grid_.nx(), grid_.ny());
-  const int nx = grid_.nx();
-  for (std::size_t p = 0; p < design_.pins.size(); ++p) {
-    const Pin& pin = design_.pins[p];
+  for (const Pin& pin : design_.pins) {
     const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
     const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
     pin_cnt.at(g.gx, g.gy) += 1.0;
-    if (pin_cell_out) {
-      (*pin_cell_out)[p] = static_cast<std::int32_t>(g.gy) * nx + g.gx;
-    }
   }
   const double pin_cap = gcell_pin_capacity();
   for (int gy = 0; gy < grid_.ny(); ++gy) {
@@ -280,427 +233,38 @@ void CongestionEstimator::add_pin_layer(
       if (add <= 0.0) continue;
       dmd_h.at(gx, gy) += add;
       dmd_v.at(gx, gy) += add;
-      if (applied_out) applied_out->at(gx, gy) = add;
     }
   }
-  if (pin_count_out) *pin_count_out = std::move(pin_cnt);
-}
-
-// Full detour-imitating expansion over all trees in net order, optionally
-// recording one ExpansionMove per segment (index-aligned) for the ledger.
-int CongestionEstimator::expand_all(
-    const std::vector<RsmtTree>& trees, RoutingMaps& maps,
-    std::vector<std::vector<ExpansionMove>>* record) const {
-  if (!config_.enable_detour_expansion) return 0;
-  int expanded = 0;
-  for (std::size_t n = 0; n < trees.size(); ++n) {
-    const RsmtTree& tree = trees[n];
-    if (record) (*record)[n].reserve(tree.segments.size());
-    for (const RsmtSegment& seg : tree.segments) {
-      const RsmtPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
-      const RsmtPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
-      const GcellIndex ga = grid_.index_of(pa.pos.x, pa.pos.y);
-      const GcellIndex gb = grid_.index_of(pb.pos.x, pb.pos.y);
-      const ExpansionMove mv = decide_segment(config_, maps, ga, gb,
-                                              pa.is_steiner(), pb.is_steiner());
-      if (mv.moved) ++expanded;
-      if (record) (*record)[n].push_back(mv);
-    }
-  }
-  return expanded;
 }
 
 CongestionResult CongestionEstimator::estimate() const {
-  SpanBuild b = build_all_spans(/*want_keys=*/false);
-  CongestionResult result;
-  result.maps = RoutingMaps(grid_, capacity_);
-  accumulate_base(b.spans, result.maps.dmd_h, result.maps.dmd_v);
-  add_pin_layer(result.maps.dmd_h, result.maps.dmd_v, nullptr, nullptr,
-                nullptr);
-  result.trees = std::move(b.trees);
-  result.expanded_segments = expand_all(result.trees, result.maps, nullptr);
-  result.delta.source_uid = uid_;
-  result.delta.revision = ++revision_;
-  // A const estimate() does not touch the ledger, so the next incremental
-  // round's marks are relative to the ledger state, not to this result.
-  last_from_ledger_ = false;
-  return result;
-}
-
-// From-scratch estimation that also (re)populates the demand ledger:
-// per-net keys + spans, the pin layer, the pre-expansion base maps, and
-// the expansion journal.
-CongestionResult CongestionEstimator::rebuild_full() {
-  SpanBuild b = build_all_spans(/*want_keys=*/true);
+  // Trees and spans in parallel per net: each net writes only its own
+  // slots, and unchanged nets are served from the topology cache.
   const std::size_t n_nets = design_.nets.size();
-  ledger_.reset(n_nets, design_.pins.size(), design_.cells.size(), grid_);
-  for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-    ledger_.cell_x()[ci] = design_.cells[ci].x;
-    ledger_.cell_y()[ci] = design_.cells[ci].y;
-  }
-
   CongestionResult result;
-  result.maps = RoutingMaps(grid_, capacity_);
-  accumulate_base(b.spans, result.maps.dmd_h, result.maps.dmd_v);
-  add_pin_layer(result.maps.dmd_h, result.maps.dmd_v, &ledger_.pin_count(),
-                &ledger_.applied_penalty(), &ledger_.pin_cell());
-  ledger_.base_h() = result.maps.dmd_h;  // pre-expansion snapshot
-  ledger_.base_v() = result.maps.dmd_v;
-  for (std::size_t n = 0; n < n_nets; ++n) {
-    ledger_.entry(n).key = b.keys[n];
-    ledger_.entry(n).spans = std::move(b.spans[n]);
-  }
-  ledger_.trees() = std::move(b.trees);
-
-  std::vector<std::vector<ExpansionMove>> record(n_nets);
-  result.expanded_segments = expand_all(ledger_.trees(), result.maps, &record);
-  for (std::size_t n = 0; n < n_nets; ++n) {
-    ledger_.entry(n).moves = std::move(record[n]);
-  }
-  result.trees = ledger_.trees();
-  calls_since_rebuild_ = 0;
-  return result;
-}
-
-// Ledger-based estimation round: detect dirty nets by quantized pin key,
-// subtract their stale span demand and re-apply the fresh one, update the
-// pin layer on Gcells whose pin count changed, then re-run detour
-// expansion only where the demand state differs from the previous round
-// (recorded decisions are replayed verbatim elsewhere).
-CongestionResult CongestionEstimator::incremental_pass(
-    int& dirty_nets, int& replayed, int& redecided,
-    std::vector<std::int32_t>* dirty_net_ids) {
-  const std::size_t n_nets = design_.nets.size();
-  ledger_.begin_round();
-
-  // --- cell-level pre-filter -------------------------------------------
-  // A net's quantized key can only change if one of its cells moved, so
-  // compare each cell against the ledger's position snapshot and re-hash
-  // only nets incident to a moved cell: O(cells + moved-cell pins)
-  // instead of O(all pins).
-  std::vector<std::uint8_t> candidate(n_nets, 0);
-  std::vector<std::uint32_t> moved_cells;
-  {
-    std::vector<double>& sx = ledger_.cell_x();
-    std::vector<double>& sy = ledger_.cell_y();
-    for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-      const Cell& c = design_.cells[ci];
-      if (c.x == sx[ci] && c.y == sy[ci]) continue;
-      sx[ci] = c.x;
-      sy[ci] = c.y;
-      moved_cells.push_back(static_cast<std::uint32_t>(ci));
-      for (PinId pid : c.pins) {
-        const NetId nid = design_.pins[static_cast<std::size_t>(pid)].net;
-        if (nid != kInvalidId) candidate[static_cast<std::size_t>(nid)] = 1;
-      }
-    }
-  }
-
-  // --- dirty detection + fresh trees/spans (parallel per net) ------------
-  std::vector<std::uint8_t> dirty(n_nets, 0);
-  std::vector<std::vector<LedgerSpan>> fresh(n_nets);
-  std::vector<std::uint64_t> fresh_keys(n_nets, 0);
+  result.trees.resize(n_nets);
+  std::vector<std::vector<DemandSpan>> spans(n_nets);
   par::parallel_for(
       0, static_cast<std::int64_t>(n_nets), 16,
       [&](std::int64_t nb, std::int64_t ne, int) {
         std::vector<Point> pin_pts;
         for (std::int64_t n = nb; n < ne; ++n) {
           const std::size_t ni = static_cast<std::size_t>(n);
-          if (!candidate[ni]) continue;
-          const Net& net = design_.nets[ni];
           pin_pts.clear();
-          pin_pts.reserve(net.pins.size());
-          for (PinId pid : net.pins) {
+          for (PinId pid : design_.nets[ni].pins) {
             pin_pts.push_back(design_.pin_position(pid));
           }
-          const std::uint64_t key = cache_.key_of(pin_pts);
-          if (key == ledger_.entry(ni).key) continue;
-          dirty[ni] = 1;
-          fresh_keys[ni] = key;
-          ledger_.trees()[ni] = cache_.get_or_build(ni, pin_pts, key);
-          spans_of(ledger_.trees()[ni], fresh[ni]);
+          result.trees[ni] = cache_.get_or_build(ni, pin_pts);
+          spans_of(grid_, result.trees[ni], spans[ni]);
         }
       },
       256);
 
-  // --- subtract stale / apply fresh span demand (exact cancellation) -----
-  Map2D<double>& base_h = ledger_.base_h();
-  Map2D<double>& base_v = ledger_.base_v();
-  for (std::size_t n = 0; n < n_nets; ++n) {
-    if (!dirty[n]) continue;
-    ++dirty_nets;
-    if (dirty_net_ids) dirty_net_ids->push_back(static_cast<std::int32_t>(n));
-    DemandLedger::NetEntry& e = ledger_.entry(n);
-    for (const LedgerSpan& s : e.spans) {
-      DemandLedger::apply_span(s, base_h, base_v, -1.0);
-      ledger_.mark_span_cells(s);
-    }
-    e.spans = std::move(fresh[n]);
-    e.key = fresh_keys[n];
-    for (const LedgerSpan& s : e.spans) {
-      DemandLedger::apply_span(s, base_h, base_v, +1.0);
-      ledger_.mark_span_cells(s);
-    }
-  }
-
-  // --- pin layer on Gcells whose pin count changed -----------------------
-  // Only a moved cell's pins can land in a different Gcell, so the rescan
-  // covers moved cells only (update order is irrelevant: the counts are
-  // exact +/-1 integer updates and `changed` is sorted before use).
-  if (config_.pin_penalty > 0.0 || config_.pin_crowding > 0.0) {
-    const int nx = grid_.nx();
-    std::vector<std::int32_t>& pin_cell = ledger_.pin_cell();
-    Map2D<double>& pin_cnt = ledger_.pin_count();
-    std::vector<std::int32_t> changed;
-    for (const std::uint32_t ci : moved_cells) {
-      const Cell& c = design_.cells[ci];
-      for (PinId pid : c.pins) {
-        const std::size_t p = static_cast<std::size_t>(pid);
-        const Pin& pin = design_.pins[p];
-        const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-        const std::int32_t flat = static_cast<std::int32_t>(g.gy) * nx + g.gx;
-        if (flat == pin_cell[p]) continue;
-        pin_cnt.raw()[static_cast<std::size_t>(pin_cell[p])] -= 1.0;
-        pin_cnt.raw()[static_cast<std::size_t>(flat)] += 1.0;
-        changed.push_back(pin_cell[p]);
-        changed.push_back(flat);
-        pin_cell[p] = flat;
-      }
-    }
-    std::sort(changed.begin(), changed.end());
-    changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-    const double pin_cap = gcell_pin_capacity();
-    Map2D<double>& applied = ledger_.applied_penalty();
-    for (const std::int32_t flat : changed) {
-      const int gx = flat % nx, gy = flat / nx;
-      const double old_add = applied.at(gx, gy);
-      if (old_add != 0.0) {
-        base_h.at(gx, gy) -= old_add;
-        base_v.at(gx, gy) -= old_add;
-      }
-      double add = 0.0;
-      const double cnt = pin_cnt.at(gx, gy);
-      if (cnt > 0.0) {
-        const double excess = std::max(0.0, cnt - pin_cap);
-        const double q = quantize_demand(config_.pin_penalty * cnt +
-                                         0.5 * config_.pin_crowding * excess);
-        if (q > 0.0) add = q;
-      }
-      if (add != 0.0) {
-        base_h.at(gx, gy) += add;
-        base_v.at(gx, gy) += add;
-      }
-      applied.at(gx, gy) = add;
-      ledger_.mark(gx, gy);
-    }
-  }
-
-  // --- result maps = pre-expansion snapshot ------------------------------
-  CongestionResult result;
   result.maps = RoutingMaps(grid_, capacity_);
-  result.maps.dmd_h = base_h;
-  result.maps.dmd_v = base_v;
-
-  // --- detour expansion: replay clean regions, re-decide dirty ones ------
-  if (config_.enable_detour_expansion) {
-    const int R = config_.expand_radius;
-    const int W = grid_.nx(), H = grid_.ny();
-    int expanded = 0;
-    for (std::size_t n = 0; n < n_nets; ++n) {
-      const RsmtTree& tree = ledger_.trees()[n];
-      DemandLedger::NetEntry& e = ledger_.entry(n);
-      const bool net_dirty =
-          dirty[n] || e.moves.size() != tree.segments.size();
-      if (net_dirty) {
-        // The journal belongs to the old tree: void it (its writes may
-        // differ from this round's) and decide every segment fresh.
-        for (const ExpansionMove& m : e.moves) ledger_.mark_move_cells(m);
-        e.moves.clear();
-        e.moves.reserve(tree.segments.size());
-        for (const RsmtSegment& seg : tree.segments) {
-          const RsmtPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
-          const RsmtPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
-          const GcellIndex ga = grid_.index_of(pa.pos.x, pa.pos.y);
-          const GcellIndex gb = grid_.index_of(pb.pos.x, pb.pos.y);
-          const ExpansionMove mv = decide_segment(
-              config_, result.maps, ga, gb, pa.is_steiner(), pb.is_steiner());
-          if (mv.moved) {
-            ++expanded;
-            ledger_.mark_move_cells(mv);
-          }
-          e.moves.push_back(mv);
-          ++redecided;
-        }
-        continue;
-      }
-      for (std::size_t i = 0; i < tree.segments.size(); ++i) {
-        const RsmtSegment& seg = tree.segments[i];
-        const RsmtPoint& pa = tree.points[static_cast<std::size_t>(seg.a)];
-        const RsmtPoint& pb = tree.points[static_cast<std::size_t>(seg.b)];
-        const GcellIndex ga = grid_.index_of(pa.pos.x, pa.pos.y);
-        const GcellIndex gb = grid_.index_of(pb.pos.x, pb.pos.y);
-        const bool horizontal = (ga.gy == gb.gy) && (ga.gx != gb.gx);
-        const bool vertical = (ga.gx == gb.gx) && (ga.gy != gb.gy);
-        if (!horizontal && !vertical) continue;  // never expands
-        // Everything this segment reads or writes lies in its span
-        // crossed with the +/- expand_radius halo.
-        int bx0, bx1, by0, by1;
-        if (horizontal) {
-          bx0 = std::min(ga.gx, gb.gx);
-          bx1 = std::max(ga.gx, gb.gx);
-          by0 = std::max(0, ga.gy - R);
-          by1 = std::min(H - 1, ga.gy + R);
-        } else {
-          by0 = std::min(ga.gy, gb.gy);
-          by1 = std::max(ga.gy, gb.gy);
-          bx0 = std::max(0, ga.gx - R);
-          bx1 = std::min(W - 1, ga.gx + R);
-        }
-        if (!ledger_.box_dirty(bx0, bx1, by0, by1)) {
-          DemandLedger::apply_move(e.moves[i], result.maps.dmd_h,
-                                   result.maps.dmd_v);
-          if (e.moves[i].moved) ++expanded;
-          ++replayed;
-          continue;
-        }
-        const ExpansionMove mv = decide_segment(
-            config_, result.maps, ga, gb, pa.is_steiner(), pb.is_steiner());
-        const ExpansionMove& old = e.moves[i];
-        if (mv.moved != old.moved || (mv.moved && mv.dst != old.dst)) {
-          ledger_.mark_move_cells(old);
-          ledger_.mark_move_cells(mv);
-        }
-        if (mv.moved) ++expanded;
-        e.moves[i] = mv;
-        ++redecided;
-      }
-    }
-    result.expanded_segments = expanded;
-  }
-
-  result.trees = ledger_.trees();
-  return result;
-}
-
-std::string CongestionEstimator::save_incremental_state() const {
-  BinaryWriter w;
-  ledger_.save(w);
-  w.put_i32(calls_since_rebuild_);
-  return w.take();
-}
-
-bool CongestionEstimator::restore_incremental_state(const std::string& blob) {
-  if (blob.empty()) {
-    ledger_.invalidate();
-    calls_since_rebuild_ = 0;
-    return false;
-  }
-  BinaryReader r(blob);
-  ledger_.load(r, grid_);
-  calls_since_rebuild_ = r.get_i32();
-  if (ledger_.initialized() &&
-      !ledger_.matches(design_.nets.size(), design_.pins.size(),
-                       design_.cells.size())) {
-    throw CheckpointError("ledger: restored sizes disagree with design");
-  }
-  return ledger_.initialized();
-}
-
-std::uint64_t CongestionEstimator::config_fingerprint() const {
-  BinaryWriter w;
-  w.put_f64(config_.rows_per_gcell);
-  w.put_f64(config_.pin_penalty);
-  w.put_f64(config_.pins_per_site);
-  w.put_f64(config_.pin_crowding);
-  w.put_u8(config_.enable_rsmt_cache ? 1 : 0);
-  w.put_f64(config_.cache_quantum);
-  w.put_i32(config_.expand_radius);
-  w.put_u8(config_.enable_detour_expansion ? 1 : 0);
-  w.put_f64(config_.congested_ratio);
-  w.put_u8(config_.enable_incremental ? 1 : 0);
-  w.put_i32(config_.full_rebuild_interval);
-  w.put_u8(config_.verify_rebuild ? 1 : 0);
-  return fnv1a_bytes(w.buffer().data(), w.buffer().size());
-}
-
-CongestionResult CongestionEstimator::estimate_incremental() {
-  Timer timer;
-  const std::size_t n_nets = design_.nets.size();
-  const bool can_use_ledger = config_.enable_incremental && cache_.enabled();
-  const bool ledger_ok =
-      can_use_ledger &&
-      ledger_.matches(n_nets, design_.pins.size(), design_.cells.size());
-  const bool full =
-      !ledger_ok || (config_.full_rebuild_interval > 0 &&
-                     calls_since_rebuild_ >= config_.full_rebuild_interval);
-
-  // Delta continuity: this round's ledger marks cover the changes vs the
-  // previous result only if that result itself came from the ledger.
-  const bool prev_from_ledger = last_from_ledger_;
-
-  CongestionResult result;
-  int dirty = 0, replayed = 0, redecided = 0;
-  if (!full) {
-    std::vector<std::int32_t> dirty_ids;
-    result = incremental_pass(dirty, replayed, redecided, &dirty_ids);
-    ++calls_since_rebuild_;
-    // Clean nets are logical topology-cache hits served by the ledger.
-    cache_.add_hits(static_cast<std::uint64_t>(n_nets) -
-                    static_cast<std::uint64_t>(dirty));
-    result.delta.valid = prev_from_ledger;
-    result.delta.dirty_gcells = ledger_.round_cells();
-    result.delta.dirty_nets = std::move(dirty_ids);
-    result.delta.source_uid = uid_;
-    result.delta.revision = ++revision_;
-    last_from_ledger_ = true;
-  } else if (!can_use_ledger) {
-    result = estimate();  // stamps the delta identity itself
-  } else if (ledger_ok && config_.verify_rebuild) {
-    // Exact-fallback rebuild: run the ledger path first, then rebuild from
-    // scratch and check the two are bit-identical (the ledger must never
-    // drift). The fresh result is what callers get either way.
-    const CongestionResult inc =
-        incremental_pass(dirty, replayed, redecided, nullptr);
-    result = rebuild_full();
-    const bool same = inc.maps.dmd_h.raw() == result.maps.dmd_h.raw() &&
-                      inc.maps.dmd_v.raw() == result.maps.dmd_v.raw() &&
-                      inc.expanded_segments == result.expanded_segments;
-    if (!same) {
-      ++incr_stats_.drift_count;
-      PUFFER_LOG_ERROR(kTag,
-                       "demand ledger drifted from full rebuild "
-                       "(checksum %016llx vs %016llx); adopting rebuild",
-                       static_cast<unsigned long long>(
-                           demand_checksum(inc.maps)),
-                       static_cast<unsigned long long>(
-                           demand_checksum(result.maps)));
-    }
-    result.delta.source_uid = uid_;
-    result.delta.revision = ++revision_;
-    last_from_ledger_ = true;
-  } else {
-    result = rebuild_full();
-    result.delta.source_uid = uid_;
-    result.delta.revision = ++revision_;
-    last_from_ledger_ = true;
-  }
-
-  const double dt = timer.elapsed_seconds();
-  ++incr_stats_.calls;
-  incr_stats_.last_was_full = full;
-  incr_stats_.last_dirty_nets = dirty;
-  incr_stats_.last_total_nets = static_cast<int>(n_nets);
-  incr_stats_.last_replayed_segments = replayed;
-  incr_stats_.last_redecided_segments = redecided;
-  incr_stats_.last_time_s = dt;
-  if (full) {
-    ++incr_stats_.full_rebuilds;
-    incr_stats_.full_time_s += dt;
-  } else {
-    incr_stats_.incremental_time_s += dt;
-    incr_stats_.dirty_nets_total += dirty;
-    incr_stats_.nets_total += static_cast<std::int64_t>(n_nets);
-  }
+  accumulate_spans(grid_, spans, result.maps.dmd_h, result.maps.dmd_v);
+  add_pin_layer(result.maps.dmd_h, result.maps.dmd_v);
+  result.expanded_segments =
+      expand_all(config_, grid_, result.trees, result.maps);
   return result;
 }
 

@@ -22,10 +22,8 @@
 // congestion on the same trees.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
-#include "congestion/demand_ledger.h"
 #include "grid/routing_maps.h"
 #include "netlist/design.h"
 #include "rsmt/rsmt.h"
@@ -58,41 +56,6 @@ struct CongestionConfig {
   // A segment is considered congested (triggering expansion) when some
   // Gcell on it exceeds this demand/capacity ratio. Strategy parameter.
   double congested_ratio = 1.0;
-  // Incremental estimation (estimate_incremental): maintain the per-net
-  // demand ledger between calls so only dirty nets are re-accumulated.
-  // Requires the RSMT cache; with the cache disabled every call falls
-  // back to a full estimate.
-  bool enable_incremental = true;
-  // Every Nth estimate_incremental() call rebuilds the ledger from
-  // scratch (0 = rebuild only on the first call / after invalidation).
-  int full_rebuild_interval = 16;
-  // On rebuild rounds, additionally run the incremental path and check it
-  // is bit-identical to the from-scratch result; a mismatch increments
-  // IncrementalStats::drift_count and the fresh result is adopted.
-  bool verify_rebuild = true;
-};
-
-// Dirty-Gcell delta of one estimate relative to the estimator's previous
-// result. Consumers that maintain per-Gcell derived state (the padding
-// feature extractor) re-derive only these cells when the delta is valid
-// AND continuous -- same source_uid as the last result they consumed and
-// revision exactly one ahead -- and fall back to a full self-diff
-// otherwise (e.g. after a rebuild round, a copied/mutated result, or an
-// interleaved estimate() call).
-struct CongestionDelta {
-  // True only on pure incremental rounds whose predecessor result was
-  // also ledger-consistent: dirty_gcells then covers every Gcell whose
-  // demand (and thus congestion) differs from the previous revision.
-  bool valid = false;
-  std::uint64_t source_uid = 0;  // process-unique estimator identity
-  std::uint64_t revision = 0;    // bumped on every estimate of this source
-  std::vector<std::int32_t> dirty_gcells;  // flat (gy * nx + gx) indices
-  // Nets whose RSMT tree / span demand was re-derived this round. Under
-  // the same continuity rules, a consumer that saw revision-1 may treat
-  // any net NOT listed here as having a tree bit-identical to the one in
-  // the previous result (the ledger re-hashes exactly the nets incident
-  // to a moved cell and re-derives those whose quantized key changed).
-  std::vector<std::int32_t> dirty_nets;
 };
 
 struct CongestionResult {
@@ -102,49 +65,16 @@ struct CongestionResult {
   std::vector<RsmtTree> trees;
   // Number of I-shaped segments whose demand was moved by the expansion.
   int expanded_segments = 0;
-  CongestionDelta delta;
-};
-
-// Observability for the incremental path (ledger/cache effectiveness).
-struct IncrementalStats {
-  // Last estimate_incremental() call.
-  bool last_was_full = false;
-  int last_dirty_nets = 0;
-  int last_total_nets = 0;
-  int last_replayed_segments = 0;   // expansion decisions replayed verbatim
-  int last_redecided_segments = 0;  // expansion decisions recomputed
-  double last_time_s = 0.0;
-  // Cumulative across calls.
-  int calls = 0;
-  int full_rebuilds = 0;
-  std::int64_t dirty_nets_total = 0;
-  std::int64_t nets_total = 0;  // nets examined across incremental rounds
-  double incremental_time_s = 0.0;  // time spent in ledger-based rounds
-  double full_time_s = 0.0;         // time spent in full-rebuild rounds
-  // Rebuild-round verification failures (must stay 0; see verify_rebuild).
-  std::uint64_t drift_count = 0;
-
-  double dirty_net_frac() const {
-    return nets_total > 0
-               ? static_cast<double>(dirty_nets_total) /
-                     static_cast<double>(nets_total)
-               : 0.0;
-  }
 };
 
 class CongestionEstimator {
  public:
   CongestionEstimator(const Design& design, CongestionConfig config);
 
-  // Full estimation from the design's current cell positions.
+  // Estimation from the design's current cell positions. Every call
+  // builds the demand maps from scratch; only the RSMT topology cache
+  // carries over between calls.
   CongestionResult estimate() const;
-
-  // Ledger-based estimation: bit-identical to estimate() but only dirty
-  // nets (quantized pin key changed since the last call) are
-  // re-accumulated, and detour expansion is re-decided only where demand
-  // changed. The first call (and every full_rebuild_interval-th call)
-  // rebuilds the ledger from scratch.
-  CongestionResult estimate_incremental();
 
   const GcellGrid& grid() const { return grid_; }
 
@@ -154,44 +84,9 @@ class CongestionEstimator {
   // Topology-cache statistics (accumulated across estimate() calls).
   const RsmtCache& tree_cache() const { return cache_; }
   RsmtCache& tree_cache() { return cache_; }
-  void invalidate_tree_cache() {
-    cache_.clear();
-    ledger_.invalidate();  // stale trees must not be replayed
-  }
-
-  const IncrementalStats& incremental_stats() const { return incr_stats_; }
-
-  // --- checkpoint support (trial orchestration) ------------------------
-  // Serializes the incremental-estimation state: the demand ledger plus
-  // the rebuild-cadence counter. The RSMT topology cache is NOT included
-  // (the ledger carries the trees it needs; dirty nets simply rebuild).
-  std::string save_incremental_state() const;
-  // Restores state saved by save_incremental_state(). Returns false (and
-  // leaves the estimator cold, next call = full rebuild) when the blob is
-  // empty; throws CheckpointError on a malformed blob or a grid mismatch.
-  bool restore_incremental_state(const std::string& blob);
-  // Hash of every congestion-config field that shapes the ledger's
-  // contents. A snapshot's ledger may only warm-start an estimator whose
-  // fingerprint matches (a cold start is always correct regardless).
-  std::uint64_t config_fingerprint() const;
 
  private:
-  struct SpanBuild;  // trees + quantized spans (+ keys) for all nets
-
-  SpanBuild build_all_spans(bool want_keys) const;
-  void spans_of(const RsmtTree& tree, std::vector<LedgerSpan>& out) const;
-  void accumulate_base(const std::vector<std::vector<LedgerSpan>>& spans,
-                       Map2D<double>& dmd_h, Map2D<double>& dmd_v) const;
-  void add_pin_layer(Map2D<double>& dmd_h, Map2D<double>& dmd_v,
-                     Map2D<double>* pin_count_out, Map2D<double>* applied_out,
-                     std::vector<std::int32_t>* pin_cell_out) const;
-  int expand_all(const std::vector<RsmtTree>& trees, RoutingMaps& maps,
-                 std::vector<std::vector<ExpansionMove>>* record) const;
-
-  CongestionResult rebuild_full();
-  CongestionResult incremental_pass(int& dirty_nets, int& replayed,
-                                    int& redecided,
-                                    std::vector<std::int32_t>* dirty_net_ids);
+  void add_pin_layer(Map2D<double>& dmd_h, Map2D<double>& dmd_v) const;
 
   const Design& design_;
   CongestionConfig config_;
@@ -200,19 +95,6 @@ class CongestionEstimator {
   // Per-net memo of RSMT topologies; estimate() is logically const, the
   // cache is a pure performance artifact.
   mutable RsmtCache cache_;
-  DemandLedger ledger_;
-  IncrementalStats incr_stats_;
-  int calls_since_rebuild_ = 0;
-  // Delta identity: uid_ is process-unique (consumers detect "different
-  // estimator object"), revision_ counts estimates (consumers detect
-  // skipped results). estimate() is logically const; the revision is
-  // delta bookkeeping, not estimation state.
-  const std::uint64_t uid_;
-  mutable std::uint64_t revision_ = 0;
-  // True when the previous estimate's maps equal the ledger's applied
-  // state (incremental or rebuild round, not a const estimate()), i.e.
-  // the next round's ledger marks cover all changes vs that result.
-  mutable bool last_from_ledger_ = false;
 };
 
 }  // namespace puffer

@@ -89,18 +89,6 @@ const std::map<std::string, Field>& registry() {
        {[](const PufferConfig& c) { return c.padding.feature.use_legacy_extractor ? 1.0 : 0.0; },
         [](PufferConfig& c, double v) { c.padding.feature.use_legacy_extractor = v >= 0.5; },
         "0/1: serial oracle feature path"}},
-      {"padding.feature_incremental",
-       {[](const PufferConfig& c) { return c.padding.feature.incremental ? 1.0 : 0.0; },
-        [](PufferConfig& c, double v) { c.padding.feature.incremental = v >= 0.5; },
-        "0/1: reuse maps across rounds"}},
-      {"padding.feature_rebuild_interval",
-       {[](const PufferConfig& c) { return static_cast<double>(c.padding.feature.full_rebuild_interval); },
-        [](PufferConfig& c, double v) { c.padding.feature.full_rebuild_interval = static_cast<int>(std::llround(v)); },
-        "extracts between full rebuilds"}},
-      {"padding.feature_verify_rebuild",
-       {[](const PufferConfig& c) { return c.padding.feature.verify_rebuild ? 1.0 : 0.0; },
-        [](PufferConfig& c, double v) { c.padding.feature.verify_rebuild = v >= 0.5; },
-        "0/1: check drift on full rebuilds"}},
       // Congestion estimation.
       {"congestion.pin_penalty",
        {[](const PufferConfig& c) { return c.congestion.pin_penalty; },

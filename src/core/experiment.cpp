@@ -65,35 +65,18 @@ void log_flow_stage_metrics(const std::string& benchmark,
   if (lg.placed > 0 || lg.failed_cells > 0) {
     if (flow.dp.passes > 0) {
       PUFFER_LOG_INFO("experiment",
-                      "%s / %s: legalize %s %.3fs (%d placed, %d failed, "
-                      "avg disp %.3g, %.0f%% rows rebuilt), dp %.3fs "
-                      "(%d moves, %.2f%% hpwl)",
-                      benchmark.c_str(), placer_label,
-                      lg.incremental ? "incr" : "full", lg.time_s, lg.placed,
-                      lg.failed_cells, lg.avg_displacement(),
-                      100.0 * lg.dirty_row_frac(), flow.dp.time_s,
+                      "%s / %s: legalize %.3fs (%d placed, %d failed, avg "
+                      "disp %.3g), dp %.3fs (%d moves, %.2f%% hpwl)",
+                      benchmark.c_str(), placer_label, lg.time_s, lg.placed,
+                      lg.failed_cells, lg.avg_displacement(), flow.dp.time_s,
                       flow.dp.accepted_moves, flow.dp.improvement_pct());
     } else {
       PUFFER_LOG_INFO("experiment",
-                      "%s / %s: legalize %s %.3fs (%d placed, %d failed, "
-                      "avg disp %.3g, %.0f%% rows rebuilt), dp off",
-                      benchmark.c_str(), placer_label,
-                      lg.incremental ? "incr" : "full", lg.time_s, lg.placed,
-                      lg.failed_cells, lg.avg_displacement(),
-                      100.0 * lg.dirty_row_frac());
+                      "%s / %s: legalize %.3fs (%d placed, %d failed, avg "
+                      "disp %.3g), dp off",
+                      benchmark.c_str(), placer_label, lg.time_s, lg.placed,
+                      lg.failed_cells, lg.avg_displacement());
     }
-  }
-  const PaddingStageMetrics& pf = flow.padding_stage;
-  if (pf.extracts > 0) {
-    PUFFER_LOG_INFO("experiment",
-                    "%s / %s: padding features %.3fs over %d extracts "
-                    "(%d full), %.1f%% gcells dirty, incidence hit %.0f%%, "
-                    "drift %llu",
-                    benchmark.c_str(), placer_label, pf.feature_time_s,
-                    pf.extracts, pf.full_rebuilds,
-                    100.0 * pf.dirty_gcell_frac(),
-                    100.0 * pf.incidence_hit_rate(),
-                    static_cast<unsigned long long>(pf.drift_count));
   }
   const OrchestratorStageMetrics& orch = flow.orchestrator;
   if (orch.trials_run > 0 || orch.trials_resumed > 0 ||

@@ -12,7 +12,9 @@ constexpr const char* kTag = "flow";
 }
 
 PufferFlow::PufferFlow(Design& design, PufferConfig config)
-    : design_(design), config_(config), legalizer_(config.legal) {}
+    : design_(design), config_(config) {
+  validate_legalize_config(config_.legal);
+}
 
 FlowMetrics PufferFlow::run() { return run_internal(nullptr, nullptr); }
 
@@ -47,21 +49,12 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
     initial_place(design_, config_.init);
   }
   EPlaceEngine engine(design_, config_.gp);
-  estimator_ =
-      std::make_unique<CongestionEstimator>(design_, config_.congestion);
   {
     ScopedStageTimer t(metrics.stages, "global_place");
     engine.run_to_overflow(fork_overflow);
   }
-  // Warm the demand ledger at the fork: every continuation's first
-  // padding round is then incremental over the fork state.
-  {
-    ScopedStageTimer t(metrics.stages, "routability_opt");
-    estimator_->estimate_incremental();
-  }
   metrics.hpwl_gp = design_.total_hpwl();
   metrics.gp_kernels.add(engine.kernel_times());
-  metrics.estimation = estimator_->incremental_stats();
   metrics.runtime_s = total.elapsed_seconds();
   PUFFER_LOG_INFO(kTag,
                   "prefix done in %.1fs at overflow %.3f (iter %d), hpwl %.4g",
@@ -82,8 +75,6 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
     out->padding.clear();  // the fork precedes every padding round
     out->rng_key = rng.key();
     out->rng_counter = rng.counter();
-    out->congestion_fingerprint = estimator_->config_fingerprint();
-    out->ledger_blob = estimator_->save_incremental_state();
   }
   return metrics;
 }
@@ -121,21 +112,12 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   // identically for an in-memory and an on-disk snapshot.
   EPlaceEngine engine(design_, config_.gp);
   PaddingEngine padder(design_, engine.movable_cells(), config_.padding);
-  // One estimator for all padding rounds: its demand ledger and topology
-  // cache carry over, so each round pays only for the nets that moved.
+  // One estimator for all padding rounds, so its RSMT topology cache
+  // carries over.
   estimator_ = std::make_unique<CongestionEstimator>(design_, config_.congestion);
-  if (snapshot != nullptr) {
+  if (snapshot != nullptr && !snapshot->padding.empty()) {
     ScopedStageTimer t(metrics.stages, "restore");
-    if (!snapshot->padding.empty()) {
-      engine.set_padding(snapshot->padding);
-    }
-    // The ledger is a pure warm start: restore it only when it was built
-    // under this flow's congestion config, else stay cold (full rebuild on
-    // the first round — bit-identical results either way, see PR-2).
-    if (!snapshot->ledger_blob.empty() &&
-        snapshot->congestion_fingerprint == estimator_->config_fingerprint()) {
-      estimator_->restore_incremental_state(snapshot->ledger_blob);
-    }
+    engine.set_padding(snapshot->padding);
   }
 
   // Global placement with interleaved routability optimization.
@@ -146,7 +128,12 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
       engine.run_to_overflow(config_.padding.tau);
       if (!padder.should_trigger(engine.density_overflow())) break;
       ScopedStageTimer t2(metrics.stages, "routability_opt");
-      const CongestionResult congestion = estimator_->estimate_incremental();
+      const Timer est_timer;
+      const CongestionResult congestion = estimator_->estimate();
+      const double est_s = est_timer.elapsed_seconds();
+      ++metrics.estimation.calls;
+      ++metrics.estimation.full_rebuilds;
+      metrics.estimation.full_time_s += est_s;
       const OverflowStats est_of = compute_overflow(congestion.maps);
       metrics.round_est_overflow.push_back(est_of.total_pct());
       if (cb && !cb(round, est_of)) {
@@ -167,18 +154,14 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
         }
       }
       ++round;
-      const IncrementalStats& est = estimator_->incremental_stats();
       const std::vector<double>& pad = padder.update(congestion);
       engine.set_padding(pad);
       PUFFER_LOG_INFO(kTag,
                       "padding round %d at iter %d (overflow %.3f, est "
-                      "expanded %d segs; %s est %.3fs, %d/%d nets dirty, "
-                      "cache hit %.0f%%)",
+                      "expanded %d segs; est %.3fs, cache hit %.0f%%)",
                       padder.attempts(), engine.iteration(),
                       engine.density_overflow(), congestion.expanded_segments,
-                      est.last_was_full ? "full" : "incr", est.last_time_s,
-                      est.last_dirty_nets, est.last_total_nets,
-                      100.0 * estimator_->tree_cache().hit_rate());
+                      est_s, 100.0 * estimator_->tree_cache().hit_rate());
       // Let the density system absorb the new areas before re-estimating.
       for (int k = 0; k < config_.padding.spacing_iters; ++k) {
         if (!engine.step()) break;
@@ -206,7 +189,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
     // holds the mid-flow positions; the orchestrator only reads the
     // per-round overflow trail and the deterministic penalty loss.
     metrics.runtime_s = total.elapsed_seconds();
-    metrics.estimation = estimator_->incremental_stats();
     metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
     metrics.padding_stage = padder.stage_metrics();
     PUFFER_LOG_INFO(kTag, "flow aborted by round callback after round %d",
@@ -240,7 +222,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
           std::min(padder.peak_applied_area(),
                    config_.discrete.max_pad_area_frac * movable_area);
     }
-    metrics.legalize = legalizer_.legalize(design_, levels);
+    metrics.legalize = legalize(design_, levels, config_.legal);
   }
   if (config_.run_dp) {
     ScopedStageTimer t(metrics.stages, "detailed_place");
@@ -249,20 +231,18 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   metrics.hpwl_legal = design_.total_hpwl();
   metrics.legality = check_legality(design_);
   metrics.runtime_s = total.elapsed_seconds();
-  metrics.estimation = estimator_->incremental_stats();
   metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
   metrics.padding_stage = padder.stage_metrics();
   PUFFER_LOG_INFO(kTag, "flow done in %.1fs: hpwl %.4g -> %.4g, %s",
                   metrics.runtime_s, metrics.hpwl_gp, metrics.hpwl_legal,
                   metrics.legality.summary().c_str());
-  PUFFER_LOG_INFO(
-      kTag,
-      "legalize: %s %.3fs, %d placed (%d failed), avg/max disp %.3g/%.3g, "
-      "%d/%d rows rebuilt",
-      metrics.legalize.incremental ? "incr" : "full", metrics.legalize.time_s,
-      metrics.legalize.placed, metrics.legalize.failed_cells,
-      metrics.legalize.avg_displacement(), metrics.legalize.max_displacement,
-      metrics.legalize.rows_rebuilt, metrics.legalize.rows_total);
+  PUFFER_LOG_INFO(kTag,
+                  "legalize: %.3fs, %d placed (%d failed), avg/max disp "
+                  "%.3g/%.3g",
+                  metrics.legalize.time_s, metrics.legalize.placed,
+                  metrics.legalize.failed_cells,
+                  metrics.legalize.avg_displacement(),
+                  metrics.legalize.max_displacement);
   if (config_.run_dp) {
     PUFFER_LOG_INFO(kTag,
                     "dp: %.3fs, %d/%d moves accepted in %d passes, hpwl "
@@ -271,30 +251,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
                     metrics.dp.evaluated_moves, metrics.dp.passes,
                     metrics.dp.hpwl_before, metrics.dp.hpwl_after,
                     metrics.dp.improvement_pct());
-  }
-  if (metrics.estimation.calls > 0) {
-    PUFFER_LOG_INFO(
-        kTag,
-        "estimation: %d calls (%d full), %.1f%% nets dirty on incr rounds, "
-        "incr %.3fs / full %.3fs, rsmt cache hit %.0f%%, drift %llu",
-        metrics.estimation.calls, metrics.estimation.full_rebuilds,
-        100.0 * metrics.estimation.dirty_net_frac(),
-        metrics.estimation.incremental_time_s, metrics.estimation.full_time_s,
-        100.0 * metrics.rsmt_cache_hit_rate,
-        static_cast<unsigned long long>(metrics.estimation.drift_count));
-  }
-  if (metrics.padding_stage.extracts > 0) {
-    const PaddingStageMetrics& fs = metrics.padding_stage;
-    PUFFER_LOG_INFO(
-        kTag,
-        "padding features: %d extracts (%d full) in %.3fs, %.1f%% gcells "
-        "dirty on incr rounds, incidence hit %.0f%%, nets %lld reused / "
-        "%lld recomputed, drift %llu",
-        fs.extracts, fs.full_rebuilds, fs.feature_time_s,
-        100.0 * fs.dirty_gcell_frac(), 100.0 * fs.incidence_hit_rate(),
-        static_cast<long long>(fs.nets_reused),
-        static_cast<long long>(fs.nets_recomputed),
-        static_cast<unsigned long long>(fs.drift_count));
   }
   return metrics;
 }

@@ -83,6 +83,20 @@ struct OrchestratorStageMetrics {
   double trials_s = 0.0;  // wall time of the concurrent trial phase
 };
 
+// Congestion-estimation stage metrics, accumulated by the flow over its
+// padding rounds. Every estimate is built from scratch, so each call
+// counts as a full build and the reuse figures stay zero; the member
+// names are the ones the benchmark harness (perfbench/harness/trace.cpp)
+// reads.
+struct IncrementalStats {
+  int calls = 0;
+  int full_rebuilds = 0;
+  double incremental_time_s = 0.0;
+  double full_time_s = 0.0;
+
+  double dirty_net_frac() const { return 0.0; }
+};
+
 struct FlowMetrics {
   double hpwl_gp = 0.0;      // after global placement
   double hpwl_legal = 0.0;   // after legalization
@@ -91,18 +105,17 @@ struct FlowMetrics {
   double runtime_s = 0.0;
   StageTimes stages;
   LegalityReport legality;
-  // Incremental-estimation observability: ledger stats accumulated over
-  // the padding rounds plus the RSMT topology-cache hit rate.
+  // Congestion-estimation calls and wall time over the padding rounds,
+  // plus the RSMT topology-cache hit rate.
   IncrementalStats estimation;
   double rsmt_cache_hit_rate = 0.0;
-  // Padding feature-pipeline observability: extraction wall time,
-  // dirty-Gcell fraction, per-net cache hit rates, verified rebuilds
-  // (see padding/features.h).
+  // Padding feature-extraction calls and wall time (see
+  // padding/features.h).
   PaddingStageMetrics padding_stage;
   RouterStageMetrics router;
   // Legalization / detailed-placement stage observability (wall time,
-  // dirty-row fraction, displacement — see LegalizeResult /
-  // DetailedPlaceResult). dp is all-zero unless run_dp is set.
+  // displacement — see LegalizeResult / DetailedPlaceResult). dp is
+  // all-zero unless run_dp is set.
   LegalizeResult legalize;
   DetailedPlaceResult dp;
   // Estimated total overflow (%) after each padding-round congestion
@@ -156,9 +169,8 @@ class PufferFlow {
   // --- staged flow (trial orchestration; see docs/architecture.md) ----
   //
   // run_prefix() executes the trial-invariant part of the flow — initial
-  // placement plus global placement down to `fork_overflow` — and then
-  // warms the congestion ledger with one estimate. It captures the fork
-  // state (positions, RNG stream, serialized ledger) into *out.
+  // placement plus global placement down to `fork_overflow` — and
+  // captures the fork state (positions, RNG stream) into *out.
   // `fork_overflow` must be >= the largest padding trigger tau any
   // continuation will use, so no padding round ever lands in the prefix.
   //
@@ -183,15 +195,10 @@ class PufferFlow {
   // matches their own flow config.
   std::uint64_t prefix_key(double fork_overflow) const;
 
-  // The flow's congestion estimator (valid after run(); null before).
-  // Exposed so the evaluation router can warm-start from the flow's RSMT
-  // topology cache instead of rebuilding every net's tree.
+  // The flow's congestion estimator (valid after run() or run_from();
+  // null before). Exposed so the evaluation router can warm-start from
+  // the flow's RSMT topology cache instead of rebuilding every net's tree.
   CongestionEstimator* estimator() { return estimator_.get(); }
-
-  // The flow's legalizer. Its ledger persists across run() calls, so
-  // repeat invocations on a perturbed design (padding re-tuning, TPE
-  // trials re-running the flow) legalize incrementally.
-  IncrementalLegalizer& legalizer() { return legalizer_; }
 
   // Installs a per-round telemetry/cancellation observer, invoked (after
   // the pruning callback, when both are set) at every padding-round
@@ -210,10 +217,9 @@ class PufferFlow {
   Design& design_;
   PufferConfig config_;
   ProgressHook progress_hook_;
-  // Owned by the flow so the demand ledger and topology cache persist
-  // across padding rounds (and outlive run() for warm evaluation).
+  // Owned by the flow so the RSMT topology cache persists across padding
+  // rounds and outlives run() for the warm evaluation router.
   std::unique_ptr<CongestionEstimator> estimator_;
-  IncrementalLegalizer legalizer_;
 };
 
 // Runs the evaluation router on the design's current placement. `warm`

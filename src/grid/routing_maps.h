@@ -57,9 +57,8 @@ struct OverflowStats {
 OverflowStats compute_overflow(const RoutingMaps& maps);
 
 // FNV-1a over the raw bit patterns of both demand maps. Bit-identical maps
-// (and only those) hash equal, so the incremental estimator's drift check,
-// the randomized-equivalence tests and the benchmark can compare full vs
-// ledger-based results with a single number.
+// (and only those) hash equal, so tests and benches can compare two
+// estimates or routes with a single number.
 std::uint64_t demand_checksum(const RoutingMaps& maps);
 
 // Pearson correlation between two equally-sized maps; used by the

@@ -11,7 +11,7 @@ namespace puffer {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x50554653;  // "PUFS"
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
   return fnv1a_bytes(&v, sizeof(v), h);
@@ -452,8 +452,6 @@ std::string encode_snapshot(const FlowSnapshot& snap) {
   payload.put_f64_vec(snap.padding);
   payload.put_u64(snap.rng_key);
   payload.put_u64(snap.rng_counter);
-  payload.put_u64(snap.congestion_fingerprint);
-  payload.put_string(snap.ledger_blob);
 
   BinaryWriter out;
   out.put_u32(kSnapshotMagic);
@@ -500,8 +498,6 @@ FlowSnapshot decode_snapshot(const std::string& bytes) {
   snap.padding = p.get_f64_vec();
   snap.rng_key = p.get_u64();
   snap.rng_counter = p.get_u64();
-  snap.congestion_fingerprint = p.get_u64();
-  snap.ledger_blob = p.get_string();
   if (snap.x.size() != snap.y.size()) {
     throw CheckpointError("checkpoint: x/y position arrays disagree");
   }

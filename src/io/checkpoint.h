@@ -9,9 +9,7 @@
 //
 //   * every cell's lower-left position (doubles, bit-exact),
 //   * the per-movable-cell padding widths at the fork,
-//   * the RNG stream state (two words, see common/rng.h),
-//   * the serialized congestion demand ledger (optional warm start,
-//     only restored when the congestion-config fingerprint matches).
+//   * the RNG stream state (two words, see common/rng.h).
 //
 // The file format is versioned, little-endian, with a trailing FNV-1a
 // checksum over the payload; save_snapshot writes atomically
@@ -165,13 +163,6 @@ struct FlowSnapshot {
   // RNG stream state at the fork (common/rng.h RngStream).
   std::uint64_t rng_key = 0;
   std::uint64_t rng_counter = 0;
-  // Fingerprint of the congestion config the ledger blob was built under;
-  // restore skips the blob when the trial's config fingerprint differs
-  // (correct either way -- the ledger is a pure warm start).
-  std::uint64_t congestion_fingerprint = 0;
-  // Serialized demand-ledger state (congestion/estimator.h
-  // save_incremental_state); empty = cold start.
-  std::string ledger_blob;
 };
 
 // Stable structural hash of a design: counts, die, rows, cell

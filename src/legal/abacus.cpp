@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -35,11 +34,6 @@ struct SegCell {
   std::int64_t lp = 0;  // left padding in sites (pad / 2)
   std::int64_t t = 0;   // desired slot left edge, site units
   double e = 0.0;       // Abacus weight (cell area, floored at 1.0)
-
-  bool same_as(const SegCell& o) const {
-    return w == o.w && lp == o.lp && t == o.t &&
-           std::memcmp(&e, &o.e, sizeof(double)) == 0;
-  }
 };
 
 struct Cluster {
@@ -69,18 +63,12 @@ struct RowGeom {
   std::vector<std::pair<std::int64_t, std::int64_t>> segs;
 };
 
-// One cell's recorded assignment plus the candidate-row window whose
-// segment state the search actually read; the decision replays verbatim
-// while every row in [rmin, rmax] is clean (see the walk below).
+// One cell's assignment: its (row, segment) and padded slot, row = -1
+// when no segment can hold it.
 struct Decision {
   std::int32_t row = -1;
   std::int32_t seg = -1;
-  std::int32_t rmin = 0, rmax = -1;  // empty window when rmax < rmin
   SegCell sc;
-
-  bool same_as(const Decision& o) const {
-    return row == o.row && seg == o.seg && sc.same_as(o.sc);
-  }
 };
 
 // Simulates appending `cell` to the segment (the Abacus collapse
@@ -118,47 +106,6 @@ bool trial_or_commit(Segment& seg, const SegCell& cell, bool commit,
   seg.cells.push_back(cell);
   seg.used += cell.w;
   return true;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <typename T>
-std::uint64_t fnv1a_pod(std::uint64_t h, const T& v) {
-  return fnv1a(h, &v, sizeof(T));
-}
-
-// Everything the ledger's validity depends on besides cell positions /
-// widths / padding: row geometry, macro blockages, cell count and the
-// movable partition.
-std::uint64_t structure_key(const Design& design) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv1a_pod(h, design.rows.size());
-  for (const Row& r : design.rows) {
-    h = fnv1a_pod(h, r.y);
-    h = fnv1a_pod(h, r.x_lo);
-    h = fnv1a_pod(h, r.num_sites);
-    h = fnv1a_pod(h, r.site_width);
-    h = fnv1a_pod(h, r.height);
-  }
-  h = fnv1a_pod(h, design.cells.size());
-  for (const Cell& c : design.cells) {
-    h = fnv1a_pod(h, c.kind);
-    if (c.is_macro()) {
-      const Rect r = c.rect();
-      h = fnv1a_pod(h, r.xlo);
-      h = fnv1a_pod(h, r.ylo);
-      h = fnv1a_pod(h, r.xhi);
-      h = fnv1a_pod(h, r.yhi);
-    }
-  }
-  return h;
 }
 
 // Builds macro-aware row segments: macros are indexed once into per-row
@@ -226,9 +173,7 @@ std::vector<RowGeom> build_geometry(const Design& design) {
 //
 // A run legalizes one input state (positions px/py + padding) over the
 // static geometry. The serial walk fixes every cell's (row, segment,
-// slot); rows finalize concurrently afterwards. In incremental mode rows
-// start *frozen* on their stored state and are materialized lazily, and
-// clean cells replay their recorded commit without a candidate search.
+// slot); rows finalize concurrently afterwards.
 struct Engine {
   const Design& design;
   const LegalizeConfig& config;
@@ -240,16 +185,8 @@ struct Engine {
   double row_h = 1.0, row_y0 = 0.0;
   int nrows = 0;
 
-  std::vector<CellId> order;           // movable cells by (x, id)
-  std::vector<std::int32_t> order_pos; // cell -> order index, -1 otherwise
-
-  std::vector<RowState> rows;   // evolving state this run
-  std::vector<std::uint8_t> live;
-
-  // Incremental hooks (null/empty in full mode).
-  const std::vector<RowState>* stored = nullptr;
-  std::vector<std::uint32_t>* row_mark = nullptr;
-  std::uint32_t epoch = 0;
+  std::vector<CellId> order;  // movable cells by (x, id)
+  std::vector<RowState> rows;
 
   Engine(const Design& d, const LegalizeConfig& cfg,
          const std::vector<RowGeom>& g, const std::vector<double>& x,
@@ -260,7 +197,6 @@ struct Engine {
     row_y0 = design.rows.front().y;
     build_order();
     rows.resize(static_cast<std::size_t>(nrows));
-    live.assign(static_cast<std::size_t>(nrows), 0);
     for (int r = 0; r < nrows; ++r) {
       auto& segs = rows[static_cast<std::size_t>(r)].segments;
       segs.resize(geom[static_cast<std::size_t>(r)].segs.size());
@@ -272,8 +208,6 @@ struct Engine {
   }
 
   void build_order() {
-    order.clear();
-    order_pos.assign(design.cells.size(), -1);
     for (CellId c = 0; c < static_cast<CellId>(design.cells.size()); ++c) {
       if (design.cells[static_cast<std::size_t>(c)].movable()) {
         order.push_back(c);
@@ -285,51 +219,11 @@ struct Engine {
       if (ax != bx) return ax < bx;
       return a < b;  // deterministic tie-break
     });
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      order_pos[static_cast<std::size_t>(order[k])] =
-          static_cast<std::int32_t>(k);
-    }
-  }
-
-  void mark(int r) {
-    if (row_mark) (*row_mark)[static_cast<std::size_t>(r)] = epoch;
-  }
-  bool marked(int r) const {
-    return row_mark && (*row_mark)[static_cast<std::size_t>(r)] == epoch;
-  }
-
-  // Rebuilds a frozen row's evolving state as of walk position `upto`
-  // (exclusive): replays the stored members' commits whose order index is
-  // below `upto`. Valid precisely while the row is frozen — every stored
-  // member below `upto` is clean and already made its identical decision.
-  void materialize(int r, std::int32_t upto) {
-    RowState& w = rows[static_cast<std::size_t>(r)];
-    const RowState& s = (*stored)[static_cast<std::size_t>(r)];
-    for (std::size_t si = 0; si < s.segments.size(); ++si) {
-      for (const SegCell& sc : s.segments[si].cells) {
-        const std::int32_t pos = order_pos[static_cast<std::size_t>(sc.id)];
-        if (pos < 0 || pos >= upto) continue;
-        std::int64_t x = 0;
-        trial_or_commit(w.segments[si], sc, /*commit=*/true, x);
-      }
-    }
-    live[static_cast<std::size_t>(r)] = 1;
-  }
-
-  void ensure_live(int r, std::int32_t upto) {
-    if (!live[static_cast<std::size_t>(r)]) {
-      if (stored) {
-        materialize(r, upto);
-      } else {
-        live[static_cast<std::size_t>(r)] = 1;
-      }
-    }
   }
 
   // Full candidate search for one cell. Reads row/segment state only
-  // after the static distance bounds pass, and records the window of
-  // rows actually read in rmin/rmax (the replay-validity window).
-  Decision search(CellId cid, std::int32_t k) {
+  // after the static distance bounds pass.
+  Decision search(CellId cid) {
     const std::size_t ci = static_cast<std::size_t>(cid);
     const Cell& cell = design.cells[ci];
     const double cx = px[ci], cy = py[ci];
@@ -337,8 +231,6 @@ struct Engine {
 
     Decision d;
     double best_cost = std::numeric_limits<double>::max();
-    int rmin = std::numeric_limits<int>::max();
-    int rmax = std::numeric_limits<int>::min();
     const int home =
         static_cast<int>(std::llround((cy - row_y0) / row_h));
 
@@ -363,7 +255,6 @@ struct Engine {
       sc.w = pw + pad;
       sc.lp = pad / 2;
       sc.e = std::max(cell.area(), 1.0);  // zero-weight guard
-      bool read_row = false;
       for (std::size_t s = 0; s < g.segs.size(); ++s) {
         const auto [lo, hi] = g.segs[s];
         // Static lower bound on dx: achievable slot positions lie inside
@@ -374,10 +265,6 @@ struct Engine {
         const double dxmin =
             cx < sx0 ? sx0 - cx : (cx > sx1 ? cx - sx1 : 0.0);
         if (dxmin * dxmin + dy * dy >= best_cost) continue;
-        if (!read_row) {
-          read_row = true;
-          ensure_live(r, k);
-        }
         Segment& seg = rows[static_cast<std::size_t>(r)].segments[s];
         const double raw =
             (cx - static_cast<double>(pad) * g.site * 0.5 - g.x0) / g.site;
@@ -398,60 +285,16 @@ struct Engine {
           d.sc = sc;
         }
       }
-      if (read_row) {
-        rmin = std::min(rmin, r);
-        rmax = std::max(rmax, r);
-      }
-    }
-    if (rmin <= rmax) {
-      d.rmin = rmin;
-      d.rmax = rmax;
-    } else {
-      d.rmin = 0;
-      d.rmax = -1;
     }
     return d;
   }
 
-  bool window_clean(const Decision& rec) const {
-    for (int r = std::max(0, rec.rmin);
-         r <= std::min(nrows - 1, rec.rmax); ++r) {
-      if (marked(r)) return false;
-    }
-    return true;
-  }
-
-  // The serial assignment walk. `decisions` is read for replay (when a
-  // ledger round) and always updated; `dirty` flags input-changed cells
-  // (empty in full mode = everything re-decides). Returns false when a
-  // replayed commit violates capacity — a ledger invariant break that
-  // the caller must answer with a from-scratch run.
-  bool walk(std::vector<Decision>& decisions, const std::vector<char>& dirty,
-            bool ledger_round, int& failed, int& replayed, int& redecided) {
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const CellId cid = order[k];
-      const std::size_t ci = static_cast<std::size_t>(cid);
-      Decision& rec = decisions[ci];
-      if (ledger_round && !dirty[ci] && window_clean(rec)) {
-        ++replayed;
-        if (rec.row >= 0) {
-          if (live[static_cast<std::size_t>(rec.row)]) {
-            std::int64_t x = 0;
-            if (!trial_or_commit(
-                    rows[static_cast<std::size_t>(rec.row)]
-                        .segments[static_cast<std::size_t>(rec.seg)],
-                    rec.sc, /*commit=*/true, x)) {
-              return false;  // invariant break: caller falls back to full
-            }
-          }
-          // Frozen row: the stored state already contains this commit.
-        } else {
-          ++failed;  // replayed failure (nothing it read changed)
-        }
-        continue;
-      }
-      ++redecided;
-      Decision d = search(cid, static_cast<std::int32_t>(k));
+  // The serial assignment walk: every cell in (x, id) order takes its
+  // best candidate slot. Returns the number of cells no segment holds.
+  int walk(std::vector<Decision>& decisions) {
+    int failed = 0;
+    for (const CellId cid : order) {
+      Decision d = search(cid);
       if (d.row >= 0) {
         std::int64_t x = 0;
         trial_or_commit(rows[static_cast<std::size_t>(d.row)]
@@ -460,16 +303,9 @@ struct Engine {
       } else {
         ++failed;
       }
-      if (ledger_round && !d.same_as(rec)) {
-        if (rec.row >= 0 && !live[static_cast<std::size_t>(rec.row)]) {
-          materialize(rec.row, static_cast<std::int32_t>(k));
-        }
-        if (rec.row >= 0) mark(rec.row);
-        if (d.row >= 0) mark(d.row);
-      }
-      rec = d;
+      decisions[static_cast<std::size_t>(cid)] = d;
     }
-    return true;
+    return failed;
   }
 
   // Concurrent per-row finalization: recover slot positions from the
@@ -479,7 +315,6 @@ struct Engine {
   void finalize(std::vector<double>& ox, std::vector<double>& oy) const {
     par::parallel_for(0, nrows, 4, [&](std::int64_t b, std::int64_t e, int) {
       for (std::int64_t r = b; r < e; ++r) {
-        if (!live[static_cast<std::size_t>(r)]) continue;
         const RowGeom& g = geom[static_cast<std::size_t>(r)];
         for (const Segment& seg : rows[static_cast<std::size_t>(r)].segments) {
           std::size_t cell_idx = 0;
@@ -506,10 +341,6 @@ struct Engine {
     });
   }
 };
-
-LegalizeConfig checked(const LegalizeConfig& config) {
-  return validate_legalize_config(config);
-}
 
 std::vector<int> normalize_pads(const Design& design,
                                 const std::vector<int>& pad_sites) {
@@ -574,20 +405,12 @@ LegalizeConfig validate_legalize_config(LegalizeConfig config) {
     throw std::invalid_argument(
         "LegalizeConfig.max_row_search must be positive");
   }
-  if (!(config.max_dirty_frac == config.max_dirty_frac)) {  // NaN check
-    throw std::invalid_argument(
-        "LegalizeConfig.max_dirty_frac must not be NaN");
-  }
-  if (config.full_rebuild_interval < 1) config.full_rebuild_interval = 1;
-  config.max_dirty_frac = clamp(config.max_dirty_frac, 0.0, 1.0);
   return config;
 }
 
-// --- free from-scratch legalization --------------------------------------
-
 LegalizeResult legalize(Design& design, const std::vector<int>& pad_sites,
                         const LegalizeConfig& config) {
-  const LegalizeConfig cfg = checked(config);
+  const LegalizeConfig cfg = validate_legalize_config(config);
   LegalizeResult result;
   Timer timer;
   if (design.rows.empty()) {
@@ -603,270 +426,15 @@ LegalizeResult legalize(Design& design, const std::vector<int>& pad_sites,
   const std::vector<int> pads = normalize_pads(design, pad_sites);
 
   Engine eng(design, cfg, geom, px, py, pads);
-  std::fill(eng.live.begin(), eng.live.end(), 1);
   std::vector<Decision> decisions(design.cells.size());
-  const std::vector<char> no_dirty;
-  int replayed = 0, redecided = 0;
-  eng.walk(decisions, no_dirty, /*ledger_round=*/false, result.failed_cells,
-           replayed, redecided);
-  result.redecided_cells = redecided;
-  result.rows_total = eng.nrows;
-  result.rows_rebuilt = eng.nrows;
+  result.failed_cells = eng.walk(decisions);
 
   std::vector<double> ox(design.cells.size(), 0.0);
   std::vector<double> oy(design.cells.size(), 0.0);
   eng.finalize(ox, oy);
   write_back(design, decisions, px, py, ox, oy, result);
-  result.success = result.failed_cells == 0 && !design.rows.empty();
-  result.time_s = timer.elapsed_seconds();
-  if (result.failed_cells > 0) {
-    PUFFER_LOG_WARN(kTag, "%d cells could not be legalized",
-                    result.failed_cells);
-  }
-  return result;
-}
-
-// --- incremental legalizer -----------------------------------------------
-
-struct IncrementalLegalizer::Impl {
-  LegalizeConfig config;
-  IncrementalLegalStats stats;
-
-  bool valid = false;
-  std::uint64_t key = 0;
-  std::vector<RowGeom> geom;
-  // Input snapshot from the last applied call (bit-compared).
-  std::vector<double> in_x, in_y, in_w;
-  std::vector<int> in_pad;
-  // Last applied decisions + per-row final state + outputs.
-  std::vector<Decision> decisions;
-  std::vector<RowState> rows_store;
-  std::vector<double> out_x, out_y;
-
-  std::vector<std::uint32_t> row_mark;
-  std::uint32_t epoch = 0;
-
-  explicit Impl(LegalizeConfig cfg) : config(validate_legalize_config(cfg)) {}
-
-  // From-scratch run that (re)records the ledger into the given buffers.
-  LegalizeResult run_full(Design& design, const std::vector<double>& px,
-                          const std::vector<double>& py,
-                          const std::vector<int>& pads,
-                          std::vector<Decision>& dec,
-                          std::vector<RowState>& rows_out,
-                          std::vector<double>& ox, std::vector<double>& oy) {
-    LegalizeResult result;
-    Engine eng(design, config, geom, px, py, pads);
-    std::fill(eng.live.begin(), eng.live.end(), 1);
-    dec.assign(design.cells.size(), Decision{});
-    const std::vector<char> no_dirty;
-    int replayed = 0, redecided = 0;
-    eng.walk(dec, no_dirty, /*ledger_round=*/false, result.failed_cells,
-             replayed, redecided);
-    result.redecided_cells = redecided;
-    result.rows_total = eng.nrows;
-    result.rows_rebuilt = eng.nrows;
-    ox.assign(design.cells.size(), 0.0);
-    oy.assign(design.cells.size(), 0.0);
-    eng.finalize(ox, oy);
-    rows_out = std::move(eng.rows);
-    return result;
-  }
-
-  void snapshot_inputs(const Design& design, const std::vector<double>& px,
-                       const std::vector<double>& py,
-                       const std::vector<int>& pads) {
-    in_x = px;
-    in_y = py;
-    in_pad = pads;
-    in_w.resize(design.cells.size());
-    for (std::size_t i = 0; i < design.cells.size(); ++i) {
-      in_w[i] = design.cells[i].width;
-    }
-  }
-};
-
-IncrementalLegalizer::IncrementalLegalizer(LegalizeConfig config)
-    : impl_(std::make_unique<Impl>(config)) {}
-
-IncrementalLegalizer::~IncrementalLegalizer() = default;
-
-void IncrementalLegalizer::invalidate() { impl_->valid = false; }
-
-const IncrementalLegalStats& IncrementalLegalizer::stats() const {
-  return impl_->stats;
-}
-
-LegalizeResult IncrementalLegalizer::legalize(
-    Design& design, const std::vector<int>& pad_sites) {
-  Impl& im = *impl_;
-  Timer timer;
-  LegalizeResult result;
-  ++im.stats.calls;
-  if (design.rows.empty()) {
-    result.success = false;
-    im.valid = false;
-    return result;
-  }
-
-  const std::uint64_t key = structure_key(design);
-  std::vector<double> px(design.cells.size()), py(design.cells.size());
-  for (std::size_t i = 0; i < design.cells.size(); ++i) {
-    px[i] = design.cells[i].x;
-    py[i] = design.cells[i].y;
-  }
-  const std::vector<int> pads = normalize_pads(design, pad_sites);
-
-  bool full = !im.valid || key != im.key;
-  if (full) {
-    im.geom = build_geometry(design);
-    im.key = key;
-  }
-
-  // Bitwise dirty detection against the previous call's *inputs*.
-  std::vector<char> dirty;
-  std::size_t num_dirty = 0, num_movable = 0;
-  if (!full) {
-    dirty.assign(design.cells.size(), 0);
-    for (std::size_t i = 0; i < design.cells.size(); ++i) {
-      const Cell& c = design.cells[i];
-      if (!c.movable()) continue;
-      ++num_movable;
-      const bool moved =
-          std::memcmp(&px[i], &im.in_x[i], sizeof(double)) != 0 ||
-          std::memcmp(&py[i], &im.in_y[i], sizeof(double)) != 0 ||
-          std::memcmp(&c.width, &im.in_w[i], sizeof(double)) != 0 ||
-          pads[i] != im.in_pad[i];
-      if (moved) {
-        dirty[i] = 1;
-        ++num_dirty;
-      }
-    }
-    if (num_movable > 0 &&
-        static_cast<double>(num_dirty) >
-            im.config.max_dirty_frac * static_cast<double>(num_movable)) {
-      full = true;
-    }
-  }
-
-  const bool verify =
-      !full && im.config.full_rebuild_interval > 0 &&
-      (im.stats.calls % im.config.full_rebuild_interval) == 0;
-
-  if (full) {
-    result = im.run_full(design, px, py, pads, im.decisions, im.rows_store,
-                         im.out_x, im.out_y);
-    write_back(design, im.decisions, px, py, im.out_x, im.out_y, result);
-    ++im.stats.full_runs;
-    im.stats.redecided_cells += result.redecided_cells;
-    result.success = result.failed_cells == 0;
-    result.time_s = timer.elapsed_seconds();
-    im.stats.full_time_s += result.time_s;
-    im.snapshot_inputs(design, px, py, pads);
-    im.valid = true;
-    if (result.failed_cells > 0) {
-      PUFFER_LOG_WARN(kTag, "%d cells could not be legalized",
-                      result.failed_cells);
-    }
-    return result;
-  }
-
-  // --- ledger round ------------------------------------------------------
-  result.incremental = true;
-  Engine eng(design, im.config, im.geom, px, py, pads);
-  eng.stored = &im.rows_store;
-  im.row_mark.assign(static_cast<std::size_t>(eng.nrows), 0);
-  ++im.epoch;
-  eng.row_mark = &im.row_mark;
-  eng.epoch = im.epoch;
-
-  // Pre-mark the recorded rows of dirty cells: their old commit is gone
-  // this round, so every reader of those rows must re-decide. The rows
-  // start live and empty; their surviving members rebuild them in order.
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    if (!dirty[i]) continue;
-    const Decision& rec = im.decisions[i];
-    if (rec.row >= 0) {
-      eng.mark(rec.row);
-      eng.live[static_cast<std::size_t>(rec.row)] = 1;
-    }
-  }
-
-  std::vector<Decision> decisions = im.decisions;
-  int replayed = 0, redecided = 0;
-  const bool ok = eng.walk(decisions, dirty, /*ledger_round=*/true,
-                           result.failed_cells, replayed, redecided);
-  if (!ok) {
-    // Ledger invariant break (should be impossible): recover with a
-    // verified full rebuild and count the drift.
-    ++im.stats.drift_count;
-    im.valid = false;
-    result = im.run_full(design, px, py, pads, im.decisions, im.rows_store,
-                         im.out_x, im.out_y);
-    write_back(design, im.decisions, px, py, im.out_x, im.out_y, result);
-    ++im.stats.full_runs;
-    result.success = result.failed_cells == 0;
-    result.time_s = timer.elapsed_seconds();
-    im.stats.full_time_s += result.time_s;
-    im.snapshot_inputs(design, px, py, pads);
-    im.valid = true;
-    return result;
-  }
-
-  result.replayed_cells = replayed;
-  result.redecided_cells = redecided;
-  result.rows_total = eng.nrows;
-  for (std::uint8_t l : eng.live) result.rows_rebuilt += l;
-
-  // Frozen rows keep their stored outputs; live rows finalize (the
-  // arrays persist per cell, so only live-row members are overwritten).
-  eng.finalize(im.out_x, im.out_y);
-  write_back(design, decisions, px, py, im.out_x, im.out_y, result);
-  for (int r = 0; r < eng.nrows; ++r) {
-    if (eng.live[static_cast<std::size_t>(r)]) {
-      im.rows_store[static_cast<std::size_t>(r)] =
-          std::move(eng.rows[static_cast<std::size_t>(r)]);
-    }
-  }
-  im.decisions = std::move(decisions);
-  im.snapshot_inputs(design, px, py, pads);
-
   result.success = result.failed_cells == 0;
-  im.stats.replayed_cells += replayed;
-  im.stats.redecided_cells += redecided;
-
-  if (verify) {
-    // Periodic verified rebuild: run from scratch on the same inputs and
-    // compare the outputs bitwise (the demand-ledger contract).
-    ++im.stats.verified_rebuilds;
-    std::vector<Decision> dec2;
-    std::vector<RowState> rows2;
-    std::vector<double> ox2, oy2;
-    LegalizeResult full_result =
-        im.run_full(design, px, py, pads, dec2, rows2, ox2, oy2);
-    bool drift = full_result.failed_cells != result.failed_cells;
-    for (std::size_t i = 0; !drift && i < design.cells.size(); ++i) {
-      if (!design.cells[i].movable() || dec2[i].row < 0) continue;
-      drift = std::memcmp(&ox2[i], &im.out_x[i], sizeof(double)) != 0 ||
-              std::memcmp(&oy2[i], &im.out_y[i], sizeof(double)) != 0;
-    }
-    if (drift) {
-      ++im.stats.drift_count;
-      PUFFER_LOG_WARN(kTag,
-                      "incremental legalization drifted from the full "
-                      "rebuild; adopting the rebuild");
-      im.decisions = std::move(dec2);
-      im.rows_store = std::move(rows2);
-      im.out_x = std::move(ox2);
-      im.out_y = std::move(oy2);
-      result.failed_cells = full_result.failed_cells;
-      write_back(design, im.decisions, px, py, im.out_x, im.out_y, result);
-      result.success = result.failed_cells == 0;
-    }
-  }
-
   result.time_s = timer.elapsed_seconds();
-  im.stats.incremental_time_s += result.time_s;
   if (result.failed_cells > 0) {
     PUFFER_LOG_WARN(kTag, "%d cells could not be legalized",
                     result.failed_cells);

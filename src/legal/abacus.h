@@ -4,8 +4,7 @@
 // plus its discrete padding, so congested-region cells keep the
 // surrounding white space they earned during global placement.
 //
-// The implementation follows the deterministic snapshot/commit pattern
-// established by the router and the demand ledger:
+// The implementation follows a deterministic snapshot/commit pattern:
 //
 //  * All segment arithmetic (widths, segment bounds, cluster positions,
 //    occupancy) is carried in integer *site units* relative to each
@@ -20,18 +19,11 @@
 //    rows *finalize concurrently* (cluster snapping + position
 //    write-back) — row contents are independent once assignment is
 //    frozen, so the result is bit-identical for any PUFFER_THREADS.
-//  * `IncrementalLegalizer` keeps a per-row ledger (input-position
-//    snapshot, per-cell decisions with their examined row windows, and
-//    per-row final segment state) so a repeat round only re-runs the
-//    candidate search for cells that moved or whose examined rows
-//    changed; everything else replays its recorded commit. Results are
-//    bit-identical to a from-scratch run on the same input, enforced by
-//    a periodic verified full rebuild (drift_count must stay 0), the
-//    same contract as congestion/demand_ledger.
+//
+// Every call legalizes from scratch: the flow legalizes once per run,
+// after global placement has moved every cell.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "netlist/design.h"
@@ -43,20 +35,11 @@ struct LegalizeConfig {
   // search stops early once the row's y-displacement alone exceeds the
   // best complete cost.
   int max_row_search = 64;
-  // Incremental path: every Nth call runs the ledger path *and* a
-  // from-scratch rebuild and compares the outputs bitwise (a mismatch
-  // bumps drift_count and adopts the rebuild).
-  int full_rebuild_interval = 16;
-  // Incremental path: fall back to a full run when more than this
-  // fraction of movable cells moved since the last call.
-  double max_dirty_frac = 0.5;
 };
 
-// Returns `config` with out-of-range knobs clamped to sane values
-// (full_rebuild_interval < 1 -> 1, max_dirty_frac clamped to [0, 1]);
-// throws std::invalid_argument for values no clamp can repair
-// (non-positive max_row_search). IncrementalLegalizer validates on
-// construction; the free legalize() validates per call.
+// Returns `config` unchanged when it is usable; throws
+// std::invalid_argument for a non-positive max_row_search. legalize()
+// validates per call, PufferFlow at construction.
 LegalizeConfig validate_legalize_config(LegalizeConfig config);
 
 struct LegalizeResult {
@@ -67,71 +50,16 @@ struct LegalizeResult {
   int placed = 0;
   // Stage observability (wired into FlowMetrics / the experiment log).
   double time_s = 0.0;
-  bool incremental = false;   // ledger path (vs from-scratch)
-  int replayed_cells = 0;     // decisions replayed without a search
-  int redecided_cells = 0;    // cells that ran the full candidate search
-  int rows_rebuilt = 0;       // rows whose segments were rebuilt this call
-  int rows_total = 0;
 
   double avg_displacement() const {
     return placed > 0 ? total_displacement / placed : 0.0;
   }
-  double dirty_row_frac() const {
-    return rows_total > 0
-               ? static_cast<double>(rows_rebuilt) /
-                     static_cast<double>(rows_total)
-               : 0.0;
-  }
 };
 
-// Observability for the incremental path (mirrors IncrementalStats of
-// the congestion ledger).
-struct IncrementalLegalStats {
-  int calls = 0;
-  int full_runs = 0;           // from-scratch calls (first, forced, fallback)
-  int verified_rebuilds = 0;   // calls that also ran the drift check
-  std::int64_t replayed_cells = 0;
-  std::int64_t redecided_cells = 0;
-  double incremental_time_s = 0.0;
-  double full_time_s = 0.0;
-  // Verified-rebuild mismatches (must stay 0).
-  std::uint64_t drift_count = 0;
-};
-
-// Stateful legalizer whose ledger survives across calls. Inputs are the
-// design's *current* cell positions; a cell is dirty when its position,
-// width or padding differs bitwise from the previous call's input. The
-// caller owns the pre-legal placement: positions this class writes back
-// are outputs, not next-round inputs (restore or re-place before the
-// next call, as the padding loop and TPE trials do).
-class IncrementalLegalizer {
- public:
-  // Validates `config` (throws std::invalid_argument, see
-  // validate_legalize_config).
-  explicit IncrementalLegalizer(LegalizeConfig config = {});
-  ~IncrementalLegalizer();
-  IncrementalLegalizer(const IncrementalLegalizer&) = delete;
-  IncrementalLegalizer& operator=(const IncrementalLegalizer&) = delete;
-
-  // Legalizes all movable cells in place; bit-identical to the free
-  // legalize() on the same input for any PUFFER_THREADS value.
-  LegalizeResult legalize(Design& design,
-                          const std::vector<int>& pad_sites = {});
-
-  // Drops the ledger; the next call runs from scratch.
-  void invalidate();
-
-  const IncrementalLegalStats& stats() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-// Legalizes all movable cells in place, from scratch. `pad_sites` is the
-// per-CellId discrete padding in sites (empty = no padding). Cell
-// positions are updated to legal, non-overlapping, row/site-aligned
-// locations centered inside their padded slots.
+// Legalizes all movable cells in place. `pad_sites` is the per-CellId
+// discrete padding in sites (empty = no padding). Cell positions are
+// updated to legal, non-overlapping, row/site-aligned locations centered
+// inside their padded slots.
 LegalizeResult legalize(Design& design, const std::vector<int>& pad_sites = {},
                         const LegalizeConfig& config = {});
 

@@ -37,7 +37,7 @@ namespace puffer {
 
 // Protocol (message-schema) version, checked in Hello/HelloAck on top of
 // the per-frame wire version.
-constexpr std::uint32_t kOrchProtocolVersion = 1;
+constexpr std::uint32_t kOrchProtocolVersion = 2;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,

@@ -1,13 +1,9 @@
 #include "orchestrate/trial_journal.h"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
-
-#include "io/checkpoint.h"
 
 namespace puffer {
 namespace {
@@ -118,32 +114,13 @@ bool get_rounds(const std::string& line, std::vector<double>* out) {
 
 }  // namespace
 
-TrialJournal::TrialJournal(const std::string& path) : path_(path) {
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_) {
-    throw CheckpointError("journal: cannot open " + path + ": " +
-                          std::strerror(errno));
-  }
-  fd_ = ::fileno(file_);
-}
+TrialJournal::TrialJournal(const std::string& path)
+    : log_(path, [](const std::string& line) {
+        JournalRecord rec;
+        return decode(line, &rec);
+      }) {}
 
-TrialJournal::~TrialJournal() {
-  if (file_) std::fclose(file_);
-}
-
-void TrialJournal::append(const JournalRecord& rec) {
-  const std::string line = encode(rec) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw CheckpointError("journal: short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    throw CheckpointError("journal: flush failed for " + path_);
-  }
-  if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw CheckpointError("journal: fsync failed for " + path_ + ": " +
-                          std::strerror(errno));
-  }
-}
+void TrialJournal::append(const JournalRecord& rec) { log_.append(encode(rec)); }
 
 std::string TrialJournal::encode(const JournalRecord& rec) {
   char buf[256];
@@ -255,26 +232,12 @@ bool TrialJournal::decode(const std::string& line, JournalRecord* out) {
 
 std::vector<JournalRecord> TrialJournal::load(const std::string& path) {
   std::vector<JournalRecord> records;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return records;
-  std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
-
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    std::size_t nl = data.find('\n', pos);
-    const bool torn = nl == std::string::npos;
-    const std::string line =
-        torn ? data.substr(pos) : data.substr(pos, nl - pos);
+  AppendLog::load(path, [&records](const std::string& line) {
     JournalRecord rec;
-    if (!decode(line, &rec)) break;  // torn/corrupt: drop this and the rest
+    if (!decode(line, &rec)) return false;
     records.push_back(std::move(rec));
-    if (torn) break;
-    pos = nl + 1;
-  }
+    return true;
+  });
   return records;
 }
 

@@ -1,8 +1,9 @@
 // Append-only, crash-safe trial journal for exploration sessions.
 //
-// One JSONL record per line, fsync'd per append, so a SIGKILL at any
-// point leaves at worst one torn final line -- which the tolerant loader
-// drops. A resumed exploration replays the journal: completed trials
+// One JSONL record per line in an io/append_log.h log, fsync'd per
+// append, so a SIGKILL at any point leaves at worst one torn final line
+// -- which the tolerant loader drops and reopening cuts off. A resumed
+// exploration replays the journal: completed trials
 // substitute their recorded losses for re-evaluation (verified against
 // the re-derived candidate's assignment hash), incomplete trials re-run
 // from the shared checkpoint.
@@ -25,9 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "io/append_log.h"
 
 namespace puffer {
 
@@ -69,18 +71,15 @@ struct JournalRecord {
 
 class TrialJournal {
  public:
-  // Opens `path` for appending (created when missing); throws
-  // CheckpointError when the file cannot be opened.
+  // Opens `path` for appending (created when missing; a torn tail is cut
+  // off first); throws CheckpointError when the file cannot be opened.
   explicit TrialJournal(const std::string& path);
-  ~TrialJournal();
-  TrialJournal(const TrialJournal&) = delete;
-  TrialJournal& operator=(const TrialJournal&) = delete;
 
   // Serializes, appends one line, flushes and fsyncs. Throws
   // CheckpointError on I/O failure.
   void append(const JournalRecord& rec);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   // One-record codec (exposed for tests).
   static std::string encode(const JournalRecord& rec);
@@ -93,9 +92,7 @@ class TrialJournal {
   static std::vector<JournalRecord> load(const std::string& path);
 
  private:
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  int fd_ = -1;
+  AppendLog log_;
 };
 
 }  // namespace puffer

@@ -26,11 +26,11 @@ void RowColRmq::build(const std::vector<std::int64_t>& vals, int nx, int ny) {
   }
   row_table_.assign(static_cast<std::size_t>(row_levels_) * cells_, 0);
   col_table_.assign(static_cast<std::size_t>(col_levels_) * cells_, 0);
-  for (int gy = 0; gy < ny_; ++gy) rebuild_row(vals, gy);
-  for (int gx = 0; gx < nx_; ++gx) rebuild_col(vals, gx);
+  for (int gy = 0; gy < ny_; ++gy) tabulate_row(vals, gy);
+  for (int gx = 0; gx < nx_; ++gx) tabulate_col(vals, gx);
 }
 
-void RowColRmq::rebuild_row(const std::vector<std::int64_t>& vals, int gy) {
+void RowColRmq::tabulate_row(const std::vector<std::int64_t>& vals, int gy) {
   const std::size_t row =
       static_cast<std::size_t>(gy) * static_cast<std::size_t>(nx_);
   std::int64_t* t0 = row_table_.data() + row;
@@ -46,7 +46,7 @@ void RowColRmq::rebuild_row(const std::vector<std::int64_t>& vals, int gy) {
   }
 }
 
-void RowColRmq::rebuild_col(const std::vector<std::int64_t>& vals, int gx) {
+void RowColRmq::tabulate_col(const std::vector<std::int64_t>& vals, int gx) {
   const std::size_t col =
       static_cast<std::size_t>(gx) * static_cast<std::size_t>(ny_);
   std::int64_t* t0 = col_table_.data() + col;

@@ -5,9 +5,7 @@
 //  * RowColRmq -- per-row and per-column sparse-table range-maximum
 //    queries over a row-major int64 grid. Build is O(nx*ny*log) once;
 //    row_max/col_max answer any span in O(1), turning best_path_cg's
-//    Eq. 13 span maxima from O(span) scans into constant time. Rows and
-//    columns can be re-tabulated individually (rebuild_row/rebuild_col)
-//    after a dirty round touches them.
+//    Eq. 13 span maxima from O(span) scans into constant time.
 //
 //  * SummedAreaTable -- inclusive 2D prefix sums of an int64 grid, so any
 //    window sum (the CNN-style sur_cg/sur_pin means, Eq. 11/12) is four
@@ -30,10 +28,6 @@ class RowColRmq {
  public:
   // Tabulates both directions over `vals` (row-major nx * ny).
   void build(const std::vector<std::int64_t>& vals, int nx, int ny);
-  // Re-tabulates one row / one column after its cells changed. Only valid
-  // after build() with the same dimensions.
-  void rebuild_row(const std::vector<std::int64_t>& vals, int gy);
-  void rebuild_col(const std::vector<std::int64_t>& vals, int gx);
 
   // Max over [x0, x1] of row gy (inclusive, x0 <= x1).
   std::int64_t row_max(int gy, int x0, int x1) const {
@@ -58,6 +52,9 @@ class RowColRmq {
   int ny() const { return ny_; }
 
  private:
+  void tabulate_row(const std::vector<std::int64_t>& vals, int gy);
+  void tabulate_col(const std::vector<std::int64_t>& vals, int gx);
+
   int nx_ = 0, ny_ = 0;
   int row_levels_ = 0, col_levels_ = 0;
   std::size_t cells_ = 0;  // nx_ * ny_, the per-level stride

@@ -1,19 +1,13 @@
 #include "padding/features.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
-#include "common/logger.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 
 namespace puffer {
-
-namespace {
-constexpr const char* kTag = "features";
-}
 
 double FeatureVector::operator[](int i) const {
   switch (i) {
@@ -209,8 +203,7 @@ std::vector<double> build_sites(const Design& design, const GcellGrid& grid) {
 }
 
 // One cell's feature vector from the quantized maps. lo/hi is the cell's
-// inclusive overlapped-Gcell range (callers compute it -- the fast path
-// caches it per cell across rounds, the oracle derives it inline).
+// inclusive overlapped-Gcell range.
 // cg_win/pd_win are inclusive int64 window-sum functors (SAT on the fast
 // path, brute-force scans on the oracle); the integer max loops are
 // shared outright.
@@ -253,44 +246,136 @@ FeatureVector assemble_cell(const GcellGrid& grid, GcellIndex lo,
   return f;
 }
 
-std::uint64_t fp_mix(std::uint64_t h, std::uint64_t v) {
-  // splitmix64 finalizer over the running state: one word per step
-  // instead of a byte loop. These fingerprints are only ever compared
-  // against each other within one process, so the mixer can favour
-  // speed over any standardized byte-stream hash.
-  std::uint64_t z = (h ^ v) + 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+// Quantized maps shared by both extractor paths: combined congestion and
+// pins-per-site density (with its exact sum) for one round.
+struct QuantizedMaps {
+  std::vector<std::int64_t> qcg;
+  std::vector<std::int64_t> pdq;
+  double mean_q = 0.0;  // mean of pdq, in quantum units
+};
+
+QuantizedMaps quantize_maps(const Design& design, const RoutingMaps& maps) {
+  const GcellGrid& grid = maps.grid;
+  const int nx = grid.nx(), ny = grid.ny();
+  const std::size_t n_gcells =
+      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  QuantizedMaps q;
+  q.qcg.resize(n_gcells);
+  std::size_t flat = 0;
+  for (int gy = 0; gy < ny; ++gy) {
+    for (int gx = 0; gx < nx; ++gx) q.qcg[flat++] = quantize_feature(maps.cg(gx, gy));
+  }
+
+  // Pins per Gcell over available sites.
+  std::vector<std::int32_t> count(n_gcells, 0);
+  for (const Pin& pin : design.pins) {
+    const Cell& c = design.cells[static_cast<std::size_t>(pin.cell)];
+    const GcellIndex g = grid.index_of(c.x + pin.dx, c.y + pin.dy);
+    ++count[static_cast<std::size_t>(g.gy) * nx + g.gx];
+  }
+  const std::vector<double> sites = build_sites(design, grid);
+  q.pdq.resize(n_gcells);
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < n_gcells; ++i) {
+    q.pdq[i] = quantize_feature(static_cast<double>(count[i]) / sites[i]);
+    total += q.pdq[i];
+  }
+  q.mean_q = static_cast<double>(total) / static_cast<double>(n_gcells);
+  return q;
 }
 
-std::uint64_t fp_bits(double d) {
-  std::uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
+// Per-worker scratch of the fast path: one net's tree points in Gcells,
+// its CSR point -> incident-segment lists, and the per-segment memo of
+// best_path_q_pruned.
+struct NetScratch {
+  std::vector<std::int32_t> gx, gy, inc_off, inc_seg;
+  std::vector<std::int64_t> seg_q;
+};
 
-// Content hash of one RSMT tree (points, segments, pin mapping). The
-// per-net cache keys on this -- never on the estimator's topology-cache
-// keys, whose quantized collisions would alias distinct trees.
-std::uint64_t tree_fingerprint(const RsmtTree& t) {
-  std::uint64_t h = 1469598103934665603ull;
-  h = fp_mix(h, t.points.size());
-  h = fp_mix(h, t.segments.size());
-  for (const RsmtPoint& p : t.points) {
-    h = fp_mix(h, fp_bits(p.pos.x));
-    h = fp_mix(h, fp_bits(p.pos.y));
-    h = fp_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(p.pin)));
+// Per-pin Eq. 13 minima of one net (fast path) into pb[0, #pins), with
+// span maxima from the RMQ and point values read off the quantized map.
+void fast_pin_best(const Net& net, const RsmtTree& tree, const GcellGrid& grid,
+                   int z_candidates, const std::vector<std::int64_t>& qcg,
+                   const RowColRmq& rmq, NetScratch& s, std::int64_t* pb) {
+  const std::size_t npts = tree.points.size();
+  s.gx.resize(npts);
+  s.gy.resize(npts);
+  for (std::size_t pi = 0; pi < npts; ++pi) {
+    const GcellIndex g =
+        grid.index_of(tree.points[pi].pos.x, tree.points[pi].pos.y);
+    s.gx[pi] = g.gx;
+    s.gy[pi] = g.gy;
   }
-  for (const RsmtSegment& s : t.segments) {
-    h = fp_mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s.a))
-                   << 32) |
-                      static_cast<std::uint32_t>(s.b));
+  const std::int64_t* qmap = qcg.data();
+  const std::size_t snx = static_cast<std::size_t>(grid.nx());
+  const auto p = [qmap, snx](int gx, int gy) {
+    return qmap[static_cast<std::size_t>(gy) * snx +
+                static_cast<std::size_t>(gx)];
+  };
+  const auto h = [&rmq](int x0, int x1, int y) {
+    return rmq.row_max(y, std::min(x0, x1), std::max(x0, x1));
+  };
+  const auto v = [&rmq](int x, int y0, int y1) {
+    return rmq.col_max(x, std::min(y0, y1), std::max(y0, y1));
+  };
+  const auto seg_best = [&](const RsmtSegment& seg) {
+    const std::size_t a = static_cast<std::size_t>(seg.a);
+    const std::size_t b = static_cast<std::size_t>(seg.b);
+    return best_path_q_pruned(s.gx[a], s.gy[a], s.gx[b], s.gy[b],
+                              z_candidates, p, h, v);
+  };
+  // Two-pin nets (the bulk of any netlist) have exactly one segment and
+  // both tree points are its endpoints: every mapped pin takes the same
+  // value, no incidence walk or memo needed.
+  if (tree.segments.size() == 1) {
+    const std::int64_t q = seg_best(tree.segments[0]);
+    for (std::size_t k = 0; k < net.pins.size(); ++k) {
+      pb[k] = tree.pin_point[k] < 0 ? kNoPath : q;
+    }
+    return;
   }
-  for (int pp : t.pin_point) {
-    h = fp_mix(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(pp)));
+  // CSR point -> incident segments (tree.build_incidence() without the
+  // per-point vectors): count, prefix-sum, then fill using the offsets as
+  // cursors and shift them back into place.
+  s.inc_off.assign(npts + 1, 0);
+  s.inc_seg.resize(2 * tree.segments.size());
+  for (const RsmtSegment& seg : tree.segments) {
+    ++s.inc_off[static_cast<std::size_t>(seg.a) + 1];
+    ++s.inc_off[static_cast<std::size_t>(seg.b) + 1];
   }
-  return h;
+  for (std::size_t i = 1; i <= npts; ++i) s.inc_off[i] += s.inc_off[i - 1];
+  for (std::size_t si = 0; si < tree.segments.size(); ++si) {
+    const RsmtSegment& seg = tree.segments[si];
+    s.inc_seg[static_cast<std::size_t>(s.inc_off[static_cast<std::size_t>(seg.a)]++)] =
+        static_cast<std::int32_t>(si);
+    s.inc_seg[static_cast<std::size_t>(s.inc_off[static_cast<std::size_t>(seg.b)]++)] =
+        static_cast<std::int32_t>(si);
+  }
+  for (std::size_t i = npts; i >= 1; --i) s.inc_off[i] = s.inc_off[i - 1];
+  s.inc_off[0] = 0;
+  // Memoized per-segment evaluation: best_path_q is symmetric in its
+  // endpoints (the L candidates map onto each other under a<->b and the
+  // Z interior positions come from the sorted span), so a segment shared
+  // by several pins -- or by several net pins quantized onto the same
+  // tree point -- is evaluated once. Quantized Cg is >= 0, so -1 is a
+  // free "not yet evaluated" sentinel. The oracle evaluates per
+  // (pin, segment) pair; the minima are identical by symmetry.
+  s.seg_q.assign(tree.segments.size(), -1);
+  for (std::size_t k = 0; k < net.pins.size(); ++k) {
+    pb[k] = kNoPath;
+    const int pt = tree.pin_point[k];
+    if (pt < 0) continue;
+    std::int64_t best = kNoPath;
+    const std::int32_t b = s.inc_off[static_cast<std::size_t>(pt)];
+    const std::int32_t en = s.inc_off[static_cast<std::size_t>(pt) + 1];
+    for (std::int32_t i = b; i < en; ++i) {
+      const std::size_t si =
+          static_cast<std::size_t>(s.inc_seg[static_cast<std::size_t>(i)]);
+      if (s.seg_q[si] < 0) s.seg_q[si] = seg_best(tree.segments[si]);
+      best = std::min(best, s.seg_q[si]);
+    }
+    pb[k] = best;
+  }
 }
 
 }  // namespace
@@ -299,6 +384,7 @@ std::vector<FeatureVector> FeatureExtractor::extract(
     const CongestionResult& congestion, const std::vector<CellId>& cells) {
   Timer timer;
   ++metrics_.extracts;
+  metrics_.nets_recomputed += static_cast<std::int64_t>(design_.nets.size());
   std::vector<FeatureVector> out = config_.use_legacy_extractor
                                        ? extract_legacy(congestion, cells)
                                        : extract_fast(congestion, cells);
@@ -313,38 +399,11 @@ std::vector<FeatureVector> FeatureExtractor::extract(
 // path, so the two are bit-identical by construction.
 std::vector<FeatureVector> FeatureExtractor::extract_legacy(
     const CongestionResult& congestion, const std::vector<CellId>& cells) const {
-  const RoutingMaps& maps = congestion.maps;
-  const GcellGrid& grid = maps.grid;
-  const int nx = grid.nx(), ny = grid.ny();
-  const std::size_t n_gcells =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-
-  // Quantized combined congestion.
-  std::vector<std::int64_t> qcg(n_gcells);
-  {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny; ++gy) {
-      for (int gx = 0; gx < nx; ++gx) qcg[flat++] = quantize_feature(maps.cg(gx, gy));
-    }
-  }
-
-  // Quantized pin density: pins per Gcell over available sites.
-  std::vector<std::int32_t> count(n_gcells, 0);
-  for (const Pin& pin : design_.pins) {
-    const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-    const GcellIndex g = grid.index_of(c.x + pin.dx, c.y + pin.dy);
-    ++count[static_cast<std::size_t>(g.gy) * nx + g.gx];
-  }
-  const std::vector<double> sites = build_sites(design_, grid);
-  std::vector<std::int64_t> pdq(n_gcells);
-  std::int64_t total = 0;
-  for (std::size_t flat = 0; flat < n_gcells; ++flat) {
-    pdq[flat] =
-        quantize_feature(static_cast<double>(count[flat]) / sites[flat]);
-    total += pdq[flat];
-  }
-  const double mean_q =
-      static_cast<double>(total) / static_cast<double>(n_gcells);
+  const GcellGrid& grid = congestion.maps.grid;
+  const int nx = grid.nx();
+  const QuantizedMaps qm = quantize_maps(design_, congestion.maps);
+  const std::vector<std::int64_t>& qcg = qm.qcg;
+  const std::vector<std::int64_t>& pdq = qm.pdq;
 
   // Per-pin congestion (GNN feature), accumulated per cell (Eq. 12).
   const auto h = [&](int x0, int x1, int y) {
@@ -414,582 +473,88 @@ std::vector<FeatureVector> FeatureExtractor::extract_legacy(
     GcellIndex lo, hi;
     grid.range_of(cell.rect(), lo, hi);
     out.push_back(assemble_cell(grid, lo, hi, config_.kernel_gcells, qcg, pdq,
-                                mean_q,
+                                qm.mean_q,
                                 cell_pin_q[static_cast<std::size_t>(cid)],
                                 cg_win, pd_win));
   }
   return out;
 }
 
-// --- fast-path state management ----------------------------------------
-
-void FeatureExtractor::allocate_state(const GcellGrid& grid) {
-  grid_ = grid;
-  nx_ = grid.nx();
-  ny_ = grid.ny();
-  const std::size_t n =
-      static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_);
-  qcg_.assign(n, 0);
-  pdq_.assign(n, 0);
-  pdq_total_ = 0;
-  sites_.assign(n, 1.0);
-  pin_count_.assign(n, 0);
-  pin_gcell_.assign(design_.pins.size(), 0);
-  cell_x_.assign(design_.cells.size(), 0.0);
-  cell_y_.assign(design_.cells.size(), 0.0);
-  epoch_ = 0;
-  cell_epoch_.assign(n, 0);
-  row_epoch_.assign(static_cast<std::size_t>(ny_), 0);
-  col_epoch_.assign(static_cast<std::size_t>(nx_), 0);
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-  nets_.assign(design_.nets.size(), NetEntry{});
-  net_round_epoch_.assign(design_.nets.size(), 0);
-  pin_off_.assign(design_.nets.size() + 1, 0);
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
-    pin_off_[n + 1] =
-        pin_off_[n] + static_cast<std::int32_t>(design_.nets[n].pins.size());
-  }
-  pin_slot_cell_.resize(static_cast<std::size_t>(pin_off_.back()));
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
-    std::int32_t s = pin_off_[n];
-    for (PinId pid : design_.nets[n].pins) {
-      pin_slot_cell_[static_cast<std::size_t>(s++)] = static_cast<std::int32_t>(
-          design_.pins[static_cast<std::size_t>(pid)].cell);
-    }
-  }
-  pin_best_flat_.assign(static_cast<std::size_t>(pin_off_.back()), kNoPath);
-  cell_pin_q_.assign(design_.cells.size(), 0);
-  pt_base_.assign(design_.nets.size() + 1, 0);
-  inc_off_base_.assign(design_.nets.size() + 1, 0);
-  inc_seg_base_.assign(design_.nets.size() + 1, 0);
-  for (std::size_t n = 0; n < design_.nets.size(); ++n) {
-    const std::int32_t p =
-        static_cast<std::int32_t>(design_.nets[n].pins.size());
-    const std::int32_t cap = p <= 1 ? p : 2 * p - 2;
-    pt_base_[n + 1] = pt_base_[n] + cap;
-    inc_off_base_[n + 1] = inc_off_base_[n] + cap + 1;
-    inc_seg_base_[n + 1] =
-        inc_seg_base_[n] + (cap > 0 ? 2 * (cap - 1) : 0);
-  }
-  pt_gx_.assign(static_cast<std::size_t>(pt_base_.back()), 0);
-  pt_gy_.assign(static_cast<std::size_t>(pt_base_.back()), 0);
-  inc_off_.assign(static_cast<std::size_t>(inc_off_base_.back()), 0);
-  inc_seg_.assign(static_cast<std::size_t>(inc_seg_base_.back()), 0);
-  cell_glo_.assign(design_.cells.size(), GcellIndex{});
-  cell_ghi_.assign(design_.cells.size(), GcellIndex{});
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  asm_x_.assign(design_.cells.size(), nan);
-  asm_y_.assign(design_.cells.size(), nan);
-  last_uid_ = 0;
-  last_revision_ = 0;
-  extracts_since_rebuild_ = 0;
-  have_ = true;
-}
-
-void FeatureExtractor::mark_gcell(int flat, int gx, int gy) {
-  cell_epoch_[static_cast<std::size_t>(flat)] = epoch_;
-  if (row_epoch_[static_cast<std::size_t>(gy)] != epoch_) {
-    row_epoch_[static_cast<std::size_t>(gy)] = epoch_;
-    dirty_rows_.push_back(gy);
-  }
-  if (col_epoch_[static_cast<std::size_t>(gx)] != epoch_) {
-    col_epoch_[static_cast<std::size_t>(gx)] = epoch_;
-    dirty_cols_.push_back(gx);
-  }
-}
-
-void FeatureExtractor::mark_all_dirty() {
-  std::fill(cell_epoch_.begin(), cell_epoch_.end(), epoch_);
-  std::fill(row_epoch_.begin(), row_epoch_.end(), epoch_);
-  std::fill(col_epoch_.begin(), col_epoch_.end(), epoch_);
-  // A full RMQ build supersedes the per-row/column rebuild lists.
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-}
-
-// True when no Gcell inside the entry's tree bbox changed after the epoch
-// its pin_best was computed at. Row/column summaries reject clean boxes
-// in O(extent); only mixed boxes fall back to the cell scan.
-bool FeatureExtractor::box_clean(const NetEntry& e) const {
-  bool clean = true;
-  for (int gy = e.by0; gy <= e.by1; ++gy) {
-    if (row_epoch_[static_cast<std::size_t>(gy)] > e.epoch) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) return true;
-  clean = true;
-  for (int gx = e.bx0; gx <= e.bx1; ++gx) {
-    if (col_epoch_[static_cast<std::size_t>(gx)] > e.epoch) {
-      clean = false;
-      break;
-    }
-  }
-  if (clean) return true;
-  for (int gy = e.by0; gy <= e.by1; ++gy) {
-    const std::size_t row = static_cast<std::size_t>(gy) * nx_;
-    for (int gx = e.bx0; gx <= e.bx1; ++gx) {
-      if (cell_epoch_[row + gx] > e.epoch) return false;
-    }
-  }
-  return true;
-}
-
-std::int64_t FeatureExtractor::sync_incremental(
-    const CongestionResult& congestion) {
-  const RoutingMaps& maps = congestion.maps;
-  std::int64_t changed = 0;
-
-  // Quantized congestion: delta-guided when the estimator's dirty list is
-  // valid and continuous with the last consumed result, else a full
-  // self-diff (exact either way -- the diff is what marks).
-  const CongestionDelta& d = congestion.delta;
-  const bool continuous = d.valid && last_uid_ != 0 &&
-                          d.source_uid == last_uid_ &&
-                          d.revision == last_revision_ + 1;
-  if (continuous) {
-    for (std::int32_t flat : d.dirty_gcells) {
-      const int gx = flat % nx_, gy = flat / nx_;
-      const std::int64_t q = quantize_feature(maps.cg(gx, gy));
-      if (q != qcg_[static_cast<std::size_t>(flat)]) {
-        qcg_[static_cast<std::size_t>(flat)] = q;
-        mark_gcell(flat, gx, gy);
-        ++changed;
-      }
-    }
-  } else {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny_; ++gy) {
-      for (int gx = 0; gx < nx_; ++gx, ++flat) {
-        const std::int64_t q = quantize_feature(maps.cg(gx, gy));
-        if (q != qcg_[flat]) {
-          qcg_[flat] = q;
-          mark_gcell(static_cast<int>(flat), gx, gy);
-          ++changed;
-        }
-      }
-    }
-  }
-
-  // Pin layer: moved cells re-bin their pins (exact +/-1 count updates);
-  // a macro move invalidates the site map and with it every density.
-  moved_cells_.clear();
-  changed_pd_.clear();
-  bool macro_moved = false;
-  for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-    const Cell& c = design_.cells[ci];
-    if (c.x == cell_x_[ci] && c.y == cell_y_[ci]) continue;
-    cell_x_[ci] = c.x;
-    cell_y_[ci] = c.y;
-    if (c.is_macro()) macro_moved = true;
-    moved_cells_.push_back(ci);
-  }
-  for (std::size_t ci : moved_cells_) {
-    const Cell& c = design_.cells[ci];
-    for (PinId pid : c.pins) {
-      const Pin& pin = design_.pins[static_cast<std::size_t>(pid)];
-      const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-      const std::int32_t flat =
-          static_cast<std::int32_t>(g.gy) * nx_ + static_cast<std::int32_t>(g.gx);
-      const std::int32_t old = pin_gcell_[static_cast<std::size_t>(pid)];
-      if (flat == old) continue;
-      --pin_count_[static_cast<std::size_t>(old)];
-      ++pin_count_[static_cast<std::size_t>(flat)];
-      pin_gcell_[static_cast<std::size_t>(pid)] = flat;
-      changed_pd_.push_back(old);
-      changed_pd_.push_back(flat);
-    }
-  }
-  if (macro_moved) {
-    sites_ = build_sites(design_, grid_);
-    std::int64_t total = 0;
-    for (std::size_t flat = 0; flat < pdq_.size(); ++flat) {
-      pdq_[flat] = quantize_feature(static_cast<double>(pin_count_[flat]) /
-                                    sites_[flat]);
-      total += pdq_[flat];
-    }
-    pdq_total_ = total;
-  } else if (!changed_pd_.empty()) {
-    std::sort(changed_pd_.begin(), changed_pd_.end());
-    changed_pd_.erase(std::unique(changed_pd_.begin(), changed_pd_.end()),
-                      changed_pd_.end());
-    for (std::int32_t flat : changed_pd_) {
-      const std::int64_t q = quantize_feature(
-          static_cast<double>(pin_count_[static_cast<std::size_t>(flat)]) /
-          sites_[static_cast<std::size_t>(flat)]);
-      pdq_total_ += q - pdq_[static_cast<std::size_t>(flat)];
-      pdq_[static_cast<std::size_t>(flat)] = q;
-    }
-  }
-  return changed;
-}
-
-bool FeatureExtractor::sync_full(const CongestionResult& congestion,
-                                 bool verify) {
-  const RoutingMaps& maps = congestion.maps;
-  const std::size_t n_gcells = qcg_.size();
-
-  std::vector<std::int64_t> fresh_qcg(n_gcells);
-  {
-    std::size_t flat = 0;
-    for (int gy = 0; gy < ny_; ++gy) {
-      for (int gx = 0; gx < nx_; ++gx) {
-        fresh_qcg[flat++] = quantize_feature(maps.cg(gx, gy));
-      }
-    }
-  }
-  std::vector<std::int32_t> fresh_gcell(design_.pins.size());
-  std::vector<std::int32_t> fresh_count(n_gcells, 0);
-  for (std::size_t p = 0; p < design_.pins.size(); ++p) {
-    const Pin& pin = design_.pins[p];
-    const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-    const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-    const std::int32_t flat =
-        static_cast<std::int32_t>(g.gy) * nx_ + static_cast<std::int32_t>(g.gx);
-    fresh_gcell[p] = flat;
-    ++fresh_count[static_cast<std::size_t>(flat)];
-  }
-  std::vector<double> fresh_sites = build_sites(design_, grid_);
-  std::vector<std::int64_t> fresh_pdq(n_gcells);
-  std::int64_t fresh_total = 0;
-  for (std::size_t flat = 0; flat < n_gcells; ++flat) {
-    fresh_pdq[flat] = quantize_feature(
-        static_cast<double>(fresh_count[flat]) / fresh_sites[flat]);
-    fresh_total += fresh_pdq[flat];
-  }
-
-  bool adopt = true;
-  if (verify) {
-    // The incrementally maintained state was advanced first (the
-    // IncrementalLegalizer / estimator verify-rebuild ordering); a
-    // mismatch here is drift and the fresh maps win.
-    const bool same = fresh_qcg == qcg_ && fresh_pdq == pdq_ &&
-                      fresh_count == pin_count_ && fresh_gcell == pin_gcell_ &&
-                      fresh_sites == sites_ && fresh_total == pdq_total_;
-    if (same) {
-      adopt = false;
-    } else {
-      ++metrics_.drift_count;
-      PUFFER_LOG_ERROR(kTag,
-                       "feature maps drifted from full rebuild; adopting "
-                       "the from-scratch maps");
-    }
-  }
-  if (adopt) {
-    qcg_.swap(fresh_qcg);
-    pdq_.swap(fresh_pdq);
-    pin_count_.swap(fresh_count);
-    pin_gcell_.swap(fresh_gcell);
-    sites_.swap(fresh_sites);
-    pdq_total_ = fresh_total;
-    for (std::size_t ci = 0; ci < design_.cells.size(); ++ci) {
-      cell_x_[ci] = design_.cells[ci].x;
-      cell_y_[ci] = design_.cells[ci].y;
-    }
-  }
-  return adopt;
-}
-
-void FeatureExtractor::refresh_net_topology(std::size_t n,
-                                            const RsmtTree& tree,
-                                            NetEntry& e) {
-  const std::size_t npts = tree.points.size();
-  const std::size_t cap =
-      static_cast<std::size_t>(pt_base_[n + 1] - pt_base_[n]);
-  const std::size_t max_segs = npts > 0 ? npts - 1 : 0;
-  if (npts > cap || tree.segments.size() > max_segs) {
-    // A tree violating the 2p-2 Steiner bound (or with more than npts-1
-    // segments) cannot fit its design-static arena slots.
-    throw std::logic_error("FeatureExtractor: RSMT tree exceeds arena bound");
-  }
-  std::int32_t* pgx = pt_gx_.data() + static_cast<std::size_t>(pt_base_[n]);
-  std::int32_t* pgy = pt_gy_.data() + static_cast<std::size_t>(pt_base_[n]);
-  int bx0 = nx_ - 1, bx1 = 0, by0 = ny_ - 1, by1 = 0;
-  for (std::size_t pi = 0; pi < npts; ++pi) {
-    const GcellIndex g =
-        grid_.index_of(tree.points[pi].pos.x, tree.points[pi].pos.y);
-    pgx[pi] = g.gx;
-    pgy[pi] = g.gy;
-    bx0 = std::min(bx0, g.gx);
-    bx1 = std::max(bx1, g.gx);
-    by0 = std::min(by0, g.gy);
-    by1 = std::max(by1, g.gy);
-  }
-  e.bx0 = bx0;
-  e.bx1 = bx1;
-  e.by0 = by0;
-  e.by1 = by1;
-  // CSR point -> incident segments (the cached build_incidence()). The
-  // offsets double as fill cursors, then shift back into place -- no
-  // per-call cursor allocation.
-  std::int32_t* off =
-      inc_off_.data() + static_cast<std::size_t>(inc_off_base_[n]);
-  std::int32_t* seg =
-      inc_seg_.data() + static_cast<std::size_t>(inc_seg_base_[n]);
-  std::fill(off, off + npts + 1, 0);
-  for (const RsmtSegment& s : tree.segments) {
-    ++off[static_cast<std::size_t>(s.a) + 1];
-    ++off[static_cast<std::size_t>(s.b) + 1];
-  }
-  for (std::size_t i = 1; i <= npts; ++i) off[i] += off[i - 1];
-  for (std::size_t si = 0; si < tree.segments.size(); ++si) {
-    const RsmtSegment& s = tree.segments[si];
-    seg[static_cast<std::size_t>(off[static_cast<std::size_t>(s.a)]++)] =
-        static_cast<std::int32_t>(si);
-    seg[static_cast<std::size_t>(off[static_cast<std::size_t>(s.b)]++)] =
-        static_cast<std::int32_t>(si);
-  }
-  // off[i] now holds end(i) == start(i+1); shift down to restore offsets.
-  for (std::size_t i = npts; i >= 1; --i) off[i] = off[i - 1];
-  off[0] = 0;
-  e.has_tree = true;
-  e.valid = false;
-}
-
-void FeatureExtractor::compute_pin_best(std::size_t n, const RsmtTree& tree,
-                                        std::vector<std::int64_t>& seg_q) {
-  const Net& net = design_.nets[n];
-  const std::int64_t* qmap = qcg_.data();
-  const int snx = nx_;
-  const auto p = [qmap, snx](int gx, int gy) {
-    return qmap[static_cast<std::size_t>(gy) * static_cast<std::size_t>(snx) +
-                static_cast<std::size_t>(gx)];
-  };
-  const auto h = [this](int x0, int x1, int y) {
-    return rmq_.row_max(y, std::min(x0, x1), std::max(x0, x1));
-  };
-  const auto v = [this](int x, int y0, int y1) {
-    return rmq_.col_max(x, std::min(y0, y1), std::max(y0, y1));
-  };
-  std::int64_t* pb =
-      pin_best_flat_.data() + static_cast<std::size_t>(pin_off_[n]);
-  const std::int32_t* pgx =
-      pt_gx_.data() + static_cast<std::size_t>(pt_base_[n]);
-  const std::int32_t* pgy =
-      pt_gy_.data() + static_cast<std::size_t>(pt_base_[n]);
-  // Two-pin nets (the bulk of any netlist) have exactly one segment and
-  // both tree points are its endpoints: every mapped pin takes the same
-  // value, no incidence walk or memo scratch needed.
-  if (tree.segments.size() == 1) {
-    const RsmtSegment& seg = tree.segments[0];
-    const std::int64_t q = best_path_q_pruned(
-        pgx[static_cast<std::size_t>(seg.a)],
-        pgy[static_cast<std::size_t>(seg.a)],
-        pgx[static_cast<std::size_t>(seg.b)],
-        pgy[static_cast<std::size_t>(seg.b)], config_.z_candidates, p, h, v);
-    for (std::size_t k = 0; k < net.pins.size(); ++k) {
-      pb[k] = tree.pin_point[k] < 0 ? kNoPath : q;
-    }
-    return;
-  }
-  // Memoized per-segment evaluation: best_path_q is symmetric in its
-  // endpoints (the L candidates map onto each other under a<->b and the
-  // Z interior positions come from the sorted span), so a segment shared
-  // by several pins -- or by several net pins quantized onto the same
-  // tree point -- is evaluated once. Quantized Cg is >= 0, so -1 is a
-  // free "not yet evaluated" sentinel. The oracle evaluates per
-  // (pin, segment) pair; the minima are identical by symmetry.
-  seg_q.assign(tree.segments.size(), -1);
-  const std::int32_t* ioff =
-      inc_off_.data() + static_cast<std::size_t>(inc_off_base_[n]);
-  const std::int32_t* iseg =
-      inc_seg_.data() + static_cast<std::size_t>(inc_seg_base_[n]);
-  for (std::size_t k = 0; k < net.pins.size(); ++k) {
-    pb[k] = kNoPath;
-    const int pt = tree.pin_point[k];
-    if (pt < 0) continue;
-    std::int64_t best = kNoPath;
-    const std::int32_t b = ioff[static_cast<std::size_t>(pt)];
-    const std::int32_t en = ioff[static_cast<std::size_t>(pt) + 1];
-    for (std::int32_t i = b; i < en; ++i) {
-      const std::size_t si =
-          static_cast<std::size_t>(iseg[static_cast<std::size_t>(i)]);
-      std::int64_t q = seg_q[si];
-      if (q < 0) {
-        const RsmtSegment& seg = tree.segments[si];
-        q = best_path_q_pruned(pgx[static_cast<std::size_t>(seg.a)],
-                               pgy[static_cast<std::size_t>(seg.a)],
-                               pgx[static_cast<std::size_t>(seg.b)],
-                               pgy[static_cast<std::size_t>(seg.b)],
-                               config_.z_candidates, p, h, v);
-        seg_q[si] = q;
-      }
-      best = std::min(best, q);
-    }
-    pb[k] = best;
-  }
-}
-
+// --- fast path -------------------------------------------------------------
+// The same integer primitives as the oracle, computed from this round's
+// inputs with O(1) queries: RMQ span maxima, summed-area window sums,
+// per-net path minima and per-cell assembly fanned out over
+// common/parallel with a serial in-order fold in between.
 std::vector<FeatureVector> FeatureExtractor::extract_fast(
-    const CongestionResult& congestion, const std::vector<CellId>& cells) {
-  const RoutingMaps& maps = congestion.maps;
-  const GcellGrid& grid = maps.grid;
+    const CongestionResult& congestion, const std::vector<CellId>& cells) const {
+  const GcellGrid& grid = congestion.maps.grid;
   const int nx = grid.nx(), ny = grid.ny();
-  const std::size_t n_gcells =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
+  const QuantizedMaps qm = quantize_maps(design_, congestion.maps);
+  RowColRmq rmq;
+  rmq.build(qm.qcg, nx, ny);
+  SummedAreaTable sat_cg, sat_pd;
+  sat_cg.build(qm.qcg, nx, ny);
+  sat_pd.build(qm.pdq, nx, ny);
 
-  const bool state_ok = have_ && nx_ == nx && ny_ == ny &&
-                        cell_x_.size() == design_.cells.size() &&
-                        pin_gcell_.size() == design_.pins.size() &&
-                        nets_.size() == design_.nets.size();
-  if (!state_ok) allocate_state(grid);
-  const bool cadence = config_.full_rebuild_interval > 0 &&
-                       extracts_since_rebuild_ >= config_.full_rebuild_interval;
-  const bool full = !state_ok || !config_.incremental || cadence;
-
-  ++epoch_;
-  dirty_rows_.clear();
-  dirty_cols_.clear();
-
-  // Net-level delta: when the estimator's delta chain is continuous
-  // (same source, revision exactly one ahead of the last one consumed),
-  // any net not listed in dirty_nets has a tree bit-identical to the one
-  // this extractor already summarized, so its fingerprint check can be
-  // skipped outright. Computed before last_uid_/last_revision_ advance;
-  // stamped serially so the parallel loop only reads the epochs.
-  const CongestionDelta& net_delta = congestion.delta;
-  const bool net_skip = state_ok && net_delta.valid && last_uid_ != 0 &&
-                        net_delta.source_uid == last_uid_ &&
-                        net_delta.revision == last_revision_ + 1;
-  if (net_skip) {
-    for (std::int32_t dn : net_delta.dirty_nets) {
-      net_round_epoch_[static_cast<std::size_t>(dn)] = epoch_;
-    }
-  }
-
-  bool adopted = false;
-  if (!full) {
-    const std::int64_t changed = sync_incremental(congestion);
-    metrics_.dirty_gcells_total += changed;
-    metrics_.gcells_total += static_cast<std::int64_t>(n_gcells);
-    ++extracts_since_rebuild_;
-  } else {
-    const bool verify =
-        state_ok && config_.incremental && config_.verify_rebuild;
-    if (verify) sync_incremental(congestion);
-    adopted = sync_full(congestion, verify);
-    ++metrics_.full_rebuilds;
-    extracts_since_rebuild_ = 0;
-  }
-  last_uid_ = congestion.delta.source_uid;
-  last_revision_ = congestion.delta.revision;
-
-  // Query structures: re-tabulate only the rows/columns this round
-  // dirtied (all of them after an adopted rebuild); the summed-area
-  // tables are O(grid) and rebuilt every round.
-  if (adopted) {
-    mark_all_dirty();
-    rmq_.build(qcg_, nx, ny);
-  } else {
-    for (int gy : dirty_rows_) rmq_.rebuild_row(qcg_, gy);
-    for (int gx : dirty_cols_) rmq_.rebuild_col(qcg_, gx);
-  }
-  sat_cg_.build(qcg_, nx, ny);
-  sat_pd_.build(pdq_, nx, ny);
-
-  // Per-net fan-out: each net owns its cache slot; chunk-local counters
-  // are folded serially below so the metrics are thread-count
-  // independent too.
+  // Per-pin Eq. 13 minima in one flat array: net n owns the slots
+  // [pin_off[n], pin_off[n+1]), so parallel chunks write disjoint slices.
   const std::size_t n_nets = design_.nets.size();
-  struct ChunkCounters {
-    std::uint64_t hits = 0, misses = 0;
-    std::int64_t reused = 0, recomputed = 0;
-  };
-  const int n_chunks =
-      par::chunk_count(static_cast<std::int64_t>(n_nets), 16, 256);
-  std::vector<ChunkCounters> counters(static_cast<std::size_t>(n_chunks));
+  std::vector<std::int32_t> pin_off(n_nets + 1, 0);
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    pin_off[n + 1] =
+        pin_off[n] + static_cast<std::int32_t>(design_.nets[n].pins.size());
+  }
+  std::vector<std::int64_t> pin_best(static_cast<std::size_t>(pin_off.back()),
+                                     kNoPath);
   par::parallel_for(
       0, static_cast<std::int64_t>(n_nets), 16,
-      [&](std::int64_t b, std::int64_t en, int chunk) {
-        ChunkCounters& cc = counters[static_cast<std::size_t>(chunk)];
-        std::vector<std::int64_t> seg_q;  // chunk-owned memo scratch
+      [&](std::int64_t b, std::int64_t en, int /*chunk*/) {
+        NetScratch scratch;
         for (std::int64_t i = b; i < en; ++i) {
           const std::size_t n = static_cast<std::size_t>(i);
           const RsmtTree& tree = congestion.trees[n];
-          NetEntry& entry = nets_[n];
-          if (tree.segments.empty()) {
-            std::fill(pin_best_flat_.begin() + pin_off_[n],
-                      pin_best_flat_.begin() + pin_off_[n + 1], kNoPath);
-            entry.valid = true;
-            continue;
-          }
-          if (net_skip && entry.has_tree &&
-              net_round_epoch_[static_cast<std::size_t>(n)] != epoch_) {
-            // Not in the round's dirty-net list under a continuous delta
-            // chain: the tree is bit-identical to the one already
-            // summarized, no hash needed.
-            ++cc.hits;
-          } else {
-            const std::uint64_t fp = tree_fingerprint(tree);
-            if (entry.has_tree && entry.tree_fp == fp) {
-              ++cc.hits;
-            } else {
-              refresh_net_topology(static_cast<std::size_t>(n), tree, entry);
-              entry.tree_fp = fp;
-              ++cc.misses;
-            }
-          }
-          if (entry.valid && box_clean(entry)) {
-            ++cc.reused;
-            continue;
-          }
-          compute_pin_best(static_cast<std::size_t>(n), tree, seg_q);
-          entry.epoch = epoch_;
-          entry.valid = true;
-          ++cc.recomputed;
+          if (tree.segments.empty()) continue;
+          fast_pin_best(design_.nets[n], tree, grid, config_.z_candidates,
+                        qm.qcg, rmq, scratch,
+                        pin_best.data() + static_cast<std::size_t>(pin_off[n]));
         }
       },
       256);
-  for (const ChunkCounters& cc : counters) {
-    metrics_.incidence_hits += cc.hits;
-    metrics_.incidence_misses += cc.misses;
-    metrics_.nets_reused += cc.reused;
-    metrics_.nets_recomputed += cc.recomputed;
-  }
 
-  // Serial in-order fold of the per-pin minima into per-cell sums: one
-  // linear scan of the slot CSR (integer adds; any order would give the
-  // same bits, the fixed order keeps the idiom auditable).
-  std::fill(cell_pin_q_.begin(), cell_pin_q_.end(), 0);
-  const std::size_t n_slots = pin_best_flat_.size();
-  for (std::size_t s = 0; s < n_slots; ++s) {
-    const std::int64_t q = pin_best_flat_[s];
-    if (q == kNoPath) continue;
-    cell_pin_q_[static_cast<std::size_t>(pin_slot_cell_[s])] += q;
+  // Serial in-order fold of the per-pin minima into per-cell sums (integer
+  // adds; any order would give the same bits, the fixed order keeps the
+  // idiom auditable).
+  std::vector<std::int64_t> cell_pin_q(design_.cells.size(), 0);
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    const Net& net = design_.nets[n];
+    for (std::size_t k = 0; k < net.pins.size(); ++k) {
+      const std::int64_t q =
+          pin_best[static_cast<std::size_t>(pin_off[n]) + k];
+      if (q == kNoPath) continue;
+      const Pin& pin = design_.pins[static_cast<std::size_t>(net.pins[k])];
+      cell_pin_q[static_cast<std::size_t>(pin.cell)] += q;
+    }
   }
 
   // Per-cell assembly fan-out: disjoint chunk-owned output slots, all
   // inputs read-only.
-  const double mean_q =
-      static_cast<double>(pdq_total_) / static_cast<double>(n_gcells);
-  const auto cg_win = [this](int x0, int x1, int y0, int y1) {
-    return sat_cg_.window_sum(x0, x1, y0, y1);
+  const auto cg_win = [&sat_cg](int x0, int x1, int y0, int y1) {
+    return sat_cg.window_sum(x0, x1, y0, y1);
   };
-  const auto pd_win = [this](int x0, int x1, int y0, int y1) {
-    return sat_pd_.window_sum(x0, x1, y0, y1);
+  const auto pd_win = [&sat_pd](int x0, int x1, int y0, int y1) {
+    return sat_pd.window_sum(x0, x1, y0, y1);
   };
   std::vector<FeatureVector> out(cells.size());
   par::parallel_for(
       0, static_cast<std::int64_t>(cells.size()), 64,
       [&](std::int64_t b, std::int64_t en, int /*chunk*/) {
         for (std::int64_t i = b; i < en; ++i) {
-          const CellId cid = cells[static_cast<std::size_t>(i)];
-          const std::size_t ci = static_cast<std::size_t>(cid);
-          const Cell& cell = design_.cells[ci];
-          // Per-cell Gcell-range cache: range_of costs four FP divides,
-          // and in the near-converged regime most cells have not moved
-          // since the previous round. Keyed on the exact corner; chunks
-          // own disjoint cells, so the per-cell write is race-free.
-          if (cell.x != asm_x_[ci] || cell.y != asm_y_[ci]) {
-            grid.range_of(cell.rect(), cell_glo_[ci], cell_ghi_[ci]);
-            asm_x_[ci] = cell.x;
-            asm_y_[ci] = cell.y;
-          }
-          out[static_cast<std::size_t>(i)] = assemble_cell(
-              grid, cell_glo_[ci], cell_ghi_[ci], config_.kernel_gcells, qcg_,
-              pdq_, mean_q, cell_pin_q_[ci], cg_win, pd_win);
+          const std::size_t ci = static_cast<std::size_t>(cells[static_cast<std::size_t>(i)]);
+          GcellIndex lo, hi;
+          grid.range_of(design_.cells[ci].rect(), lo, hi);
+          out[static_cast<std::size_t>(i)] =
+              assemble_cell(grid, lo, hi, config_.kernel_gcells, qm.qcg,
+                            qm.pdq, qm.mean_q, cell_pin_q[ci], cg_win, pd_win);
         }
       },
       256);

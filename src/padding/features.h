@@ -14,19 +14,16 @@
 //    and Z-shaped paths of its two-point nets of the maximum Gcell
 //    congestion along the path.
 //
-// Pipeline (fast path, the default): the combined-congestion and
-// pin-density maps are quantized to int64 once per round, maintained
-// incrementally from the congestion result's dirty-Gcell delta, and
-// queried through per-row/per-column sparse-table RMQs (Eq. 13 span
+// Pipeline (fast path, the default): every extract() quantizes the
+// combined-congestion and pin-density maps to int64 from its inputs and
+// queries them through per-row/per-column sparse-table RMQs (Eq. 13 span
 // maxima in O(1)) and summed-area tables (window means in O(1)). The
 // per-net path search and the per-cell assembly fan out over
-// common/parallel with serial in-order folds; per-net incidence lists
-// and per-pin path minima are cached across rounds keyed on the tree
-// topology and the dirty stamps. A scalar from-scratch oracle
+// common/parallel with serial in-order folds. A scalar oracle
 // (FeatureConfig::use_legacy_extractor) computes the same quantized
 // integer primitives serially and shares the final double formulas, so
-// both paths -- and any thread count, and incremental vs full -- are
-// bit-identical. See docs/architecture.md ("Padding feature pipeline").
+// both paths -- and any thread count -- are bit-identical. See
+// docs/architecture.md ("Padding feature pipeline").
 #pragma once
 
 #include <cmath>
@@ -52,12 +49,12 @@ struct FeatureVector {
 
 // Feature-map quantum: every map value entering a feature (combined
 // congestion Cg, pins-per-site density) is rounded to a multiple of
-// 2^-32 and handled as int64 -- the demand ledger's exact-arithmetic
-// trick at a coarser quantum. Integer maxima and sums are associative
-// and order-independent, so RMQ/SAT queries, parallel folds, the scalar
-// oracle, and incremental maintenance all produce identical bits.
-// Headroom: |Cg| is bounded by the ledger's 8192 track-equivalents
-// (|q| < 2^45), and a window/prefix sum stays exact while
+// 2^-32 and handled as int64 -- the exact-demand trick of
+// congestion/demand_quantum.h at a coarser quantum. Integer maxima and
+// sums are associative and order-independent, so RMQ/SAT queries,
+// parallel folds and the scalar oracle all produce identical bits.
+// Headroom: |Cg| is bounded by the 8192 track-equivalents of exact
+// demand (|q| < 2^45), and a window/prefix sum stays exact while
 // mean |value| x covered Gcells < 2^31 -- orders of magnitude above any
 // realistic grid.
 constexpr double kFeatureScale = 4294967296.0;  // 2^32
@@ -77,50 +74,22 @@ struct FeatureConfig {
   // (the full enumeration is quadratic in span; sampling keeps the same
   // minimum-over-paths structure at bounded cost).
   int z_candidates = 8;
-  // Oracle switch: the scalar from-scratch extractor (bit-identical to
-  // the fast path by construction; kept one PR as baseline and oracle).
+  // Oracle switch: the scalar extractor (bit-identical to the fast path
+  // by construction; tests and benches compare against it).
   bool use_legacy_extractor = false;
-  // Fast path: maintain the quantized maps and per-net caches across
-  // extract() calls, re-deriving only dirty Gcells / dirty nets.
-  bool incremental = true;
-  // Every Nth extract() rebuilds the maintained maps from scratch
-  // (0 = rebuild only on the first call).
-  int full_rebuild_interval = 16;
-  // On rebuild rounds, additionally run the incremental update and check
-  // it is bit-identical to the from-scratch maps; a mismatch increments
-  // PaddingStageMetrics::drift_count and the fresh maps are adopted.
-  bool verify_rebuild = true;
 };
 
-// Observability for the feature pipeline (mirrors IncrementalStats).
+// Feature-extraction stage metrics. Every extract() builds its maps from
+// scratch, so the reuse figures stay zero; the member names are the ones
+// the benchmark harness (perfbench/harness/trace.cpp) reads.
 struct PaddingStageMetrics {
   double feature_time_s = 0.0;  // wall time inside extract()
   int extracts = 0;
-  int full_rebuilds = 0;  // fast-path from-scratch map builds (incl. first)
-  // Verified-rebuild mismatches between the incrementally maintained maps
-  // and a from-scratch build (must stay 0).
-  std::uint64_t drift_count = 0;
-  // Dirty-Gcell accounting across incremental syncs.
-  std::int64_t dirty_gcells_total = 0;
-  std::int64_t gcells_total = 0;
-  // Per-net incidence/topology cache (hit = tree unchanged since the
-  // last round) and per-pin path-minima reuse (hit + clean query box).
-  std::uint64_t incidence_hits = 0;
-  std::uint64_t incidence_misses = 0;
   std::int64_t nets_reused = 0;
-  std::int64_t nets_recomputed = 0;
+  std::int64_t nets_recomputed = 0;  // every net, every extract()
 
-  double dirty_gcell_frac() const {
-    return gcells_total > 0 ? static_cast<double>(dirty_gcells_total) /
-                                  static_cast<double>(gcells_total)
-                            : 0.0;
-  }
-  double incidence_hit_rate() const {
-    const std::uint64_t total = incidence_hits + incidence_misses;
-    return total > 0 ? static_cast<double>(incidence_hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
+  double dirty_gcell_frac() const { return 0.0; }
+  double incidence_hit_rate() const { return 0.0; }
 };
 
 class FeatureExtractor {
@@ -128,11 +97,9 @@ class FeatureExtractor {
   FeatureExtractor(const Design& design, FeatureConfig config = {});
 
   // Extracts features for every cell in `cells` (typically the movable
-  // ordinals of the placement engine), using the congestion estimate.
-  // Stateful on the fast path: quantized maps, query structures and
-  // per-net caches persist across calls and are updated from the
-  // result's dirty-Gcell delta (or a full self-diff when the delta does
-  // not apply -- different estimator, skipped revisions, rebuild round).
+  // ordinals of the placement engine) from the congestion estimate and
+  // the design's current pin positions. Nothing but the stage metrics
+  // carries over between calls.
   std::vector<FeatureVector> extract(const CongestionResult& congestion,
                                      const std::vector<CellId>& cells);
 
@@ -140,102 +107,16 @@ class FeatureExtractor {
   const FeatureConfig& config() const { return config_; }
 
  private:
-  // Cross-round cache of one net's topology-derived state.
-  struct NetEntry {
-    std::uint64_t tree_fp = 0;  // content hash of the tree last served
-    bool has_tree = false;      // incidence/bbox/point Gcells are valid
-    bool valid = false;         // pin_best is valid (at epoch `epoch`)
-    std::uint32_t epoch = 0;    // qcg epoch pin_best was computed at
-    int bx0 = 0, bx1 = 0, by0 = 0, by1 = 0;  // tree bbox in Gcells
-    // Per-point Gcell indices and the CSR point->segment incidence lists
-    // live in the extractor-wide topology arenas (pt_gx_/inc_off_/...),
-    // as do the per-pin Eq. 13 minima (pin_best_flat_): every net's slots
-    // are design-static, so the cache allocates nothing per net.
-  };
-
-  std::vector<FeatureVector> extract_fast(const CongestionResult& congestion,
-                                          const std::vector<CellId>& cells);
+  std::vector<FeatureVector> extract_fast(
+      const CongestionResult& congestion,
+      const std::vector<CellId>& cells) const;
   std::vector<FeatureVector> extract_legacy(
       const CongestionResult& congestion,
       const std::vector<CellId>& cells) const;
 
-  void allocate_state(const GcellGrid& grid);
-  void mark_gcell(int flat, int gx, int gy);
-  void mark_all_dirty();
-  bool box_clean(const NetEntry& e) const;
-  // Incremental map sync; returns the number of changed Gcells.
-  std::int64_t sync_incremental(const CongestionResult& congestion);
-  // From-scratch map build; when `verify`, compares against the
-  // (already incrementally advanced) maintained state first. Returns
-  // true when the fresh maps were adopted (caller must mark all dirty).
-  bool sync_full(const CongestionResult& congestion, bool verify);
-  void refresh_net_topology(std::size_t n, const RsmtTree& tree, NetEntry& e);
-  // seg_q is caller-provided scratch (one per worker chunk): per-segment
-  // memo of best_path_q so shared segments are evaluated once per net.
-  void compute_pin_best(std::size_t n, const RsmtTree& tree,
-                        std::vector<std::int64_t>& seg_q);
-
   const Design& design_;
   FeatureConfig config_;
   PaddingStageMetrics metrics_;
-
-  // --- fast-path persistent state (valid while have_) -------------------
-  bool have_ = false;
-  int nx_ = 0, ny_ = 0;
-  GcellGrid grid_;
-  std::vector<std::int64_t> qcg_;  // quantized combined congestion
-  std::vector<std::int64_t> pdq_;  // quantized pins-per-site density
-  std::int64_t pdq_total_ = 0;     // sum of pdq_ (exact)
-  std::vector<double> sites_;      // free sites per Gcell (macros carved)
-  std::vector<std::int32_t> pin_count_;  // pins per Gcell
-  std::vector<std::int32_t> pin_gcell_;  // flat Gcell per design pin
-  std::vector<double> cell_x_, cell_y_;  // position snapshot (moved scan)
-  // Epoch-stamped qcg dirty tracking (ledger idiom; no clearing).
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> cell_epoch_;
-  std::vector<std::uint32_t> row_epoch_, col_epoch_;
-  std::vector<int> dirty_rows_, dirty_cols_;  // rows/cols to re-tabulate
-  // Query structures.
-  RowColRmq rmq_;
-  SummedAreaTable sat_cg_, sat_pd_;
-  // Per-net caches and the serial pin_cg fold target.
-  std::vector<NetEntry> nets_;
-  // Epoch stamp per net: == epoch_ iff the estimator's delta listed the
-  // net dirty this round (stamped serially before the parallel fan-out;
-  // unlisted nets under a continuous chain skip fingerprinting).
-  std::vector<std::uint32_t> net_round_epoch_;
-  // Design-static CSR over net pin slots: net n owns slots
-  // [pin_off_[n], pin_off_[n+1]) of pin_best_flat_ (Eq. 13 minima,
-  // kNoPath = no candidate path) and pin_slot_cell_ (the pin's cell).
-  // One flat array instead of a per-net heap vector, and the serial
-  // fold becomes a linear scan.
-  std::vector<std::int32_t> pin_off_;
-  std::vector<std::int32_t> pin_slot_cell_;
-  std::vector<std::int64_t> pin_best_flat_;
-  std::vector<std::int64_t> cell_pin_q_;
-  // Design-static topology arenas: net n's tree points occupy
-  // [pt_base_[n], pt_base_[n] + npts) of pt_gx_/pt_gy_, its incidence
-  // offsets [inc_off_base_[n], +npts+1) of inc_off_, and its
-  // incident-segment lists [inc_seg_base_[n], +2*(npts-1)) of inc_seg_.
-  // Capacities come from the RSMT Steiner bound (<= 2p-2 points for p
-  // pins), so the slots never move: the cold build and the per-round
-  // topology refreshes allocate nothing, parallel chunks write disjoint
-  // slices, and the net loop walks the arenas in net order.
-  std::vector<std::int32_t> pt_base_, inc_off_base_, inc_seg_base_;
-  std::vector<std::int32_t> pt_gx_, pt_gy_, inc_off_, inc_seg_;
-  // Assembly range cache: the inclusive Gcell range of each cell's rect,
-  // recomputed only when the cell's lower-left corner changed (cell
-  // dimensions are immutable post-construction). asm_x_/asm_y_ start as
-  // NaN so the first round after (re)allocation always computes.
-  std::vector<GcellIndex> cell_glo_, cell_ghi_;
-  std::vector<double> asm_x_, asm_y_;
-  // Delta continuity with the producing estimator.
-  std::uint64_t last_uid_ = 0;
-  std::uint64_t last_revision_ = 0;
-  int extracts_since_rebuild_ = 0;
-  // Scratch for sync (kept to avoid per-round allocation).
-  std::vector<std::size_t> moved_cells_;
-  std::vector<std::int32_t> changed_pd_;
 };
 
 }  // namespace puffer

@@ -9,7 +9,7 @@
 #include "common/logger.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "congestion/demand_ledger.h"
+#include "congestion/demand_quantum.h"
 #include "router/maze.h"
 #include "router/overflow_tracker.h"
 #include "router/path_use.h"

@@ -35,7 +35,7 @@
 // cost on the frozen field (see maze.h): a search aborts the moment its
 // monotone front proves no admissible candidate exists.
 //
-// Determinism contract (shared with the PR 2 demand ledger): the maze
+// Determinism contract (shared with the congestion estimator): the maze
 // phase reads only the frozen round-start field plus the segment's own
 // path, per-thread arenas hold all scratch, and every demand mutation
 // happens on the serial commit path in segment order -- so RouteResult

@@ -5,7 +5,7 @@
 // cell-by-cell to decide whether it touches overflow -- O(W x H +
 // total path length) per round even when almost nothing changed. The
 // tracker maintains that state incrementally from the +/-1 demand deltas
-// of rip/apply, mirroring the PR 2 demand ledger's epoch-marked design:
+// of rip/apply:
 //
 //   * a per-resource overflow bit ((Gcell, direction), dmd > cap) kept
 //     exact under every +/-1 demand update;

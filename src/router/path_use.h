@@ -37,7 +37,7 @@ inline void for_each_path_use(const std::vector<GcellIndex>& path, Fn&& fn) {
 // Adds (sign=+1) or removes (sign=-1) one track-equivalent of demand
 // along the path. All contributions are +/-1.0 -- exact IEEE-double
 // integer arithmetic -- so apply followed by rip restores the maps
-// bit-identically (see the demand-ledger exactness invariant).
+// bit-identically (see congestion/demand_quantum.h).
 inline void apply_path_demand(const std::vector<GcellIndex>& path,
                               Map2D<double>& dmd_h, Map2D<double>& dmd_v,
                               double sign) {

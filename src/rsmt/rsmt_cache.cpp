@@ -34,18 +34,13 @@ std::uint64_t RsmtCache::key_of(const std::vector<Point>& pins) const {
 
 const RsmtTree& RsmtCache::get_or_build(std::size_t net,
                                         const std::vector<Point>& pins) {
-  return get_or_build(net, pins, enabled_ ? key_of(pins) : 0);
-}
-
-const RsmtTree& RsmtCache::get_or_build(std::size_t net,
-                                        const std::vector<Point>& pins,
-                                        std::uint64_t key) {
   Entry& e = entries_[net];
   if (!enabled_) {
     e.tree = build_rsmt(pins);
     e.valid = false;
     return e.tree;
   }
+  const std::uint64_t key = key_of(pins);
   if (e.valid && e.key == key) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     return e.tree;

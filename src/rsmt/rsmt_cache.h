@@ -34,10 +34,6 @@ class RsmtCache {
   // otherwise rebuilds via build_rsmt and stores the result.
   const RsmtTree& get_or_build(std::size_t net,
                                const std::vector<Point>& pins);
-  // Same, with the key already computed via key_of (the incremental
-  // estimator hashes every net for dirty detection and reuses the hash).
-  const RsmtTree& get_or_build(std::size_t net, const std::vector<Point>& pins,
-                               std::uint64_t key);
 
   void invalidate(std::size_t net);
   void clear();
@@ -49,11 +45,6 @@ class RsmtCache {
     const double h = static_cast<double>(hits());
     const double m = static_cast<double>(misses());
     return h + m > 0.0 ? h / (h + m) : 0.0;
-  }
-  // Credits logical hits that skipped get_or_build entirely (the demand
-  // ledger serves clean nets without consulting the cache).
-  void add_hits(std::uint64_t n) {
-    hits_.fetch_add(n, std::memory_order_relaxed);
   }
   void reset_stats();
 

@@ -1,15 +1,10 @@
 #include "serve/request_log.h"
 
-#include <unistd.h>
-
 #include <cerrno>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
-
-#include "io/checkpoint.h"
 
 namespace puffer {
 namespace {
@@ -99,37 +94,20 @@ std::string sanitize(const std::string& s) {
 
 }  // namespace
 
-RequestLog::RequestLog(const std::string& path) : path_(path) {
-  const bool fresh = ::access(path.c_str(), F_OK) != 0;
-  file_ = std::fopen(path.c_str(), "ab");
-  if (!file_) {
-    throw CheckpointError("request log: cannot open " + path + ": " +
-                          std::strerror(errno));
-  }
-  fd_ = ::fileno(file_);
-  if (fresh) {
+RequestLog::RequestLog(const std::string& path)
+    : log_(path, [](const std::string& line) {
+        RequestLogRecord rec;
+        return decode(line, &rec);
+      }) {
+  if (log_.empty()) {
     RequestLogRecord header;
     header.type = RequestLogRecord::Type::kHeader;
     append(header);
   }
 }
 
-RequestLog::~RequestLog() {
-  if (file_) std::fclose(file_);
-}
-
 void RequestLog::append(const RequestLogRecord& rec) {
-  const std::string line = encode(rec) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
-    throw CheckpointError("request log: short write to " + path_);
-  }
-  if (std::fflush(file_) != 0) {
-    throw CheckpointError("request log: flush failed for " + path_);
-  }
-  if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw CheckpointError("request log: fsync failed for " + path_ + ": " +
-                          std::strerror(errno));
-  }
+  log_.append(encode(rec));
 }
 
 std::string RequestLog::encode(const RequestLogRecord& rec) {
@@ -232,14 +210,12 @@ bool RequestLog::decode(const std::string& line, RequestLogRecord* out) {
 
 std::vector<RequestLogRecord> RequestLog::load(const std::string& path) {
   std::vector<RequestLogRecord> records;
-  std::ifstream in(path);
-  if (!in) return records;
-  std::string line;
-  while (std::getline(in, line)) {
+  AppendLog::load(path, [&records](const std::string& line) {
     RequestLogRecord rec;
-    if (!decode(line, &rec)) break;  // torn tail: drop it and stop
-    records.push_back(rec);
-  }
+    if (!decode(line, &rec)) return false;
+    records.push_back(std::move(rec));
+    return true;
+  });
   return records;
 }
 

@@ -1,8 +1,9 @@
 // Append-only request log for the serve daemon (pufferd).
 //
 // Same crash-safety idiom as the trial journal (orchestrate/
-// trial_journal.h): one flat JSONL record per line, fsync per append, a
-// tolerant loader that drops at most one torn final line. Together with
+// trial_journal.h), on the same io/append_log.h storage: one flat JSONL
+// record per line, fsync per append, a tolerant loader that drops at most
+// one torn final line, which reopening cuts off. Together with
 // the spool directory -- which keeps every session's raw submit body and
 // final result blob as atomically-written files -- the log makes the
 // daemon restartable: replaying it reconstructs each session's last
@@ -25,10 +26,10 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "io/append_log.h"
 #include "serve/serve_protocol.h"
 
 namespace puffer {
@@ -57,17 +58,15 @@ struct RequestLogRecord {
 
 class RequestLog {
  public:
-  // Opens `path` for appending (created when missing; a fresh file gets
-  // a header record). Throws CheckpointError when it cannot be opened.
+  // Opens `path` for appending (created when missing; a torn tail is cut
+  // off first, and a log without records gets a header record). Throws
+  // CheckpointError when it cannot be opened.
   explicit RequestLog(const std::string& path);
-  ~RequestLog();
-  RequestLog(const RequestLog&) = delete;
-  RequestLog& operator=(const RequestLog&) = delete;
 
   // Serializes, appends one line, flushes and fsyncs.
   void append(const RequestLogRecord& rec);
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   // One-record codec (exposed for tests).
   static std::string encode(const RequestLogRecord& rec);
@@ -79,9 +78,7 @@ class RequestLog {
   static std::vector<RequestLogRecord> load(const std::string& path);
 
  private:
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  int fd_ = -1;
+  AppendLog log_;
 };
 
 // A session's state as reconstructed from a log replay.

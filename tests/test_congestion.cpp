@@ -1,9 +1,11 @@
 // Tests for the routing-detour-imitation-based congestion estimator
-// (paper SS III-A): probabilistic I/L demand, pin penalty, and the
-// detour-imitating expansion.
+// (paper SS III-A): probabilistic I/L demand, pin penalty, the
+// detour-imitating expansion, and the evaluation router sharing the
+// estimator's topology cache.
 #include <gtest/gtest.h>
 
 #include "congestion/estimator.h"
+#include "core/flow.h"
 #include "io/synthetic.h"
 
 namespace puffer {
@@ -228,6 +230,30 @@ TEST(Estimator, WorksOnSyntheticDesign) {
   EXPECT_EQ(r.trees.size(), d.nets.size());
   EXPECT_GT(r.maps.dmd_h.sum(), 0.0);
   EXPECT_GT(r.maps.dmd_v.sum(), 0.0);
+}
+
+// The warm evaluation router (sharing the estimator's topology cache)
+// must produce exactly the same routing result as a cold router.
+TEST(Estimator, WarmRouterMatchesColdRouter) {
+  SyntheticSpec spec;
+  spec.num_cells = 260;
+  spec.num_nets = 400;
+  spec.num_macros = 2;
+  spec.seed = 37;
+  const Design d = generate_synthetic(spec);
+  CongestionConfig cfg;
+  cfg.pin_crowding = 1.0;
+  CongestionEstimator est(d, cfg);
+  est.estimate();  // populate the topology cache
+
+  const RouterConfig rcfg;
+  const RouteResult cold = evaluate_routability(d, rcfg);
+  const RouteResult warm = evaluate_routability(d, rcfg, &est);
+  EXPECT_EQ(demand_checksum(cold.maps), demand_checksum(warm.maps));
+  EXPECT_DOUBLE_EQ(cold.wirelength, warm.wirelength);
+  EXPECT_EQ(cold.segments, warm.segments);
+  EXPECT_DOUBLE_EQ(cold.overflow.hof_pct, warm.overflow.hof_pct);
+  EXPECT_DOUBLE_EQ(cold.overflow.vof_pct, warm.overflow.vof_pct);
 }
 
 }  // namespace

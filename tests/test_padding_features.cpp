@@ -1,12 +1,9 @@
-// Tests for the incremental, parallel padding feature pipeline
-// (padding/features.h, padding/feature_query.h): the sparse-table RMQ and
-// summed-area table must match brute force (including per-line rebuilds),
-// the fast path must be bit-identical to the scalar legacy oracle for any
-// PUFFER_THREADS, incremental maintenance must be bit-identical to
-// from-scratch extraction with zero verified-rebuild drift, a broken
-// dirty-Gcell delta chain must fall back to the exact self-diff, and the
-// full flow must place identically across every extractor mode and
-// through a snapshot save/restore.
+// Tests for the parallel padding feature pipeline (padding/features.h,
+// padding/feature_query.h): the sparse-table RMQ and summed-area table
+// must match brute force, the fast path must be bit-identical to the
+// scalar legacy oracle for any PUFFER_THREADS, and the full flow must
+// place identically with either extractor and through a snapshot
+// save/restore.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,7 +32,7 @@ Design small_synthetic(std::uint64_t seed = 7) {
 }
 
 // Moves ~frac of the movable cells by a whole-DBU offset and clamps them
-// into the die (the test_incremental.cpp idiom).
+// into the die.
 void perturb_cells(Design& d, Rng& rng, double frac) {
   for (Cell& c : d.cells) {
     if (!c.movable() || !rng.chance(frac)) continue;
@@ -132,17 +129,6 @@ TEST(FeatureQuery, RowColRmqMatchesBruteForce) {
     }
   };
   check_all("build");
-
-  // Dirty-cell update discipline (what the extractor does): mutate a few
-  // cells, then re-tabulate exactly their rows and columns.
-  const int touched[][2] = {{4, 2}, {7, 2}, {0, 8}, {12, 0}};
-  for (const auto& t : touched) {
-    vals[static_cast<std::size_t>(t[1]) * nx + t[0]] =
-        rng.uniform_int(-1000000, 1000000);
-  }
-  for (const int gy : {2, 8, 0}) rmq.rebuild_row(vals, gy);
-  for (const int gx : {4, 7, 0, 12}) rmq.rebuild_col(vals, gx);
-  check_all("rebuild");
 }
 
 TEST(FeatureQuery, SummedAreaTableMatchesBruteForce) {
@@ -184,19 +170,6 @@ TEST(FeatureQuery, QuantizationRoundTripsMapValues) {
   EXPECT_LT(quantize_feature(1.0), quantize_feature(1.0 + kFeatureQuantum));
 }
 
-// Moves exactly `count` movable cells by one DBU -- a perturbation small
-// enough that most of the congestion map (and most net bounding boxes)
-// stays untouched, so the cross-round caches can prove themselves.
-void nudge_cells(Design& d, Rng& rng, int count) {
-  int moved = 0;
-  for (Cell& c : d.cells) {
-    if (!c.movable() || moved >= count) continue;
-    if (!rng.chance(0.1)) continue;
-    c.x = clamp(c.x + 1.0, d.die.xlo, d.die.xhi - c.width);
-    ++moved;
-  }
-}
-
 TEST(PaddingFeatures, LegacyVsFastBitIdenticalAcrossThreads) {
   ThreadGuard guard;
   Design d = small_synthetic(11);
@@ -206,161 +179,42 @@ TEST(PaddingFeatures, LegacyVsFastBitIdenticalAcrossThreads) {
   FeatureConfig legacy_cfg;
   legacy_cfg.use_legacy_extractor = true;
   FeatureExtractor legacy(d, legacy_cfg);
-
-  // One persistent fast extractor per thread count: each sees the same
-  // congestion-result sequence, so the per-net caches and incremental
-  // maps evolve identically and every round must match the oracle.
-  const int kThreads[3] = {1, 2, 8};
-  FeatureConfig fast_cfg;
-  FeatureExtractor fast1(d, fast_cfg), fast2(d, fast_cfg), fast8(d, fast_cfg);
-  FeatureExtractor* fast[3] = {&fast1, &fast2, &fast8};
+  FeatureExtractor fast(d, FeatureConfig{});
 
   Rng rng(99);
   for (int round = 0; round < 6; ++round) {
     if (round > 0) perturb_cells(d, rng, 0.2);
-    const CongestionResult cr = est.estimate_incremental();
+    const CongestionResult cr = est.estimate();
     const auto ref = legacy.extract(cr, movable);
-    for (int ti = 0; ti < 3; ++ti) {
-      par::set_num_threads(kThreads[ti]);
-      const auto got = fast[ti]->extract(cr, movable);
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      const auto got = fast.extract(cr, movable);
       expect_features_identical(got, ref, "fast-vs-legacy", round);
     }
   }
-  for (FeatureExtractor* fx : fast) {
-    const PaddingStageMetrics& m = fx->stage_metrics();
-    EXPECT_EQ(m.drift_count, 0u);
-    EXPECT_EQ(m.extracts, 6);
-    EXPECT_EQ(m.full_rebuilds, 1);  // only the first call builds maps
-    // Most trees are unchanged between rounds, so the topology cache must
-    // actually be doing work.
-    EXPECT_GT(m.incidence_hits, 0u);
-    EXPECT_GT(m.gcells_total, 0);
-  }
-}
-
-TEST(PaddingFeatures, SmallMovesReuseCachedPathsAndStayIdentical) {
-  // A near-converged placement (a few one-DBU nudges per round) is the
-  // regime the incremental pipeline targets: most Gcells stay clean and
-  // most per-pin path minima are served from the cross-round cache --
-  // while remaining bit-identical to the from-scratch oracle.
-  Design d = small_synthetic(31);
-  const std::vector<CellId> movable = movable_cells(d);
-  CongestionEstimator est(d, CongestionConfig{});
-
-  FeatureConfig legacy_cfg;
-  legacy_cfg.use_legacy_extractor = true;
-  FeatureExtractor legacy(d, legacy_cfg);
-  FeatureExtractor fast(d, FeatureConfig{});
-
-  Rng rng(77);
-  for (int round = 0; round < 8; ++round) {
-    if (round > 0) nudge_cells(d, rng, 3);
-    const CongestionResult cr = est.estimate_incremental();
-    const auto ref = legacy.extract(cr, movable);
-    expect_features_identical(fast.extract(cr, movable), ref, "nudge", round);
-  }
-  const PaddingStageMetrics& m = fast.stage_metrics();
-  EXPECT_EQ(m.drift_count, 0u);
-  EXPECT_EQ(m.full_rebuilds, 1);
-  EXPECT_GT(m.incidence_hits, 0u);
-  EXPECT_GT(m.nets_reused, 0);
-  EXPECT_GT(m.gcells_total, 0);
-  EXPECT_LT(m.dirty_gcell_frac(), 0.9);
-}
-
-TEST(PaddingFeatures, IncrementalVsFullBitIdenticalWithVerifiedRebuilds) {
-  Design d = small_synthetic(23);
-  const std::vector<CellId> movable = movable_cells(d);
-  CongestionEstimator est(d, CongestionConfig{});
-
-  FeatureConfig inc_cfg;
-  inc_cfg.full_rebuild_interval = 3;  // rebuild-and-verify often
-  inc_cfg.verify_rebuild = true;
-  FeatureConfig full_cfg;
-  full_cfg.incremental = false;  // from-scratch maps every round
-  FeatureConfig legacy_cfg;
-  legacy_cfg.use_legacy_extractor = true;
-  FeatureExtractor inc(d, inc_cfg), full(d, full_cfg), legacy(d, legacy_cfg);
-
-  Rng rng(5);
-  for (int round = 0; round < 9; ++round) {
-    if (round > 0) perturb_cells(d, rng, 0.15);
-    const CongestionResult cr = est.estimate_incremental();
-    const auto a = inc.extract(cr, movable);
-    const auto b = full.extract(cr, movable);
-    const auto c = legacy.extract(cr, movable);
-    expect_features_identical(a, b, "inc-vs-full", round);
-    expect_features_identical(a, c, "inc-vs-legacy", round);
-  }
-  const PaddingStageMetrics& m = inc.stage_metrics();
-  EXPECT_EQ(m.drift_count, 0u);  // every verified rebuild matched bitwise
-  EXPECT_EQ(m.extracts, 9);
-  EXPECT_EQ(m.full_rebuilds, 3);  // rounds 0, 3, 6
-  EXPECT_EQ(full.stage_metrics().full_rebuilds, 9);
-}
-
-TEST(PaddingFeatures, BrokenDeltaChainFallsBackToExactSelfDiff) {
-  Design d = small_synthetic(41);
-  const std::vector<CellId> movable = movable_cells(d);
-  CongestionEstimator est(d, CongestionConfig{});
-
-  FeatureConfig legacy_cfg;
-  legacy_cfg.use_legacy_extractor = true;
-  FeatureExtractor legacy(d, legacy_cfg);
-  // `every` consumes every congestion revision (continuous delta chain);
-  // `skipping` only sees every other revision, so its delta continuity
-  // check fails and it must self-diff -- still bit-identical.
-  FeatureExtractor every(d, FeatureConfig{});
-  FeatureExtractor skipping(d, FeatureConfig{});
-
-  Rng rng(13);
-  for (int round = 0; round < 8; ++round) {
-    if (round > 0) perturb_cells(d, rng, 0.15);
-    // Round 4 uses a from-scratch estimate(): its delta is not valid for
-    // incremental consumption and every extractor must fall back.
-    const CongestionResult cr =
-        (round == 4) ? est.estimate() : est.estimate_incremental();
-    const auto ref = legacy.extract(cr, movable);
-    expect_features_identical(every.extract(cr, movable), ref, "every", round);
-    if (round % 2 == 0) {
-      expect_features_identical(skipping.extract(cr, movable), ref,
-                                "skipping", round);
-    }
-  }
-  EXPECT_EQ(every.stage_metrics().drift_count, 0u);
-  EXPECT_EQ(skipping.stage_metrics().drift_count, 0u);
+  EXPECT_EQ(fast.stage_metrics().extracts, 18);
 }
 
 TEST(PaddingFeatures, FlowPlacementIdenticalAcrossExtractorModes) {
-  // Whole-flow identity: the placement produced with the fast incremental
-  // pipeline (the default) must equal the legacy-oracle and the
-  // non-incremental fast configurations bit for bit.
-  std::uint64_t base = 0;
-  for (int mode = 0; mode < 3; ++mode) {
+  // Whole-flow identity: the placement produced with the fast pipeline
+  // (the default) must equal the legacy-oracle one bit for bit.
+  std::uint64_t sums[2] = {0, 0};
+  for (int mode = 0; mode < 2; ++mode) {
     Design d = generate_synthetic(flow_spec());
     PufferConfig cfg = flow_config();
-    if (mode == 1) cfg.padding.feature.use_legacy_extractor = true;
-    if (mode == 2) cfg.padding.feature.incremental = false;
+    cfg.padding.feature.use_legacy_extractor = (mode == 1);
     PufferFlow flow(d, cfg);
     const FlowMetrics metrics = flow.run();
-    if (mode == 0) {
-      EXPECT_GT(metrics.padding_stage.extracts, 0);
-      EXPECT_EQ(metrics.padding_stage.drift_count, 0u);
-    }
-    const std::uint64_t sum = placement_checksum(d);
-    if (mode == 0) {
-      base = sum;
-    } else {
-      EXPECT_EQ(sum, base) << "mode " << mode;
-    }
+    EXPECT_GT(metrics.padding_stage.extracts, 0);
+    sums[mode] = placement_checksum(d);
   }
+  EXPECT_EQ(sums[0], sums[1]);
 }
 
 TEST(PaddingFeatures, SnapshotRunFromReproducesContinuation) {
-  // The staged-flow contract with the stateful extractor in the loop: a
+  // The staged-flow contract with the feature extractor in the loop: a
   // fresh flow restoring the snapshot must reproduce the uninterrupted
-  // continuation exactly (the extractor state is flow-local and rebuilt
-  // deterministically after restore).
+  // continuation exactly.
   Design cont = generate_synthetic(flow_spec(29));
   PufferFlow flow(cont, flow_config());
   FlowSnapshot snap;

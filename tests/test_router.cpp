@@ -8,7 +8,7 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "congestion/demand_ledger.h"
+#include "congestion/demand_quantum.h"
 #include "io/synthetic.h"
 #include "router/global_router.h"
 #include "router/maze.h"

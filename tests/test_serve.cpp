@@ -316,6 +316,45 @@ TEST(RequestLog, TornTailIsDropped) {
   EXPECT_FALSE(sessions[0].finished);
 }
 
+// A daemon restarted after a crash that tore the log's last line must
+// keep what it logs from then on: reopening cuts the torn tail off, so
+// the next lifetime's records are not glued onto it and lost.
+TEST(RequestLog, ReopenAfterTornTailKeepsNewRecords) {
+  const auto dir = temp_dir("serve_log_reopen");
+  const std::string path = (dir / "requests.jsonl").string();
+  RequestLogRecord sub;
+  sub.type = RequestLogRecord::Type::kSubmit;
+  sub.session_id = 1;
+  sub.job_file = "job_1.bin";
+  {
+    RequestLog log(path);
+    log.append(sub);
+  }
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "{\"type\":\"finish\",\"sid\":1,\"sta";  // torn mid-record
+  }
+  {
+    RequestLog log(path);  // second lifetime
+    sub.session_id = 2;
+    sub.job_file = "job_2.bin";
+    log.append(sub);
+    RequestLogRecord fin;
+    fin.type = RequestLogRecord::Type::kFinish;
+    fin.session_id = 2;
+    fin.state = static_cast<std::uint8_t>(SessionState::kDone);
+    fin.result_file = "result_2.bin";
+    log.append(fin);
+  }
+  const auto sessions = replay_request_log(RequestLog::load(path));
+  ASSERT_EQ(sessions.size(), 2u);
+  EXPECT_EQ(sessions[0].session_id, 1u);
+  EXPECT_FALSE(sessions[0].finished);
+  EXPECT_EQ(sessions[1].session_id, 2u);
+  EXPECT_TRUE(sessions[1].finished);
+  EXPECT_EQ(sessions[1].result_file, "result_2.bin");
+}
+
 // --- session manager -----------------------------------------------------
 
 // Drives the manager the way the poll loop does, without a server.

@@ -258,28 +258,24 @@ int main(int argc, char** argv) {
       // Per-trial losses plus the orchestrator and padding-feature stage
       // metrics (constant per run, repeated per row to keep the CSV
       // rectangular), matching the router/legalization stage columns of
-      // the experiment tables. The padding columns come from the best
-      // trial's flow and are zero when that trial was replayed from the
+      // the experiment tables. The padding column comes from the best
+      // trial's flow and is zero when that trial was replayed from the
       // journal (best_metrics_valid false).
       std::fprintf(f,
                    "trial,loss,trials_run,trials_pruned,trials_resumed,"
                    "checkpoint_save_ms,checkpoint_restore_ms,"
-                   "scheduler_utilization,padding_feature_time_s,"
-                   "padding_dirty_gcell_frac,padding_incidence_hit_rate,"
-                   "padding_full_rebuilds\n");
+                   "scheduler_utilization,padding_feature_time_s\n");
       const OrchestratorStageMetrics& st = result.stats;
       const PaddingStageMetrics pf = result.best_metrics_valid
                                          ? result.best_flow.padding_stage
                                          : PaddingStageMetrics{};
       for (std::size_t i = 0; i < result.observations.size(); ++i) {
-        std::fprintf(f, "%zu,%.17g,%d,%d,%d,%.3f,%.3f,%.4f,%.4f,%.4f,%.4f,%d\n",
-                     i, result.observations[i].loss, st.trials_run,
+        std::fprintf(f, "%zu,%.17g,%d,%d,%d,%.3f,%.3f,%.4f,%.4f\n", i,
+                     result.observations[i].loss, st.trials_run,
                      st.trials_pruned, st.trials_resumed,
                      1000.0 * st.checkpoint_save_s,
                      1000.0 * st.checkpoint_restore_s,
-                     st.scheduler_utilization, pf.feature_time_s,
-                     pf.dirty_gcell_frac(), pf.incidence_hit_rate(),
-                     pf.full_rebuilds);
+                     st.scheduler_utilization, pf.feature_time_s);
       }
       std::fclose(f);
       std::printf("wrote %s\n", csv_path.c_str());
