@@ -120,7 +120,9 @@ TrialJournal::TrialJournal(const std::string& path)
         return decode(line, &rec);
       }) {}
 
-void TrialJournal::append(const JournalRecord& rec) { log_.append(encode(rec)); }
+void TrialJournal::append(const JournalRecord& rec) {
+  log_.append(encode(rec));
+}
 
 std::string TrialJournal::encode(const JournalRecord& rec) {
   char buf[256];

@@ -263,7 +263,9 @@ QuantizedMaps quantize_maps(const Design& design, const RoutingMaps& maps) {
   q.qcg.resize(n_gcells);
   std::size_t flat = 0;
   for (int gy = 0; gy < ny; ++gy) {
-    for (int gx = 0; gx < nx; ++gx) q.qcg[flat++] = quantize_feature(maps.cg(gx, gy));
+    for (int gx = 0; gx < nx; ++gx) {
+      q.qcg[flat++] = quantize_feature(maps.cg(gx, gy));
+    }
   }
 
   // Pins per Gcell over available sites.
@@ -346,10 +348,11 @@ void fast_pin_best(const Net& net, const RsmtTree& tree, const GcellGrid& grid,
   for (std::size_t i = 1; i <= npts; ++i) s.inc_off[i] += s.inc_off[i - 1];
   for (std::size_t si = 0; si < tree.segments.size(); ++si) {
     const RsmtSegment& seg = tree.segments[si];
-    s.inc_seg[static_cast<std::size_t>(s.inc_off[static_cast<std::size_t>(seg.a)]++)] =
-        static_cast<std::int32_t>(si);
-    s.inc_seg[static_cast<std::size_t>(s.inc_off[static_cast<std::size_t>(seg.b)]++)] =
-        static_cast<std::int32_t>(si);
+    for (const int pt : {seg.a, seg.b}) {
+      std::int32_t& cursor = s.inc_off[static_cast<std::size_t>(pt)];
+      s.inc_seg[static_cast<std::size_t>(cursor++)] =
+          static_cast<std::int32_t>(si);
+    }
   }
   for (std::size_t i = npts; i >= 1; --i) s.inc_off[i] = s.inc_off[i - 1];
   s.inc_off[0] = 0;
@@ -549,7 +552,8 @@ std::vector<FeatureVector> FeatureExtractor::extract_fast(
       0, static_cast<std::int64_t>(cells.size()), 64,
       [&](std::int64_t b, std::int64_t en, int /*chunk*/) {
         for (std::int64_t i = b; i < en; ++i) {
-          const std::size_t ci = static_cast<std::size_t>(cells[static_cast<std::size_t>(i)]);
+          const std::size_t ci =
+              static_cast<std::size_t>(cells[static_cast<std::size_t>(i)]);
           GcellIndex lo, hi;
           grid.range_of(design_.cells[ci].rect(), lo, hi);
           out[static_cast<std::size_t>(i)] =

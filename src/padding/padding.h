@@ -80,8 +80,7 @@ class PaddingEngine {
   double applied_area() const { return last_area_; }
   double peak_applied_area() const { return peak_area_; }
   const PaddingParams& params() const { return params_; }
-  // Feature-pipeline observability (extraction time, dirty fractions,
-  // cache hit rates; see PaddingStageMetrics).
+  // Feature-extraction calls and wall time (see PaddingStageMetrics).
   const PaddingStageMetrics& stage_metrics() const {
     return extractor_.stage_metrics();
   }
