@@ -1,9 +1,14 @@
 // Tests for the routing-detour-imitation-based congestion estimator
 // (paper SS III-A): probabilistic I/L demand, pin penalty, the
-// detour-imitating expansion, and the evaluation router sharing the
-// estimator's topology cache.
+// detour-imitating expansion, and reuse of the RSMT topology cache across
+// estimates and by the evaluation router.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "congestion/estimator.h"
 #include "core/flow.h"
 #include "io/synthetic.h"
@@ -232,9 +237,49 @@ TEST(Estimator, WorksOnSyntheticDesign) {
   EXPECT_GT(r.maps.dmd_v.sum(), 0.0);
 }
 
+// Cross-call reuse: the RSMT topology cache is the one piece of state an
+// estimator keeps between estimate() calls.
+
+// Restores the global worker-pool setting after a test that changes it.
+struct ThreadGuard {
+  ~ThreadGuard() { par::set_num_threads(0); }
+};
+
+// Repeated estimates on one estimator (a warm topology cache, cells moved
+// between calls) are bit-identical for any worker count.
+TEST(Incremental, ThreadCountInvariance) {
+  ThreadGuard guard;
+  std::vector<std::uint64_t> checksums[2];
+  const int threads[2] = {1, 8};
+  for (int t = 0; t < 2; ++t) {
+    par::set_num_threads(threads[t]);
+    SyntheticSpec spec;
+    spec.num_cells = 260;
+    spec.num_nets = 400;
+    spec.num_macros = 2;
+    spec.seed = 17;
+    Design d = generate_synthetic(spec);
+    CongestionConfig cfg;
+    cfg.pin_crowding = 1.0;  // exercise the nonlinear pin layer too
+    CongestionEstimator est(d, cfg);
+    Rng rng(99);
+    for (int round = 0; round < 6; ++round) {
+      for (Cell& c : d.cells) {
+        if (round == 0 || !c.movable() || !rng.chance(0.2)) continue;
+        c.x = clamp(c.x + static_cast<double>(rng.uniform_int(-30, 30)),
+                    d.die.xlo, d.die.xhi - c.width);
+        c.y = clamp(c.y + static_cast<double>(rng.uniform_int(-30, 30)),
+                    d.die.ylo, d.die.yhi - c.height);
+      }
+      checksums[t].push_back(demand_checksum(est.estimate().maps));
+    }
+  }
+  EXPECT_EQ(checksums[0], checksums[1]);
+}
+
 // The warm evaluation router (sharing the estimator's topology cache)
 // must produce exactly the same routing result as a cold router.
-TEST(Estimator, WarmRouterMatchesColdRouter) {
+TEST(Incremental, WarmRouterMatchesColdRouter) {
   SyntheticSpec spec;
   spec.num_cells = 260;
   spec.num_nets = 400;
