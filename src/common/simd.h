@@ -120,4 +120,66 @@ inline void clamp_to(double* x, const double* lo, const double* hi,
   }
 }
 
+// Two independent double lanes -- e.g. the x and y terms of one pin --
+// for kernels that evaluate the same expression on both. ScalarPair is
+// the plain form and VecPair one SSE2 register; each operator is one
+// per-lane IEEE operation, so a kernel templated on the pair type gets
+// the same bits from either. Kernels pick VecPair when enabled() and
+// ScalarPair otherwise, once per call, like the helpers above.
+struct ScalarPair {
+  double x, y;
+  static ScalarPair set(double a, double b) { return {a, b}; }
+  static ScalarPair splat(double v) { return {v, v}; }
+  static ScalarPair load(const double* p) { return {p[0], p[1]}; }
+  void store(double* p) const {
+    p[0] = x;
+    p[1] = y;
+  }
+  // Lane 0 to *a, lane 1 to *b.
+  void split(double* a, double* b) const {
+    *a = x;
+    *b = y;
+  }
+  friend ScalarPair operator+(ScalarPair a, ScalarPair b) {
+    return {a.x + b.x, a.y + b.y};
+  }
+  friend ScalarPair operator-(ScalarPair a, ScalarPair b) {
+    return {a.x - b.x, a.y - b.y};
+  }
+  friend ScalarPair operator*(ScalarPair a, ScalarPair b) {
+    return {a.x * b.x, a.y * b.y};
+  }
+  friend ScalarPair operator/(ScalarPair a, ScalarPair b) {
+    return {a.x / b.x, a.y / b.y};
+  }
+};
+
+#if PUFFER_SIMD_SSE2
+struct VecPair {
+  __m128d v;
+  static VecPair set(double a, double b) { return {_mm_set_pd(b, a)}; }
+  static VecPair splat(double s) { return {_mm_set1_pd(s)}; }
+  static VecPair load(const double* p) { return {_mm_loadu_pd(p)}; }
+  void store(double* p) const { _mm_storeu_pd(p, v); }
+  void split(double* a, double* b) const {
+    _mm_storel_pd(a, v);
+    _mm_storeh_pd(b, v);
+  }
+  friend VecPair operator+(VecPair a, VecPair b) {
+    return {_mm_add_pd(a.v, b.v)};
+  }
+  friend VecPair operator-(VecPair a, VecPair b) {
+    return {_mm_sub_pd(a.v, b.v)};
+  }
+  friend VecPair operator*(VecPair a, VecPair b) {
+    return {_mm_mul_pd(a.v, b.v)};
+  }
+  friend VecPair operator/(VecPair a, VecPair b) {
+    return {_mm_div_pd(a.v, b.v)};
+  }
+};
+#else
+using VecPair = ScalarPair;
+#endif
+
 }  // namespace puffer::simd

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -10,6 +11,17 @@
 
 namespace puffer {
 namespace {
+
+// Value of an integer key: rounded like std::llround, and rejected with
+// std::out_of_range when the result does not fit in an int.
+int to_int(double v) {
+  const double r = std::round(v);
+  if (!(r >= std::numeric_limits<int>::min() &&
+        r <= std::numeric_limits<int>::max())) {
+    throw std::out_of_range("integer key out of range");
+  }
+  return static_cast<int>(r);
+}
 
 // One registry drives both directions: name -> {getter, setter}.
 struct Field {
@@ -63,7 +75,7 @@ const std::map<std::string, Field>& registry() {
         "utilization ramp end (Eq. 16)"}},
       {"padding.xi",
        {[](const PufferConfig& c) { return static_cast<double>(c.padding.xi); },
-        [](PufferConfig& c, double v) { c.padding.xi = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.padding.xi = to_int(v); },
         "max optimization rounds"}},
       {"padding.tau",
        {[](const PufferConfig& c) { return c.padding.tau; },
@@ -75,15 +87,15 @@ const std::map<std::string, Field>& registry() {
         "utilization trigger threshold"}},
       {"padding.spacing_iters",
        {[](const PufferConfig& c) { return static_cast<double>(c.padding.spacing_iters); },
-        [](PufferConfig& c, double v) { c.padding.spacing_iters = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.padding.spacing_iters = to_int(v); },
         "GP iterations between rounds"}},
       {"padding.kernel_gcells",
        {[](const PufferConfig& c) { return static_cast<double>(c.padding.feature.kernel_gcells); },
-        [](PufferConfig& c, double v) { c.padding.feature.kernel_gcells = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.padding.feature.kernel_gcells = to_int(v); },
         "CNN kernel margin (Gcells)"}},
       {"padding.z_candidates",
        {[](const PufferConfig& c) { return static_cast<double>(c.padding.feature.z_candidates); },
-        [](PufferConfig& c, double v) { c.padding.feature.z_candidates = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.padding.feature.z_candidates = to_int(v); },
         "Z-path samples for pin congestion"}},
       {"padding.use_legacy_extractor",
        {[](const PufferConfig& c) { return c.padding.feature.use_legacy_extractor ? 1.0 : 0.0; },
@@ -96,7 +108,7 @@ const std::map<std::string, Field>& registry() {
         "local-net demand per pin"}},
       {"congestion.expand_radius",
        {[](const PufferConfig& c) { return static_cast<double>(c.congestion.expand_radius); },
-        [](PufferConfig& c, double v) { c.congestion.expand_radius = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.congestion.expand_radius = to_int(v); },
         "detour expansion radius (Gcells)"}},
       {"congestion.detour_expansion",
        {[](const PufferConfig& c) { return c.congestion.enable_detour_expansion ? 1.0 : 0.0; },
@@ -117,11 +129,11 @@ const std::map<std::string, Field>& registry() {
         "equilibrium density"}},
       {"gp.max_iters",
        {[](const PufferConfig& c) { return static_cast<double>(c.gp.max_iters); },
-        [](PufferConfig& c, double v) { c.gp.max_iters = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.gp.max_iters = to_int(v); },
         "Nesterov iteration cap"}},
       {"gp.bin_dim",
        {[](const PufferConfig& c) { return static_cast<double>(c.gp.bin_dim); },
-        [](PufferConfig& c, double v) { c.gp.bin_dim = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.gp.bin_dim = to_int(v); },
         "density bins per axis (0 = auto)"}},
       {"gp.lambda_freeze_overflow",
        {[](const PufferConfig& c) { return c.gp.lambda_freeze_overflow; },
@@ -138,7 +150,7 @@ const std::map<std::string, Field>& registry() {
         "legalization padding cap"}},
       {"legal.max_row_search",
        {[](const PufferConfig& c) { return static_cast<double>(c.legal.max_row_search); },
-        [](PufferConfig& c, double v) { c.legal.max_row_search = static_cast<int>(std::llround(v)); },
+        [](PufferConfig& c, double v) { c.legal.max_row_search = to_int(v); },
         "Abacus row search width"}},
       // Flow.
       {"flow.final_overflow",
@@ -182,14 +194,25 @@ PufferConfig config_from_text(const std::string& text,
     if (it == registry().end()) {
       throw ConfigError("line " + std::to_string(line_no) + ": unknown key '" + key + "'");
     }
+    const std::string where = "line " + std::to_string(line_no) + ": ";
+    double v = 0.0;
     try {
       std::size_t used = 0;
-      const double v = std::stod(value, &used);
+      v = std::stod(value, &used);
       if (used != value.size()) throw std::invalid_argument(value);
-      it->second.set(config, v);
     } catch (const std::exception&) {
-      throw ConfigError("line " + std::to_string(line_no) + ": bad value '" +
-                        value + "' for " + key);
+      throw ConfigError(where + "bad value '" + value + "' for " + key);
+    }
+    // std::stod accepts "nan" and "inf"; no key has a use for them.
+    if (!std::isfinite(v)) {
+      throw ConfigError(where + "value '" + value + "' for " + key +
+                        " is not finite");
+    }
+    try {
+      it->second.set(config, v);
+    } catch (const std::out_of_range&) {
+      throw ConfigError(where + "value '" + value + "' for " + key +
+                        " is outside the int range");
     }
   }
   return config;

@@ -22,8 +22,9 @@ struct ConfigError : std::runtime_error {
 // Serializes the strategy-relevant fields, with comments.
 std::string config_to_text(const PufferConfig& config);
 
-// Parses `text`, overriding fields of `base`. Throws ConfigError on
-// unknown keys or malformed values.
+// Parses `text`, overriding fields of `base`. Throws ConfigError, naming
+// the line, on unknown keys, malformed or non-finite values, and values
+// of integer keys outside the int range.
 PufferConfig config_from_text(const std::string& text,
                               const PufferConfig& base = {});
 

@@ -13,6 +13,7 @@ constexpr const char* kTag = "flow";
 
 PufferFlow::PufferFlow(Design& design, PufferConfig config)
     : design_(design), config_(config) {
+  validate_gp_config(config_.gp);
   validate_legalize_config(config_.legal);
 }
 
@@ -162,9 +163,13 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
                       padder.attempts(), engine.iteration(),
                       engine.density_overflow(), congestion.expanded_segments,
                       est_s, 100.0 * estimator_->tree_cache().hit_rate());
-      // Let the density system absorb the new areas before re-estimating.
-      for (int k = 0; k < config_.padding.spacing_iters; ++k) {
-        if (!engine.step()) break;
+      // Let the density system absorb the new areas before re-estimating,
+      // with the pool kept warm as in run_to_overflow().
+      {
+        par::KeepWarmScope warm;
+        for (int k = 0; k < config_.padding.spacing_iters; ++k) {
+          if (!engine.step()) break;
+        }
       }
       engine.sync_to_design();
     }

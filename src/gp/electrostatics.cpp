@@ -12,7 +12,7 @@ namespace puffer {
 ElectrostaticSystem::ElectrostaticSystem(int nx, int ny, double w, double h)
     : nx_(nx), ny_(ny),
       plan_(static_cast<std::size_t>(nx), static_cast<std::size_t>(ny)),
-      psi_(nx, ny), ex_(nx, ny), ey_(nx, ny) {
+      ex_(nx, ny), ey_(nx, ny) {
   if (w <= 0.0 || h <= 0.0) {
     throw std::invalid_argument("ElectrostaticSystem: bad extents");
   }
@@ -45,9 +45,9 @@ ElectrostaticSystem::ElectrostaticSystem(int nx, int ny, double w, double h)
     }
   }
   a_.resize(snx * sny);
-  c_psi_.resize(snx * sny);
   c_ex_.resize(snx * sny);
   c_ey_.resize(snx * sny);
+  rho_.resize(snx * sny);
 }
 
 void ElectrostaticSystem::solve(const Map2D<double>& density) {
@@ -56,6 +56,9 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
   }
   const std::size_t snx = static_cast<std::size_t>(nx_);
   const std::size_t sny = static_cast<std::size_t>(ny_);
+  rho_ = density.raw();
+  have_psi_ = false;
+  have_energy_ = false;
 
   // Forward spectrum of the density.
   if (legacy_) {
@@ -64,7 +67,7 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
     plan_.dct2_2d(density.raw(), a_);
   }
 
-  // Weight the spectrum for the three inverse evaluations. Rows are
+  // Weight the spectrum for the two field evaluations. Rows are
   // independent (disjoint writes), so the loop fans out over v.
   par::parallel_for(
       0, static_cast<std::int64_t>(sny), 8,
@@ -75,7 +78,6 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
           const std::size_t row = v * snx;
           for (std::size_t u = 0; u < snx; ++u) {
             const double coeff = w_psi_[row + u] * a_[row + u];
-            c_psi_[row + u] = coeff;
             c_ex_[row + u] = coeff * wu_[u];
             c_ey_[row + u] = coeff * wvv;
           }
@@ -83,26 +85,46 @@ void ElectrostaticSystem::solve(const Map2D<double>& density) {
       });
 
   if (legacy_) {
-    psi_.raw() = puffer::dct3_raw_2d(c_psi_, snx, sny);
     ex_.raw() = puffer::idxst_dct3_2d(c_ex_, snx, sny);
     ey_.raw() = puffer::dct3_idxst_2d(c_ey_, snx, sny);
   } else {
-    plan_.dct3_raw_2d(c_psi_, psi_.raw());
-    plan_.idxst_dct3_2d(c_ex_, ex_.raw());
-    plan_.dct3_idxst_2d(c_ey_, ey_.raw());
+    plan_.fields_2d(c_ex_, c_ey_, ex_.raw(), ey_.raw());
   }
+}
 
+const Map2D<double>& ElectrostaticSystem::potential() {
+  if (have_psi_) return psi_;
+  const std::size_t snx = static_cast<std::size_t>(nx_);
+  const std::size_t sny = static_cast<std::size_t>(ny_);
+  // Storage for the potential exists only once something asks for it.
+  if (psi_.nx() != nx_) psi_ = Map2D<double>(nx_, ny_);
+  c_psi_.resize(snx * sny);
+  for (std::size_t i = 0; i < snx * sny; ++i) c_psi_[i] = w_psi_[i] * a_[i];
+  if (legacy_) {
+    psi_.raw() = puffer::dct3_raw_2d(c_psi_, snx, sny);
+  } else {
+    plan_.dct3_raw_2d(c_psi_, psi_.raw());
+  }
+  have_psi_ = true;
+  return psi_;
+}
+
+double ElectrostaticSystem::energy() {
+  if (have_energy_) return energy_;
+  const std::vector<double>& psi = potential().raw();
   // Chunk-ordered fold keeps the energy worker-count independent.
   energy_ = par::parallel_reduce(
-      0, static_cast<std::int64_t>(snx * sny), 4096, 0.0,
+      0, static_cast<std::int64_t>(rho_.size()), 4096, 0.0,
       [&](std::int64_t b, std::int64_t e) {
         double s = 0.0;
         for (std::int64_t i = b; i < e; ++i) {
           const std::size_t si = static_cast<std::size_t>(i);
-          s += density.raw()[si] * psi_.raw()[si];
+          s += rho_[si] * psi[si];
         }
         return s;
       });
+  have_energy_ = true;
+  return energy_;
 }
 
 }  // namespace puffer

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/logger.h"
 #include "common/parallel.h"
@@ -14,6 +16,11 @@ namespace puffer {
 
 namespace {
 constexpr const char* kTag = "gp";
+// Element chunking of the density bucket pass (fixed decomposition).
+constexpr std::int64_t kElemGrain = 1024;
+constexpr int kMaxElemChunks = 64;
+// Row bands of the density scatter (any count gives the same bits).
+constexpr int kMaxBands = 8;
 
 std::shared_ptr<GpSoA> make_soa(const Design& design) {
   auto soa = std::make_shared<GpSoA>();
@@ -23,9 +30,32 @@ std::shared_ptr<GpSoA> make_soa(const Design& design) {
 
 }  // namespace
 
+GpConfig validate_gp_config(GpConfig config) {
+  if (config.bin_dim < 0 || config.bin_dim > kMaxBinDim) {
+    throw std::invalid_argument("GpConfig.bin_dim must be 0 (auto) or in [1, " +
+                                std::to_string(kMaxBinDim) + "]");
+  }
+  if (!(config.target_density > 0.0 && config.target_density <= 1.0)) {
+    throw std::invalid_argument("GpConfig.target_density must be in (0, 1]");
+  }
+  if (!(std::isfinite(config.stop_overflow) && config.stop_overflow >= 0.0)) {
+    throw std::invalid_argument(
+        "GpConfig.stop_overflow must be finite and non-negative");
+  }
+  if (!(std::isfinite(config.lambda_freeze_overflow) &&
+        config.lambda_freeze_overflow >= 0.0)) {
+    throw std::invalid_argument(
+        "GpConfig.lambda_freeze_overflow must be finite and non-negative");
+  }
+  if (config.max_iters < 0) {
+    throw std::invalid_argument("GpConfig.max_iters must be non-negative");
+  }
+  return config;
+}
+
 EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
-    : design_(design), config_(config), soa_(make_soa(design)),
-      wirelength_(soa_) {
+    : design_(design), config_(validate_gp_config(config)),
+      soa_(make_soa(design)), wirelength_(soa_) {
   wirelength_.use_legacy_kernels(config_.legacy_kernels);
   const std::size_t n_mov = soa_->num_movable();
   if (config_.bin_dim <= 0) {
@@ -49,7 +79,7 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
 
   // Row bands of the density scatter: one band per chunk of the same
   // fixed decomposition rasterize() fans out with.
-  nbands_ = par::chunk_count(bins_, std::max(1, bins_ / 8), 8);
+  nbands_ = par::chunk_count(bins_, std::max(1, bins_ / kMaxBands), kMaxBands);
   band_of_row_.resize(static_cast<std::size_t>(bins_));
   for (int b = 0; b < nbands_; ++b) {
     const auto [lo, hi] = par::chunk_range(bins_, nbands_, b);
@@ -58,7 +88,6 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
     }
   }
   band_start_.resize(static_cast<std::size_t>(nbands_) + 1);
-  band_fill_.resize(static_cast<std::size_t>(nbands_));
 
   num_movable_ = n_mov;
   elem_w_ = soa_->cw;
@@ -75,8 +104,8 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
   update_raster_params();
   xv_ = xu_;
   yv_ = yu_;
-  clamp_positions(xu_, yu_);
-  clamp_positions(xv_, yv_);
+  clamp_positions(xu_, yu_, 0, xu_.size());
+  clamp_positions(xv_, yv_, 0, xv_.size());
 }
 
 EPlaceEngine::~EPlaceEngine() = default;
@@ -199,6 +228,8 @@ void EPlaceEngine::rasterize(const std::vector<double>& x,
                              const std::vector<double>& y) {
   if (config_.legacy_kernels) {
     rasterize_legacy(x, y);
+    simd::add(rho_move_.raw().data(), rho_fixed_.raw().data(),
+              rho_total_.raw().data(), rho_total_.raw().size());
   } else {
     rasterize_soa(x, y);
   }
@@ -206,57 +237,88 @@ void EPlaceEngine::rasterize(const std::vector<double>& x,
 
 void EPlaceEngine::rasterize_soa(const std::vector<double>& x,
                                  const std::vector<double>& y) {
-  rho_move_.fill(0.0);
-  rho_real_.fill(0.0);
   const double die_x = design_.die.xlo;
   const double die_y = design_.die.ylo;
-  const std::size_t n = elem_w_.size();
+  const std::int64_t n = static_cast<std::int64_t>(elem_w_.size());
+  const std::size_t nb = static_cast<std::size_t>(nbands_);
 
-  // Bucket pass: bin-index ranges per element, then a counting sort of
-  // the elements into the row bands they overlap (ascending element
-  // order within each band, the serial scatter order).
-  std::fill(band_start_.begin(), band_start_.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xlo = x[i] - ras_hw_[i], xhi = x[i] + ras_hw_[i];
-    const double ylo = y[i] - ras_hh_[i], yhi = y[i] + ras_hh_[i];
-    const int bx0 = std::clamp(static_cast<int>((xlo - die_x) / bin_w_), 0, bins_ - 1);
-    const int bx1 = std::clamp(static_cast<int>((xhi - die_x) / bin_w_), 0, bins_ - 1);
-    const int by0 = std::clamp(static_cast<int>((ylo - die_y) / bin_h_), 0, bins_ - 1);
-    const int by1 = std::clamp(static_cast<int>((yhi - die_y) / bin_h_), 0, bins_ - 1);
-    ebx0_[i] = bx0;
-    ebx1_[i] = bx1;
-    eby0_[i] = by0;
-    eby1_[i] = by1;
-    const int b0 = band_of_row_[static_cast<std::size_t>(by0)];
-    const int b1 = band_of_row_[static_cast<std::size_t>(by1)];
-    for (int b = b0; b <= b1; ++b) {
-      ++band_start_[static_cast<std::size_t>(b) + 1];
-    }
-  }
-  for (int b = 0; b < nbands_; ++b) {
-    band_start_[static_cast<std::size_t>(b) + 1] +=
-        band_start_[static_cast<std::size_t>(b)];
-    band_fill_[static_cast<std::size_t>(b)] =
-        band_start_[static_cast<std::size_t>(b)];
-  }
-  band_elems_.resize(static_cast<std::size_t>(band_start_.back()));
-  for (std::size_t i = 0; i < n; ++i) {
-    const int b0 = band_of_row_[static_cast<std::size_t>(eby0_[i])];
-    const int b1 = band_of_row_[static_cast<std::size_t>(eby1_[i])];
-    for (int b = b0; b <= b1; ++b) {
-      band_elems_[static_cast<std::size_t>(band_fill_[static_cast<std::size_t>(b)]++)] =
-          static_cast<std::int32_t>(i);
-    }
-  }
-
-  // Scatter pass: band b adds its bucket's elements in ascending order,
-  // restricted to its own bin rows -- the same per-bin addition order as
-  // a serial full scan, independent of the worker count.
+  // Bucket pass, a parallel counting sort of the elements into the row
+  // bands they overlap. First each element chunk computes its elements'
+  // bin-index ranges and counts them per band.
+  const int echunks = par::chunk_count(n, kElemGrain, kMaxElemChunks);
+  band_fill_.assign(static_cast<std::size_t>(echunks) * nb, 0);
   par::parallel_for(
-      0, bins_, std::max(1, bins_ / 8),
+      0, n, kElemGrain,
+      [&](std::int64_t b, std::int64_t e, int c) {
+        // Counted in a local array: chunks share cache lines of band_fill_.
+        std::int64_t count[kMaxBands] = {};
+        for (std::int64_t ii = b; ii < e; ++ii) {
+          const std::size_t i = static_cast<std::size_t>(ii);
+          const double xlo = x[i] - ras_hw_[i], xhi = x[i] + ras_hw_[i];
+          const double ylo = y[i] - ras_hh_[i], yhi = y[i] + ras_hh_[i];
+          const int bx0 = std::clamp(static_cast<int>((xlo - die_x) / bin_w_), 0, bins_ - 1);
+          const int bx1 = std::clamp(static_cast<int>((xhi - die_x) / bin_w_), 0, bins_ - 1);
+          const int by0 = std::clamp(static_cast<int>((ylo - die_y) / bin_h_), 0, bins_ - 1);
+          const int by1 = std::clamp(static_cast<int>((yhi - die_y) / bin_h_), 0, bins_ - 1);
+          ebx0_[i] = bx0;
+          ebx1_[i] = bx1;
+          eby0_[i] = by0;
+          eby1_[i] = by1;
+          const int b0 = band_of_row_[static_cast<std::size_t>(by0)];
+          const int b1 = band_of_row_[static_cast<std::size_t>(by1)];
+          for (int band = b0; band <= b1; ++band) ++count[band];
+        }
+        std::copy_n(count, nb, band_fill_.data() + static_cast<std::size_t>(c) * nb);
+      },
+      kMaxElemChunks);
+  // Offsets in (band, chunk) order: band b lists chunk 0's elements, then
+  // chunk 1's, ..., so every band lists its elements in ascending order
+  // (the serial scatter order).
+  std::int64_t total = 0;
+  for (std::size_t band = 0; band < nb; ++band) {
+    band_start_[band] = total;
+    for (int c = 0; c < echunks; ++c) {
+      std::int64_t& slot = band_fill_[static_cast<std::size_t>(c) * nb + band];
+      const std::int64_t cnt = slot;
+      slot = total;
+      total += cnt;
+    }
+  }
+  band_start_[nb] = total;
+  band_elems_.resize(static_cast<std::size_t>(total));
+  // Then each chunk writes its elements at its own offsets.
+  par::parallel_for(
+      0, n, kElemGrain,
+      [&](std::int64_t b, std::int64_t e, int c) {
+        std::int64_t fill[kMaxBands];
+        std::copy_n(band_fill_.data() + static_cast<std::size_t>(c) * nb, nb, fill);
+        for (std::int64_t ii = b; ii < e; ++ii) {
+          const std::size_t i = static_cast<std::size_t>(ii);
+          const int b0 = band_of_row_[static_cast<std::size_t>(eby0_[i])];
+          const int b1 = band_of_row_[static_cast<std::size_t>(eby1_[i])];
+          for (int band = b0; band <= b1; ++band) {
+            band_elems_[static_cast<std::size_t>(fill[band]++)] =
+                static_cast<std::int32_t>(ii);
+          }
+        }
+      },
+      kMaxElemChunks);
+
+  // Scatter pass: band b clears its own bin rows, adds its bucket's
+  // elements in ascending order -- the same per-bin addition order as a
+  // serial full scan, independent of the worker count -- and then adds
+  // the fixed charge to those rows.
+  par::parallel_for(
+      0, bins_, std::max(1, bins_ / kMaxBands),
       [&](std::int64_t band_lo, std::int64_t band_hi_excl, int c) {
         const int lo = static_cast<int>(band_lo);
         const int hi = static_cast<int>(band_hi_excl) - 1;
+        const std::size_t row0 = static_cast<std::size_t>(band_lo) *
+                                 static_cast<std::size_t>(bins_);
+        const std::size_t cells = static_cast<std::size_t>(band_hi_excl - band_lo) *
+                                  static_cast<std::size_t>(bins_);
+        std::fill_n(rho_move_.raw().begin() + static_cast<std::ptrdiff_t>(row0), cells, 0.0);
+        std::fill_n(rho_real_.raw().begin() + static_cast<std::ptrdiff_t>(row0), cells, 0.0);
         const std::int64_t e0 = band_start_[static_cast<std::size_t>(c)];
         const std::int64_t e1 = band_start_[static_cast<std::size_t>(c) + 1];
         for (std::int64_t k = e0; k < e1; ++k) {
@@ -283,8 +345,10 @@ void EPlaceEngine::rasterize_soa(const std::vector<double>& x,
             }
           }
         }
+        simd::add(rho_move_.raw().data() + row0, rho_fixed_.raw().data() + row0,
+                  rho_total_.raw().data() + row0, cells);
       },
-      8);
+      kMaxBands);
 }
 
 void EPlaceEngine::rasterize_legacy(const std::vector<double>& x,
@@ -381,9 +445,6 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
         return s;
       });
   overflow_ = over / total_real_area_;
-
-  simd::add(rho_move_.raw().data(), rho_fixed_.raw().data(),
-            rho_total_.raw().data(), rho_total_.raw().size());
   times_.density_s += t.elapsed_seconds();
   t.reset();
   es_->solve(rho_total_);
@@ -411,22 +472,10 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
   const std::size_t n_elems = elem_w_.size();
   gx.resize(n_elems);
   gy.resize(n_elems);
-  wl_grad_l1_ = par::parallel_reduce(
-      0, static_cast<std::int64_t>(num_movable_), 4096, 0.0,
-      [&](std::int64_t b, std::int64_t e) {
-        double s = 0.0;
-        for (std::int64_t i = b; i < e; ++i) {
-          s += std::abs(gwx_[static_cast<std::size_t>(i)]) +
-               std::abs(gwy_[static_cast<std::size_t>(i)]);
-        }
-        return s;
-      });
-  // Gradient assembly: each chunk writes its own gx/gy slice and a
-  // per-chunk density-L1 partial, folded in chunk order below.
-  density_grad_l1_ = par::parallel_reduce(
-      0, static_cast<std::int64_t>(n_elems), 2048, 0.0,
-      [&](std::int64_t b, std::int64_t e) {
-        double d_l1 = 0.0;
+  // Gradient assembly: element-wise, each chunk writes its gx/gy slice.
+  par::parallel_for(
+      0, static_cast<std::int64_t>(n_elems), kElemGrain,
+      [&](std::int64_t b, std::int64_t e, int) {
         for (std::int64_t ii = b; ii < e; ++ii) {
           const std::size_t i = static_cast<std::size_t>(ii);
           const int bx = std::clamp(static_cast<int>((x[i] - design_.die.xlo) / bin_w_), 0, bins_ - 1);
@@ -436,7 +485,6 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
           // accumulations).
           double dx = -lambda_ * q * es_->field_x().at(bx, by);
           double dy = -lambda_ * q * es_->field_y().at(bx, by);
-          d_l1 += std::abs(dx) + std::abs(dy);
           double pins = 0.0;
           if (i < num_movable_) {
             dx += gwx_[i];
@@ -447,16 +495,27 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
           gx[i] = dx / precond;
           gy[i] = dy / precond;
         }
-        return d_l1;
-      });
+      },
+      kMaxElemChunks);
   times_.assemble_s += t.elapsed_seconds();
   ++times_.gradient_evals;
 }
 
 void EPlaceEngine::clamp_positions(std::vector<double>& x,
-                                   std::vector<double>& y) const {
-  simd::clamp_to(x.data(), xlo_b_.data(), xhi_b_.data(), x.size());
-  simd::clamp_to(y.data(), ylo_b_.data(), yhi_b_.data(), y.size());
+                                   std::vector<double>& y, std::size_t b,
+                                   std::size_t m) const {
+  simd::clamp_to(x.data() + b, xlo_b_.data() + b, xhi_b_.data() + b, m);
+  simd::clamp_to(y.data() + b, ylo_b_.data() + b, yhi_b_.data() + b, m);
+}
+
+template <class Fn>
+void EPlaceEngine::for_elements(Fn&& fn) const {
+  par::parallel_for(
+      0, static_cast<std::int64_t>(elem_w_.size()), kElemGrain,
+      [&](std::int64_t b, std::int64_t e, int) {
+        fn(static_cast<std::size_t>(b), static_cast<std::size_t>(e - b));
+      },
+      kMaxElemChunks);
 }
 
 bool EPlaceEngine::step() {
@@ -485,17 +544,31 @@ bool EPlaceEngine::step() {
   xu_new_.resize(n);
   yu_new_.resize(n);
   double alpha = step_ * 1.1;  // allow mild growth between iterations
+  dp_term_.resize(n);
+  dg_term_.resize(n);
   for (int bt = 0; bt < 2; ++bt) {
-    simd::sub_scaled(xv_.data(), gxv_.data(), alpha, xu_new_.data(), n);
-    simd::sub_scaled(yv_.data(), gyv_.data(), alpha, yu_new_.data(), n);
-    clamp_positions(xu_new_, yu_new_);
+    for_elements([&](std::size_t b, std::size_t m) {
+      simd::sub_scaled(xv_.data() + b, gxv_.data() + b, alpha,
+                       xu_new_.data() + b, m);
+      simd::sub_scaled(yv_.data() + b, gyv_.data() + b, alpha,
+                       yu_new_.data() + b, m);
+      clamp_positions(xu_new_, yu_new_, b, m);
+    });
     gradient(xu_new_, yu_new_, gxu_, gyu_);
+    // Squared step and gradient-change terms in parallel; the sums fold
+    // them serially in element order, the association of a serial loop.
+    for_elements([&](std::size_t b, std::size_t m) {
+      for (std::size_t i = b; i < b + m; ++i) {
+        const double px = xu_new_[i] - xv_[i], py = yu_new_[i] - yv_[i];
+        const double qx = gxu_[i] - gxv_[i], qy = gyu_[i] - gyv_[i];
+        dp_term_[i] = px * px + py * py;
+        dg_term_[i] = qx * qx + qy * qy;
+      }
+    });
     double dp = 0.0, dg = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double px = xu_new_[i] - xv_[i], py = yu_new_[i] - yv_[i];
-      const double qx = gxu_[i] - gxv_[i], qy = gyu_[i] - gyv_[i];
-      dp += px * px + py * py;
-      dg += qx * qx + qy * qy;
+      dp += dp_term_[i];
+      dg += dg_term_[i];
     }
     const double lip = std::sqrt(dp / std::max(dg, 1e-30));
     if (alpha <= lip * 0.98 || bt == 1) {
@@ -511,9 +584,13 @@ bool EPlaceEngine::step() {
   const double coef = (ak_ - 1.0) / a_next;
   xv_new_.resize(n);
   yv_new_.resize(n);
-  simd::extrapolate(xu_new_.data(), xu_.data(), coef, xv_new_.data(), n);
-  simd::extrapolate(yu_new_.data(), yu_.data(), coef, yv_new_.data(), n);
-  clamp_positions(xv_new_, yv_new_);
+  for_elements([&](std::size_t b, std::size_t m) {
+    simd::extrapolate(xu_new_.data() + b, xu_.data() + b, coef,
+                      xv_new_.data() + b, m);
+    simd::extrapolate(yu_new_.data() + b, yu_.data() + b, coef,
+                      yv_new_.data() + b, m);
+    clamp_positions(xv_new_, yv_new_, b, m);
+  });
 
   xu_.swap(xu_new_);
   yu_.swap(yu_new_);

@@ -22,12 +22,13 @@
 // mirror (shared with WaWirelength) plus element arrays (movables first,
 // then fillers) holding sizes, padding, and the derived rasterization /
 // clamp parameters. The density scatter buckets elements into the fixed
-// row bands of the parallel decomposition so each band touches only the
-// elements overlapping it; the Nesterov vector updates go through the
-// simd:: helpers. Every kernel keeps the deterministic contract: results
-// are bit-identical across PUFFER_THREADS and PUFFER_SIMD, and the
-// retired scalar kernels (GpConfig::legacy_kernels, one-PR lifetime)
-// reproduce the SoA results bit-for-bit.
+// row bands of the parallel decomposition (a parallel counting sort) so
+// each band touches only the elements overlapping it; the Nesterov
+// vector updates run element-parallel through the simd:: helpers.
+// Every kernel keeps the deterministic contract: results are
+// bit-identical across PUFFER_THREADS and PUFFER_SIMD, and the retired
+// scalar kernels (GpConfig::legacy_kernels, one-PR lifetime) reproduce
+// the SoA results bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +64,18 @@ struct GpConfig {
   // as the benchmark baseline replica.
   bool legacy_kernels = false;
 };
+
+// Largest accepted GpConfig::bin_dim: the engine and its Poisson solver
+// allocate about fifteen bin_dim x bin_dim maps of doubles, some 120 MiB
+// at this bound.
+inline constexpr int kMaxBinDim = 1024;
+
+// Returns `config` unchanged when it is usable; throws
+// std::invalid_argument for bin_dim outside 0 (auto) or [1, kMaxBinDim],
+// target_density outside (0, 1], a negative or non-finite stop_overflow
+// or lambda_freeze_overflow, or a negative max_iters. EPlaceEngine and
+// PufferFlow validate at construction, before allocating anything.
+GpConfig validate_gp_config(GpConfig config);
 
 // Accumulated wall time per kernel family of the Nesterov loop
 // (surfaced through FlowMetrics::gp_kernels).
@@ -117,8 +130,6 @@ class EPlaceEngine {
   double last_hpwl() const { return hpwl_; }
   double lambda() const { return lambda_; }
   double step_size() const { return step_; }
-  double wl_grad_l1() const { return wl_grad_l1_; }
-  double density_grad_l1() const { return density_grad_l1_; }
   int iteration() const { return iter_; }
   int bin_dim() const { return bins_; }
   double bin_w() const { return bin_w_; }
@@ -159,7 +170,13 @@ class EPlaceEngine {
   // hpwl_ and, on the first call, lambda_.
   void gradient(const std::vector<double>& x, const std::vector<double>& y,
                 std::vector<double>& gx, std::vector<double>& gy);
-  void clamp_positions(std::vector<double>& x, std::vector<double>& y) const;
+  // Clamps elements [b, b + m) into the die.
+  void clamp_positions(std::vector<double>& x, std::vector<double>& y,
+                       std::size_t b, std::size_t m) const;
+  // Runs fn(first, count) over the element range in parallel chunks, for
+  // element-wise updates (any split gives the same bits).
+  template <class Fn>
+  void for_elements(Fn&& fn) const;
   double gamma() const;
   double elem_area(std::size_t i) const {
     return (elem_w_[i] + elem_pad_[i]) * elem_h_[i];
@@ -182,7 +199,9 @@ class EPlaceEngine {
 
   // Row-band buckets for the density scatter (rebuilt per rasterize):
   // band b owns the bin rows of parallel chunk b; band_elems_ lists the
-  // elements overlapping each band in ascending order.
+  // elements overlapping each band in ascending order. band_fill_ holds
+  // the per-(element chunk, band) counts, then write offsets, of the
+  // parallel counting sort.
   int nbands_ = 1;
   std::vector<std::int32_t> band_of_row_;
   std::vector<std::int64_t> band_start_, band_fill_;
@@ -200,6 +219,7 @@ class EPlaceEngine {
   std::vector<double> xu_, yu_, xv_, yv_, gxv_, gyv_;
   std::vector<double> gwx_, gwy_;  // WA gradient (movables)
   std::vector<double> xu_new_, yu_new_, gxu_, gyu_, xv_new_, yv_new_;
+  std::vector<double> dp_term_, dg_term_;  // backtracking sum terms
   double ak_ = 1.0;
   double step_ = 0.0;
   int iter_ = 0;
@@ -214,8 +234,6 @@ class EPlaceEngine {
   double hpwl_ = 0.0;
   double hpwl0_ = 0.0;
   double total_real_area_ = 1.0;
-  double wl_grad_l1_ = 0.0;
-  double density_grad_l1_ = 0.0;
 
   GpKernelTimes times_;
 };

@@ -64,16 +64,12 @@ void GpSoA::build(const Design& design) {
   // Fixed chunk id per net (worker-count independent by construction).
   const std::int64_t n_nets = static_cast<std::int64_t>(net_weight.size());
   net_chunks_ = par::chunk_count(n_nets, kNetGrain, kMaxNetChunks);
-  net_chunk.assign(static_cast<std::size_t>(n_nets), 0);
+  std::vector<std::int32_t> net_chunk(static_cast<std::size_t>(n_nets), 0);
   for (int c = 0; c < net_chunks_; ++c) {
     const auto [b, e] = par::chunk_range(n_nets, net_chunks_, c);
     for (std::int64_t ni = b; ni < e; ++ni) {
       net_chunk[static_cast<std::size_t>(ni)] = c;
     }
-  }
-  slot_chunk.resize(slot_net.size());
-  for (std::size_t s = 0; s < slot_net.size(); ++s) {
-    slot_chunk[s] = net_chunk[static_cast<std::size_t>(slot_net[s])];
   }
   max_degree_ = 0;
   for (std::size_t ni = 0; ni + 1 < net_start.size(); ++ni) {
@@ -88,12 +84,15 @@ void GpSoA::build(const Design& design) {
   }
   for (std::size_t i = 0; i < n_mov; ++i) cell_start[i + 1] += cell_start[i];
   cell_slots.assign(static_cast<std::size_t>(cell_start[n_mov]), 0);
+  cell_slot_chunk.assign(cell_slots.size(), 0);
   std::vector<std::int64_t> fill(cell_start.begin(), cell_start.end() - 1);
   for (std::size_t s = 0; s < pin_ord.size(); ++s) {
     const std::int32_t ord = pin_ord[s];
     if (ord < 0) continue;
-    cell_slots[static_cast<std::size_t>(fill[static_cast<std::size_t>(ord)]++)] =
-        static_cast<std::int64_t>(s);
+    const std::size_t k =
+        static_cast<std::size_t>(fill[static_cast<std::size_t>(ord)]++);
+    cell_slots[k] = static_cast<std::int64_t>(s);
+    cell_slot_chunk[k] = net_chunk[static_cast<std::size_t>(slot_net[s])];
   }
 
   pull_positions(design);

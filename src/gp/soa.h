@@ -12,9 +12,10 @@
 //   * the transposed cell -> pin-slot CSR (cell_start / cell_slots, slots
 //     ascending) that lets the gradient scatter run as a per-cell gather
 //     with no write conflicts and no per-chunk gradient buffers;
-//   * the per-net chunk id of the fixed kNetGrain/kMaxNetChunks
-//     decomposition, so the per-cell gather can replicate the scalar
-//     path's chunk-grouped summation association bit-for-bit.
+//   * beside each cell_slots entry, the owning net's chunk id in the
+//     fixed kNetGrain/kMaxNetChunks decomposition, so the per-cell gather
+//     can replicate the scalar path's chunk-grouped summation association
+//     bit-for-bit while streaming both arrays in order.
 //
 // Sync contract (see docs/architecture.md): the mirror's positions are
 // valid only at commit points. pull_positions() re-syncs from Design
@@ -49,18 +50,18 @@ struct GpSoA {
   // --- nets (degree >= 2), net-major pin-slot CSR --------------------
   std::vector<std::int64_t> net_start;    // size num_nets()+1
   std::vector<double> net_weight;
-  std::vector<std::int32_t> net_chunk;    // fixed-decomposition chunk id
   std::vector<std::int32_t> pin_ord;      // slot -> movable ordinal or -1
   // Movable slots: offset from the cell center. Fixed slots: absolute
   // pin position (so coord = (ord >= 0 ? pos[ord] : 0) + offset never
   // needs a second array).
   std::vector<double> pin_ox, pin_oy;
   std::vector<std::int32_t> slot_net;     // slot -> net index
-  std::vector<std::int32_t> slot_chunk;   // slot -> owning net's chunk id
 
   // --- transposed CSR: movable cell -> its slots, ascending ----------
   std::vector<std::int64_t> cell_start;   // size num_movable()+1
   std::vector<std::int64_t> cell_slots;
+  // Aligned with cell_slots: the owning net's fixed-decomposition chunk.
+  std::vector<std::int32_t> cell_slot_chunk;
 
   std::size_t num_movable() const { return cell_ids.size(); }
   std::size_t num_nets() const { return net_weight.size(); }

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/parallel.h"
+#include "common/simd.h"
 
 namespace puffer {
 
@@ -26,19 +27,92 @@ double WaWirelength::evaluate(const std::vector<double>& xc,
 
 // --- SoA two-pass kernel ------------------------------------------------
 
+namespace {
+
+// Accumulator sums of one net along one axis, max (p) and min (m) side.
+struct AxisSums {
+  double se_p = 0.0, sxe_p = 0.0, se_m = 0.0, sxe_m = 0.0;
+};
+
+// Shifted exponentials of one net along one axis, written to ep[2k] /
+// em[2k] (the lane of this axis; callers offset the pointers by one for
+// y), and their sums. Only values not known in advance go through
+// std::exp: a pin at the max has exp((c - cmax)/g) = exp(+-0) = 1, a pin
+// at the min likewise on the min side, and the min pin's max-side
+// argument (cmin - cmax)/g is the max pin's min-side argument bit for
+// bit, so one call covers both. Needs gamma > 0 and finite coordinates
+// (the engine's invariant); the sums accumulate in slot order exactly
+// like the scalar kernel.
+inline AxisSums axis_exponentials(const double* c, std::size_t deg,
+                                  double cmax, double cmin, double gamma,
+                                  double* ep, double* em) {
+  const double edge = cmax != cmin ? std::exp((cmin - cmax) / gamma) : 1.0;
+  AxisSums a;
+  for (std::size_t k = 0; k < deg; ++k) {
+    const double cv = c[2 * k];
+    const bool at_max = cv == cmax, at_min = cv == cmin;
+    double p = at_max ? 1.0 : edge;
+    double m = at_min ? 1.0 : edge;
+    if (!(at_max | at_min)) {
+      p = std::exp((cv - cmax) / gamma);
+      m = std::exp((cmin - cv) / gamma);
+    }
+    ep[2 * k] = p;
+    em[2 * k] = m;
+    a.se_p += p;
+    a.sxe_p += cv * p;
+    a.se_m += m;
+    a.sxe_m += cv * m;
+  }
+  return a;
+}
+
+// Per-slot gradient terms w * (d+ - d-) of one net, x and y as the two
+// lanes of P (simd::VecPair or simd::ScalarPair: the same bits). The
+// per-pin derivative of the max-side term S+ = sum x e^{x/g} / sum e^{x/g}
+// is e^{x_k/g} (sum_e (1 + x_k/g) - sum_xe/g) / sum_e^2; the min side
+// is the same with g -> -g. Fixed-pin slots are skipped (pass B never
+// reads them).
+template <class P>
+inline void emit_terms(const double* c, const double* ep, const double* em,
+                       const std::int32_t* ords, std::size_t deg,
+                       const AxisSums& ax, const AxisSums& ay, double gamma,
+                       double w, double* dw) {
+  const P g = P::splat(gamma);
+  const P one = P::splat(1.0);
+  const P se_p = P::set(ax.se_p, ay.se_p);
+  const P se_m = P::set(ax.se_m, ay.se_m);
+  const P sxe_p = P::set(ax.sxe_p, ay.sxe_p) / g;
+  const P sxe_m = P::set(ax.sxe_m, ay.sxe_m) / g;
+  const P sq_p = se_p * se_p;
+  const P sq_m = se_m * se_m;
+  const P wv = P::splat(w);
+  for (std::size_t k = 0; k < deg; ++k) {
+    if (ords[k] < 0) continue;
+    const P t = P::load(c + 2 * k) / g;
+    const P dp = P::load(ep + 2 * k) * (se_p * (one + t) - sxe_p) / sq_p;
+    const P dm = P::load(em + 2 * k) * (se_m * (one - t) + sxe_m) / sq_m;
+    (wv * (dp - dm)).store(dw + 2 * k);
+  }
+}
+
+}  // namespace
+
 double WaWirelength::evaluate_soa(const std::vector<double>& xc,
                                   const std::vector<double>& yc, double gamma,
                                   std::vector<double>& grad_x,
                                   std::vector<double>& grad_y) const {
   const GpSoA& s = *soa_;
   const std::size_t n_mov = s.num_movable();
-  grad_x.assign(n_mov, 0.0);
-  grad_y.assign(n_mov, 0.0);
   const std::int64_t n_nets = static_cast<std::int64_t>(s.num_nets());
   if (n_nets == 0) {
+    grad_x.assign(n_mov, 0.0);
+    grad_y.assign(n_mov, 0.0);
     hpwl_last_ = 0.0;
     return 0.0;
   }
+  grad_x.resize(n_mov);  // pass B writes every entry
+  grad_y.resize(n_mov);
 
   const std::size_t n_slots = s.num_slots();
   dw_.resize(2 * n_slots);
@@ -54,14 +128,15 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
   const double* oxs = s.pin_ox.data();
   const double* oys = s.pin_oy.data();
   const std::size_t max_deg = static_cast<std::size_t>(s.max_net_degree());
+  const bool vec = simd::enabled();
 
-  // Pass A: per net, gather both dimensions' slot coordinates into
-  // L1-resident per-net buffers, compute the shifted exponentials and
-  // accumulator sums, and emit one finished gradient term per movable
-  // slot and dimension (x/y interleaved in dw_). The per-dimension
-  // accumulation sequences are exactly the scalar kernel's (independent
-  // accumulators, same slot order), so fusing the x and y walks into one
-  // loop changes no bits. Chunk c owns a contiguous net (and therefore
+  // Pass A: per net, gather both dimensions' slot coordinates (x/y
+  // interleaved) into L1-resident per-net buffers, compute the shifted
+  // exponentials and accumulator sums, and emit one finished gradient
+  // term per movable slot and dimension (x/y interleaved in dw_). The
+  // per-dimension accumulation sequences are exactly the scalar kernel's
+  // (independent accumulators, same slot order), so fusing the x and y
+  // walks changes no bits. Chunk c owns a contiguous net (and therefore
   // slot) range, so the dw_ writes are disjoint; the wirelength total
   // folds in chunk order. The per-net min/max already computed here also
   // yields the exact HPWL of hpwl() at these positions, accumulated into
@@ -71,18 +146,12 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
       0, n_nets, kNetGrain,
       [&](std::int64_t nb, std::int64_t ne, int chunk) {
         NetScratch& ns = net_scratch_[static_cast<std::size_t>(chunk)];
-        ns.cx.resize(max_deg);
-        ns.cy.resize(max_deg);
-        ns.epx.resize(max_deg);
-        ns.emx.resize(max_deg);
-        ns.epy.resize(max_deg);
-        ns.emy.resize(max_deg);
-        double* cbx = ns.cx.data();
-        double* cby = ns.cy.data();
-        double* epbx = ns.epx.data();
-        double* embx = ns.emx.data();
-        double* epby = ns.epy.data();
-        double* emby = ns.emy.data();
+        ns.c.resize(2 * max_deg);
+        ns.ep.resize(2 * max_deg);
+        ns.em.resize(2 * max_deg);
+        double* cb = ns.c.data();
+        double* ep = ns.ep.data();
+        double* em = ns.em.data();
         double* dw = dw_.data();
         double total = 0.0;
         double hp = 0.0;
@@ -92,66 +161,37 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
           const std::int64_t s1 = s.net_start[un + 1];
           const std::size_t deg = static_cast<std::size_t>(s1 - s0);
           const double w = s.net_weight[un];
+          const std::int32_t* nords = ords + s0;
 
           double cmax_x = -std::numeric_limits<double>::max();
           double cmin_x = std::numeric_limits<double>::max();
           double cmax_y = cmax_x, cmin_y = cmin_x;
           for (std::size_t k = 0; k < deg; ++k) {
             const std::size_t us = static_cast<std::size_t>(s0) + k;
-            const std::int32_t ord = ords[us];
+            const std::int32_t ord = nords[k];
             const double cvx = ord >= 0 ? xp[ord] + oxs[us] : oxs[us];
             const double cvy = ord >= 0 ? yp[ord] + oys[us] : oys[us];
-            cbx[k] = cvx;
-            cby[k] = cvy;
+            cb[2 * k] = cvx;
+            cb[2 * k + 1] = cvy;
             cmax_x = std::max(cmax_x, cvx);
             cmin_x = std::min(cmin_x, cvx);
             cmax_y = std::max(cmax_y, cvy);
             cmin_y = std::min(cmin_y, cvy);
           }
-          double se_px = 0.0, sxe_px = 0.0, se_mx = 0.0, sxe_mx = 0.0;
-          double se_py = 0.0, sxe_py = 0.0, se_my = 0.0, sxe_my = 0.0;
-          for (std::size_t k = 0; k < deg; ++k) {
-            const double cvx = cbx[k];
-            const double epx = std::exp((cvx - cmax_x) / gamma);
-            const double emx = std::exp((cmin_x - cvx) / gamma);
-            epbx[k] = epx;
-            embx[k] = emx;
-            se_px += epx;
-            sxe_px += cvx * epx;
-            se_mx += emx;
-            sxe_mx += cvx * emx;
-            const double cvy = cby[k];
-            const double epy = std::exp((cvy - cmax_y) / gamma);
-            const double emy = std::exp((cmin_y - cvy) / gamma);
-            epby[k] = epy;
-            emby[k] = emy;
-            se_py += epy;
-            sxe_py += cvy * epy;
-            se_my += emy;
-            sxe_my += cvy * emy;
-          }
-          total += w * (sxe_px / se_px - sxe_mx / se_mx);
-          total += w * (sxe_py / se_py - sxe_my / se_my);
+          const AxisSums ax =
+              axis_exponentials(cb, deg, cmax_x, cmin_x, gamma, ep, em);
+          const AxisSums ay = axis_exponentials(cb + 1, deg, cmax_y, cmin_y,
+                                                gamma, ep + 1, em + 1);
+          total += w * (ax.sxe_p / ax.se_p - ax.sxe_m / ax.se_m);
+          total += w * (ay.sxe_p / ay.se_p - ay.sxe_m / ay.se_m);
           hp += w * ((cmax_x - cmin_x) + (cmax_y - cmin_y));
-          for (std::size_t k = 0; k < deg; ++k) {
-            const std::size_t us = static_cast<std::size_t>(s0) + k;
-            if (ords[us] < 0) continue;  // never read by pass B
-            const double cvx = cbx[k];
-            const double dpx =
-                epbx[k] * (se_px * (1.0 + cvx / gamma) - sxe_px / gamma) /
-                (se_px * se_px);
-            const double dmx =
-                embx[k] * (se_mx * (1.0 - cvx / gamma) + sxe_mx / gamma) /
-                (se_mx * se_mx);
-            dw[2 * us] = w * (dpx - dmx);
-            const double cvy = cby[k];
-            const double dpy =
-                epby[k] * (se_py * (1.0 + cvy / gamma) - sxe_py / gamma) /
-                (se_py * se_py);
-            const double dmy =
-                emby[k] * (se_my * (1.0 - cvy / gamma) + sxe_my / gamma) /
-                (se_my * se_my);
-            dw[2 * us + 1] = w * (dpy - dmy);
+          double* ndw = dw + 2 * static_cast<std::size_t>(s0);
+          if (vec) {
+            emit_terms<simd::VecPair>(cb, ep, em, nords, deg, ax, ay, gamma,
+                                      w, ndw);
+          } else {
+            emit_terms<simd::ScalarPair>(cb, ep, em, nords, deg, ax, ay,
+                                         gamma, w, ndw);
           }
         }
         chunk_total_[static_cast<std::size_t>(chunk)] = total;
@@ -161,8 +201,9 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
 
   // Pass B: per-cell gather of the stored terms through the transposed
   // CSR. A cell's slots ascend, and slots ascend net-major, so its terms
-  // arrive already grouped by net chunk; folding one partial per chunk
-  // (empty chunks contribute +0.0) in chunk order reproduces exactly the
+  // arrive already grouped by net chunk (read from cell_slot_chunk, which
+  // streams alongside cell_slots); folding one partial per chunk (empty
+  // chunks contribute +0.0) in chunk order reproduces exactly the
   // association of the legacy per-chunk-buffer merge, bit for bit. Runs
   // of k >= 1 empty chunks collapse to a single `+= 0.0`: the first add
   // normalizes a possible -0.0 partial sum to +0.0 and every further
@@ -170,10 +211,10 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
   // by exactly one chunk.
   const std::int64_t* cstart = s.cell_start.data();
   const std::int64_t* cslots = s.cell_slots.data();
-  const std::int32_t* schunk = s.slot_chunk.data();
+  const std::int32_t* cchunk = s.cell_slot_chunk.data();
   const double* dw = dw_.data();
   par::parallel_for(
-      0, static_cast<std::int64_t>(n_mov), 4096,
+      0, static_cast<std::int64_t>(n_mov), 1024,
       [&](std::int64_t b, std::int64_t e, int) {
         for (std::int64_t i = b; i < e; ++i) {
           const std::size_t ui = static_cast<std::size_t>(i);
@@ -183,7 +224,7 @@ double WaWirelength::evaluate_soa(const std::vector<double>& xc,
           int cur = 0;
           for (std::int64_t k = cstart[ui]; k < k1; ++k) {
             const std::size_t us = static_cast<std::size_t>(cslots[k]);
-            const int c = schunk[us];
+            const int c = cchunk[k];
             if (cur < c) {
               gx_sum += part_x;
               gy_sum += part_y;

@@ -11,15 +11,19 @@
 // The default implementation runs over the GpSoA flat arrays in two
 // passes: pass A (parallel over nets, fixed kNetGrain/kMaxNetChunks
 // decomposition) computes each net's accumulator sums in L1-resident
-// per-net buffers and stores one finished gradient term per movable
-// slot; pass B (parallel over cells) gathers those terms through the
-// transposed cell->slot CSR, folding them grouped by net chunk in chunk
-// order -- exactly the association the scalar path's per-chunk-buffer
-// merge produces, so the result is bit-identical to the legacy kernel
-// and, as always, to itself across PUFFER_THREADS. The legacy scalar
-// path (per-chunk gradient buffers + ordered merge) is kept behind
-// use_legacy_kernels() for one PR as the bit-identity oracle and bench
-// baseline replica.
+// per-net buffers -- calling std::exp only for values not known in
+// advance (1 at the max/min pins; the min pin's max-side value equals
+// the max pin's min-side one) -- and stores one finished gradient term
+// per movable slot; pass B (parallel over cells) gathers those terms
+// through the transposed cell->slot CSR, folding them grouped by net
+// chunk in chunk order -- exactly the association the scalar path's
+// per-chunk-buffer merge produces, so the result is bit-identical to the
+// legacy kernel and, as always, to itself across PUFFER_THREADS. The
+// x and y derivative terms of a pin are the two lanes of one simd pair
+// (common/simd.h), bit-identical with PUFFER_SIMD on or off. The legacy
+// scalar path (per-chunk gradient buffers + ordered merge) is kept
+// behind use_legacy_kernels() for one PR as the bit-identity oracle and
+// bench baseline replica.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +50,8 @@ class WaWirelength {
   void use_legacy_kernels(bool on) { legacy_ = on; }
 
   // Evaluates total weighted WA wirelength at the given movable-cell
-  // center positions, and writes dW/dx, dW/dy per movable cell.
+  // center positions, and writes dW/dx, dW/dy per movable cell. Needs
+  // gamma > 0 and finite positions.
   // `xc`, `yc` are indexed by movable-cell ordinal (see movable_cells());
   // entries past the movable count (engine filler elements) are ignored.
   double evaluate(const std::vector<double>& xc, const std::vector<double>& yc,
@@ -97,10 +102,11 @@ class WaWirelength {
   // so the array is safely shared across workers. Fixed-pin slots are
   // never read by pass B and stay unwritten.
   mutable std::vector<double> dw_;
-  // Per-chunk net-local buffers (coordinates + shifted exponentials,
-  // both dimensions), sized once to the maximum net degree.
+  // Per-chunk net-local buffers (coordinates and the max-/min-side
+  // shifted exponentials, x/y interleaved), sized once to twice the
+  // maximum net degree.
   struct NetScratch {
-    std::vector<double> cx, cy, epx, emx, epy, emy;
+    std::vector<double> c, ep, em;
   };
   mutable std::vector<NetScratch> net_scratch_;
   mutable std::vector<double> chunk_total_, chunk_hpwl_;

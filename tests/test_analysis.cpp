@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "analysis/quality.h"
 #include "core/config_io.h"
@@ -94,6 +95,46 @@ TEST(ConfigIo, RejectsUnknownKeyAndBadValue) {
   EXPECT_THROW(config_from_text("padding.typo = 1\n"), ConfigError);
   EXPECT_THROW(config_from_text("padding.mu = banana\n"), ConfigError);
   EXPECT_THROW(config_from_text("just some words\n"), ConfigError);
+}
+
+TEST(ConfigIo, RejectsNonFiniteValues) {
+  // std::stod parses these; every key must refuse them, naming the line.
+  for (const char* text :
+       {"gp.max_iters = inf\n", "padding.xi = nan\n",
+        "gp.target_density = nan\n", "padding.tau = -inf\n",
+        "congestion.detour_expansion = nan\n"}) {
+    EXPECT_THROW(config_from_text(text), ConfigError) << text;
+  }
+  try {
+    config_from_text("padding.mu = 2\n# ok\ngp.max_iters = INF\n");
+    FAIL() << "accepted inf";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("gp.max_iters"), std::string::npos);
+  }
+}
+
+TEST(ConfigIo, RejectsIntegerKeysOutsideIntRange) {
+  for (const char* text :
+       {"gp.bin_dim = 1e10\n", "gp.max_iters = 3e9\n",
+        "padding.xi = -3e9\n", "legal.max_row_search = 2147483647.5\n"}) {
+    EXPECT_THROW(config_from_text(text), ConfigError) << text;
+  }
+  try {
+    config_from_text("\ngp.bin_dim = 1e10\n");
+    FAIL() << "accepted 1e10";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+  // The int range itself still parses, rounded like std::llround.
+  const PufferConfig c = config_from_text(
+      "gp.max_iters = 2147483647\npadding.xi = -2147483648\n"
+      "padding.spacing_iters = 2.5\n");
+  EXPECT_EQ(c.gp.max_iters, 2147483647);
+  EXPECT_EQ(c.padding.xi, -2147483647 - 1);
+  EXPECT_EQ(c.padding.spacing_iters, 3);
 }
 
 TEST(ConfigIo, FileRoundTrip) {

@@ -1,11 +1,14 @@
 // Tests for the global-placement engine: WA wirelength model and analytic
-// gradient (checked against finite differences), initial placement, and
-// the Nesterov engine's spreading behaviour.
+// gradient (checked against finite differences), initial placement, the
+// Nesterov engine's spreading behaviour, and GpConfig validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "common/rng.h"
+#include "core/flow.h"
 #include "gp/engine.h"
 #include "gp/initial_place.h"
 #include "gp/wirelength.h"
@@ -254,6 +257,48 @@ TEST(Engine, ConvergedLatchClearsOnPadding) {
   engine.set_padding(pad);
   EXPECT_FALSE(engine.converged());
   EXPECT_TRUE(engine.step());
+}
+
+TEST(Engine, ValidateGpConfigRejectsUnusableValues) {
+  const auto rejects = [](const char* what, auto edit) {
+    GpConfig c;
+    edit(c);
+    EXPECT_THROW(validate_gp_config(c), std::invalid_argument) << what;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  rejects("density 0", [](GpConfig& c) { c.target_density = 0.0; });
+  rejects("density -1", [](GpConfig& c) { c.target_density = -1.0; });
+  rejects("density 1.5", [](GpConfig& c) { c.target_density = 1.5; });
+  rejects("density nan", [&](GpConfig& c) { c.target_density = nan; });
+  rejects("bins -1", [](GpConfig& c) { c.bin_dim = -1; });
+  rejects("bins 1025", [](GpConfig& c) { c.bin_dim = kMaxBinDim + 1; });
+  rejects("bins 8192", [](GpConfig& c) { c.bin_dim = 8192; });
+  rejects("stop -0.01", [](GpConfig& c) { c.stop_overflow = -0.01; });
+  rejects("stop nan", [&](GpConfig& c) { c.stop_overflow = nan; });
+  rejects("stop inf", [&](GpConfig& c) { c.stop_overflow = inf; });
+  rejects("freeze nan", [&](GpConfig& c) { c.lambda_freeze_overflow = nan; });
+  rejects("freeze inf", [&](GpConfig& c) { c.lambda_freeze_overflow = inf; });
+  rejects("freeze -1", [](GpConfig& c) { c.lambda_freeze_overflow = -1.0; });
+  rejects("iters -1", [](GpConfig& c) { c.max_iters = -1; });
+
+  GpConfig ok;
+  EXPECT_NO_THROW(validate_gp_config(ok));
+  ok.bin_dim = kMaxBinDim;
+  ok.target_density = 1.0;
+  ok.stop_overflow = 0.0;
+  ok.max_iters = 0;
+  EXPECT_EQ(validate_gp_config(ok).bin_dim, kMaxBinDim);
+}
+
+TEST(Engine, ConstructorsValidateGpConfig) {
+  Design d = generate_synthetic(engine_spec());
+  GpConfig cfg;
+  cfg.target_density = 0.0;
+  EXPECT_THROW({ EPlaceEngine engine(d, cfg); }, std::invalid_argument);
+  PufferConfig flow_cfg;
+  flow_cfg.gp.target_density = -1.0;
+  EXPECT_THROW({ PufferFlow flow(d, flow_cfg); }, std::invalid_argument);
 }
 
 }  // namespace

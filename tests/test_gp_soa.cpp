@@ -3,13 +3,17 @@
 // bit-identity of the SoA WA gradient and bucketed rasterization against
 // the retired scalar kernels across PUFFER_THREADS 1/2/8 and PUFFER_SIMD
 // on/off, flow-level placement checksums across the same matrix, and
-// exact equality of the preplanned DctPlan2D transforms with the dct.h
-// free functions.
+// exact equality of the preplanned DctPlan2D transforms (the batched
+// field pair included) with the dct.h free functions, and of the
+// fields-only Poisson solve's on-request potential and energy with the
+// legacy pipeline.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -18,6 +22,7 @@
 #include "core/flow.h"
 #include "fft/dct.h"
 #include "fft/dct_plan.h"
+#include "gp/electrostatics.h"
 #include "gp/engine.h"
 #include "gp/soa.h"
 #include "gp/wirelength.h"
@@ -157,62 +162,161 @@ TEST_F(GpSoaTest, EngineCommitAndSnapshotRestoreKeepMirrorInSync) {
   }());
 }
 
-TEST_F(GpSoaTest, GradientBitIdenticalToLegacyAcrossThreadsAndSimd) {
-  Design d = generate_synthetic(small_spec());
-  WaWirelength wl(d);
-  std::vector<double> xc, yc;
+// Centers of the movable cells of `d`, in ordinal order.
+void cell_centers(const Design& d, const WaWirelength& wl,
+                  std::vector<double>& xc, std::vector<double>& yc) {
+  xc.clear();
+  yc.clear();
   for (CellId c : wl.movable_cells()) {
     const Cell& cell = d.cells[static_cast<std::size_t>(c)];
     xc.push_back(cell.x + cell.width * 0.5);
     yc.push_back(cell.y + cell.height * 0.5);
   }
+}
 
-  // Reference bits: the retired scalar kernel, serial.
-  par::set_num_threads(1);
-  wl.use_legacy_kernels(true);
-  std::vector<double> rgx, rgy;
-  const double ref_total = wl.evaluate(xc, yc, 4.0, rgx, rgy);
-  const double ref_hpwl = wl.hpwl(xc, yc);
+TEST_F(GpSoaTest, GradientBitIdenticalToLegacyAcrossThreadsAndSimd) {
+  Design d = generate_synthetic(small_spec());
+  // Move every pin of a few all-movable nets to its cell's center, so
+  // that stacking those cells on one point below puts all of a net's
+  // pins on one coordinate: every WA argument of the net is then 0.
+  std::vector<CellId> stacked;
+  int stacked_nets = 0;
+  for (const Net& net : d.nets) {
+    if (stacked_nets == 3) break;
+    bool movable = net.pins.size() >= 2;
+    for (PinId pid : net.pins) {
+      const Cell& c = d.cells[static_cast<std::size_t>(
+          d.pins[static_cast<std::size_t>(pid)].cell)];
+      movable = movable && c.movable();
+    }
+    if (!movable) continue;
+    for (PinId pid : net.pins) {
+      Pin& pin = d.pins[static_cast<std::size_t>(pid)];
+      const Cell& c = d.cells[static_cast<std::size_t>(pin.cell)];
+      pin.dx = c.width * 0.5;
+      pin.dy = c.height * 0.5;
+      stacked.push_back(pin.cell);
+    }
+    ++stacked_nets;
+  }
+  ASSERT_EQ(stacked_nets, 3);
+  WaWirelength wl(d);
 
-  for (const int threads : {1, 2, 8}) {
-    par::set_num_threads(threads);
-    for (const bool legacy : {true, false}) {
-      wl.use_legacy_kernels(legacy);
-      for (const bool simd_on : {true, false}) {
-        simd::set_enabled(simd_on);
-        std::vector<double> gx, gy;
-        EXPECT_EQ(wl.evaluate(xc, yc, 4.0, gx, gy), ref_total)
-            << "threads=" << threads << " legacy=" << legacy
-            << " simd=" << simd_on;
-        EXPECT_EQ(gx, rgx) << "threads=" << threads << " legacy=" << legacy
-                           << " simd=" << simd_on;
-        EXPECT_EQ(gy, rgy) << "threads=" << threads << " legacy=" << legacy
-                           << " simd=" << simd_on;
-        EXPECT_EQ(wl.hpwl(xc, yc), ref_hpwl) << "threads=" << threads;
+  // Position sets: the generated placement, the engine's after some
+  // Nesterov steps, and the latter with the stacked nets collapsed.
+  std::vector<std::vector<double>> xs(3), ys(3);
+  cell_centers(d, wl, xs[0], ys[0]);
+  {
+    Design moved = d;
+    GpConfig gp;
+    EPlaceEngine eng(moved, gp);
+    for (int i = 0; i < 30; ++i) eng.step();
+    eng.sync_to_design();
+    cell_centers(moved, wl, xs[1], ys[1]);
+  }
+  ASSERT_NE(xs[1], xs[0]);
+  xs[2] = xs[1];
+  ys[2] = ys[1];
+  for (CellId c : stacked) {
+    const std::size_t ord =
+        static_cast<std::size_t>(wl.ordinal_of()[static_cast<std::size_t>(c)]);
+    xs[2][ord] = 101.25;
+    ys[2][ord] = 57.5;
+  }
+  int coincident = 0;  // nets with every pin on (101.25, 57.5)
+  const GpSoA& soa = wl.soa();
+  for (std::size_t n = 0; n < soa.num_nets(); ++n) {
+    bool on_point = true;
+    for (std::int64_t k = soa.net_start[n]; k < soa.net_start[n + 1]; ++k) {
+      const std::size_t us = static_cast<std::size_t>(k);
+      const std::int32_t o = soa.pin_ord[us];
+      on_point = on_point && o >= 0 &&
+                 xs[2][static_cast<std::size_t>(o)] + soa.pin_ox[us] == 101.25 &&
+                 ys[2][static_cast<std::size_t>(o)] + soa.pin_oy[us] == 57.5;
+    }
+    coincident += on_point ? 1 : 0;
+  }
+  ASSERT_GE(coincident, 3);
+
+  for (std::size_t p = 0; p < xs.size(); ++p) {
+    const std::vector<double>& xc = xs[p];
+    const std::vector<double>& yc = ys[p];
+    for (const double gamma : {0.05, 4.0, 60.0}) {
+      // Reference bits: the retired scalar kernel, serial.
+      par::set_num_threads(1);
+      wl.use_legacy_kernels(true);
+      std::vector<double> rgx, rgy;
+      const double ref_total = wl.evaluate(xc, yc, gamma, rgx, rgy);
+      const double ref_hpwl = wl.hpwl(xc, yc);
+
+      for (const int threads : {1, 2, 8}) {
+        par::set_num_threads(threads);
+        for (const bool legacy : {true, false}) {
+          wl.use_legacy_kernels(legacy);
+          for (const bool simd_on : {true, false}) {
+            simd::set_enabled(simd_on);
+            std::vector<double> gx, gy;
+            const std::string where =
+                "positions=" + std::to_string(p) + " gamma=" +
+                std::to_string(gamma) + " threads=" + std::to_string(threads) +
+                " legacy=" + std::to_string(legacy) +
+                " simd=" + std::to_string(simd_on);
+            EXPECT_EQ(wl.evaluate(xc, yc, gamma, gx, gy), ref_total) << where;
+            EXPECT_EQ(gx, rgx) << where;
+            EXPECT_EQ(gy, rgy) << where;
+            if (!legacy) {
+              EXPECT_EQ(wl.last_hpwl(), ref_hpwl) << where;
+            }
+            EXPECT_EQ(wl.hpwl(xc, yc), ref_hpwl) << where;
+          }
+        }
       }
     }
   }
 }
 
 TEST_F(GpSoaTest, RasterizeBitIdenticalToLegacyAcrossThreads) {
-  GpConfig legacy_cfg;
-  legacy_cfg.legacy_kernels = true;
-  Design d1 = generate_synthetic(small_spec());
-  EPlaceEngine legacy_eng(d1, legacy_cfg);
-  Design d2 = generate_synthetic(small_spec());
-  EPlaceEngine soa_eng(d2, GpConfig{});
-  const std::vector<double> x = legacy_eng.solver_x();
-  const std::vector<double> y = legacy_eng.solver_y();
-  ASSERT_EQ(x, soa_eng.solver_x());  // same spec -> same elements
+  // 300 cells fit one element chunk of the parallel bucket pass; 3000
+  // cells span several, so per-chunk offsets must line up too.
+  for (const int cells : {300, 3000}) {
+    SyntheticSpec spec = small_spec();
+    spec.num_cells = cells;
+    spec.num_nets = cells * 3 / 2;
+    GpConfig legacy_cfg;
+    legacy_cfg.legacy_kernels = true;
+    Design d1 = generate_synthetic(spec);
+    EPlaceEngine legacy_eng(d1, legacy_cfg);
+    Design d2 = generate_synthetic(spec);
+    EPlaceEngine soa_eng(d2, GpConfig{});
+    ASSERT_EQ(legacy_eng.solver_x(), soa_eng.solver_x());  // same elements
+    if (cells == 3000) {
+      ASSERT_GT(soa_eng.num_elements(), 3000u);
+    }
 
-  par::set_num_threads(1);
-  const std::vector<double> ref = legacy_eng.rasterize_probe(x, y).raw();
-  for (const int threads : {1, 2, 8}) {
-    par::set_num_threads(threads);
-    EXPECT_EQ(legacy_eng.rasterize_probe(x, y).raw(), ref)
-        << "legacy threads=" << threads;
-    EXPECT_EQ(soa_eng.rasterize_probe(x, y).raw(), ref)
-        << "soa threads=" << threads;
+    // The initial (clustered) positions, and spread ones after some steps.
+    std::vector<std::vector<double>> xs{soa_eng.solver_x()};
+    std::vector<std::vector<double>> ys{soa_eng.solver_y()};
+    for (int i = 0; i < 25; ++i) soa_eng.step();
+    xs.push_back(soa_eng.solver_x());
+    ys.push_back(soa_eng.solver_y());
+
+    for (std::size_t p = 0; p < xs.size(); ++p) {
+      par::set_num_threads(1);
+      const std::vector<double> ref =
+          legacy_eng.rasterize_probe(xs[p], ys[p]).raw();
+      for (const int threads : {1, 2, 8}) {
+        par::set_num_threads(threads);
+        for (const bool simd_on : {true, false}) {
+          simd::set_enabled(simd_on);
+          EXPECT_EQ(legacy_eng.rasterize_probe(xs[p], ys[p]).raw(), ref)
+              << "legacy cells=" << cells << " positions=" << p
+              << " threads=" << threads << " simd=" << simd_on;
+          EXPECT_EQ(soa_eng.rasterize_probe(xs[p], ys[p]).raw(), ref)
+              << "soa cells=" << cells << " positions=" << p
+              << " threads=" << threads << " simd=" << simd_on;
+        }
+      }
+    }
   }
 }
 
@@ -246,31 +350,80 @@ TEST_F(GpSoaTest, FlowChecksumInvariantAcrossThreadsSimdAndKernelPath) {
 }
 
 TEST_F(GpSoaTest, DctPlanMatchesFreeFunctionsBitwise) {
-  const std::size_t nx = 32, ny = 16;  // non-square on purpose
-  std::vector<double> data(nx * ny);
   Rng rng(123);
-  for (double& v : data) v = rng.uniform(-2.0, 2.0);
+  // Non-square on purpose; the small grids leave odd line counts per
+  // chunk and column blocks narrower than the plan's block width.
+  const std::vector<std::pair<std::size_t, std::size_t>> sizes = {
+      {32, 16}, {4, 2}, {1, 8}, {2, 1}};
+  for (const auto& [nx, ny] : sizes) {
+    std::vector<double> data(nx * ny), data_y(nx * ny);
+    for (double& v : data) v = rng.uniform(-2.0, 2.0);
+    for (double& v : data_y) v = rng.uniform(-2.0, 2.0);
 
-  DctPlan2D plan(nx, ny);
-  std::vector<double> out;
-  for (const int threads : {1, 2, 8}) {
-    par::set_num_threads(threads);
-    plan.dct2_2d(data, out);
-    EXPECT_EQ(out, dct2_2d(data, nx, ny)) << "threads=" << threads;
-    plan.dct3_raw_2d(data, out);
-    EXPECT_EQ(out, dct3_raw_2d(data, nx, ny)) << "threads=" << threads;
-    plan.idxst_dct3_2d(data, out);
-    EXPECT_EQ(out, idxst_dct3_2d(data, nx, ny)) << "threads=" << threads;
-    plan.dct3_idxst_2d(data, out);
-    EXPECT_EQ(out, dct3_idxst_2d(data, nx, ny)) << "threads=" << threads;
+    DctPlan2D plan(nx, ny);
+    std::vector<double> out, fx, fy;
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      for (const bool simd_on : {true, false}) {
+        simd::set_enabled(simd_on);
+        const std::string where =
+            std::to_string(nx) + "x" + std::to_string(ny) +
+            " threads=" + std::to_string(threads) +
+            " simd=" + std::to_string(simd_on);
+        plan.dct2_2d(data, out);
+        EXPECT_EQ(out, dct2_2d(data, nx, ny)) << where;
+        plan.dct3_raw_2d(data, out);
+        EXPECT_EQ(out, dct3_raw_2d(data, nx, ny)) << where;
+        plan.idxst_dct3_2d(data, out);
+        EXPECT_EQ(out, idxst_dct3_2d(data, nx, ny)) << where;
+        plan.dct3_idxst_2d(data, out);
+        EXPECT_EQ(out, dct3_idxst_2d(data, nx, ny)) << where;
+        // The batched field pair equals the two separate transforms.
+        plan.fields_2d(data, data_y, fx, fy);
+        EXPECT_EQ(fx, idxst_dct3_2d(data, nx, ny)) << where;
+        EXPECT_EQ(fy, dct3_idxst_2d(data_y, nx, ny)) << where;
+      }
+    }
+
+    // Aliased in/out is allowed.
+    std::vector<double> inplace = data;
+    plan.dct2_2d(inplace, inplace);
+    EXPECT_EQ(inplace, dct2_2d(data, nx, ny));
+    fx = data;
+    fy = data_y;
+    plan.fields_2d(fx, fy, fx, fy);
+    EXPECT_EQ(fx, idxst_dct3_2d(data, nx, ny));
+    EXPECT_EQ(fy, dct3_idxst_2d(data_y, nx, ny));
   }
-
-  // Aliased in/out is allowed.
-  std::vector<double> inplace = data;
-  plan.dct2_2d(inplace, inplace);
-  EXPECT_EQ(inplace, dct2_2d(data, nx, ny));
+  simd::set_enabled(true);
 
   EXPECT_THROW(DctPlan2D(24, 16), std::invalid_argument);
+
+  // The solver computes only the fields eagerly; the potential and the
+  // energy it derives on request equal the legacy (free-function)
+  // pipeline bitwise, and follow the latest solve.
+  const int enx = 32, eny = 16;
+  ElectrostaticSystem es(enx, eny, 300.0, 140.0);
+  ElectrostaticSystem legacy(enx, eny, 300.0, 140.0);
+  legacy.use_legacy_pipeline(true);
+  for (const int round : {0, 1}) {
+    Map2D<double> rho(enx, eny);
+    for (double& v : rho.raw()) v = rng.uniform(0.0, 3.0);
+    for (const int threads : {1, 2, 8}) {
+      par::set_num_threads(threads);
+      es.solve(rho);
+      legacy.solve(rho);
+      const std::string where = "round=" + std::to_string(round) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(es.field_x().raw(), legacy.field_x().raw()) << where;
+      EXPECT_EQ(es.field_y().raw(), legacy.field_y().raw()) << where;
+      EXPECT_EQ(es.potential().raw(), legacy.potential().raw()) << where;
+      EXPECT_EQ(es.energy(), legacy.energy()) << where;
+      ElectrostaticSystem fresh(enx, eny, 300.0, 140.0);
+      fresh.solve(rho);
+      EXPECT_EQ(es.potential().raw(), fresh.potential().raw()) << where;
+    }
+  }
 }
 
 TEST_F(GpSoaTest, SimdHelpersMatchScalarBitwise) {

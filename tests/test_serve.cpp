@@ -493,6 +493,21 @@ TEST(ServeSessionManager, BadConfigFailsTheSession) {
   EXPECT_FALSE(h.mgr().result_body(res.session_id, &body));
 }
 
+TEST(ServeSessionManager, UnusableGpConfigFailsTheSession) {
+  // A target density of 0 leaves no free capacity; the flow refuses it
+  // at construction instead of running global placement against it.
+  ManagerHarness h(manager_config("serve_mgr_bad_gp"));
+  SubmitMsg job = small_job("bad-gp");
+  job.config_text = "gp.target_density = 0\n";
+  const auto res = h.mgr().submit(encode_submit(job));
+  ASSERT_TRUE(res.accepted);
+  const ServeSession* s = h.settle(res.session_id);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->state, SessionState::kFailed);
+  EXPECT_NE(s->summary.message.find("target_density"), std::string::npos)
+      << s->summary.message;
+}
+
 TEST(ServeSessionManager, RestartRecoversFinishedAndRerunsUnfinished) {
   ServeConfig cfg = manager_config("serve_mgr_recover");
   std::uint64_t done_sid = 0, pending_sid = 0;
