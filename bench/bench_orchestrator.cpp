@@ -96,8 +96,7 @@ int main() {
     FlowSnapshot snap;
     flow.run_prefix(kForkOverflow, RngStream(kSeed), &snap);
     flow.run_from(snap);
-    const RouteResult route =
-        evaluate_routability(d, cfg.eval_router, flow.estimator());
+    const RouteResult route = evaluate_routability(d, cfg.eval_router);
     {
       const std::lock_guard<std::mutex> lock(sums_mutex);
       checksums[a] = position_checksum(d);

@@ -62,11 +62,10 @@ std::uint64_t placement_checksum(const Design& d) {
 // One full flow at the given thread count / kernel path; returns the
 // wall time and fills the metrics + final placement checksum.
 double run_flow(const SyntheticSpec& spec, int threads, bool legacy,
-                bool rsmt_cache, FlowMetrics* metrics, std::uint64_t* sum) {
+                FlowMetrics* metrics, std::uint64_t* sum) {
   PufferConfig cfg;
   cfg.num_threads = threads;
   cfg.gp.legacy_kernels = legacy;
-  cfg.congestion.enable_rsmt_cache = rsmt_cache;
   Design d = generate_synthetic(spec);
   const auto t0 = Clock::now();
   PufferFlow flow(d, cfg);
@@ -167,55 +166,43 @@ int main() {
 
   // --- CongestionEstimator::estimate --------------------------------
   {
-    CongestionConfig cfg;
-    cfg.enable_rsmt_cache = false;  // honest rebuild cost
-    CongestionEstimator cold(design, cfg);
+    CongestionEstimator est(design, CongestionConfig{});
     par::set_num_threads(1);
-    const double t_serial = time_best(reps, [&] { cold.estimate(); });
+    const double t_serial = time_best(reps, [&] { est.estimate(); });
     par::set_num_threads(par_threads);
-    const double t_par = time_best(reps, [&] { cold.estimate(); });
+    const double t_par = time_best(reps, [&] { est.estimate(); });
     rec.baseline("congestion_estimate_s", t_serial);
     rec.result("congestion_estimate_s", t_par);
     rec.speedup("congestion_estimate", t_serial / t_par);
-
-    CongestionEstimator cached(design, CongestionConfig{});
-    cached.estimate();  // warm the cache
-    const double t_hit = time_best(reps, [&] { cached.estimate(); });
-    rec.result("congestion_estimate_cache_hit_s", t_hit);
-    rec.speedup("rsmt_cache_hit", t_serial / t_hit);
-    std::printf(
-        "congestion estimate: %.4fs serial, %.4fs x%d (%.2fx), "
-        "%.4fs cache-hit (%.2fx)\n",
-        t_serial, t_par, par_threads, t_serial / t_par, t_hit,
-        t_serial / t_hit);
+    std::printf("congestion estimate: %.4fs serial, %.4fs x%d (%.2fx)\n",
+                t_serial, t_par, par_threads, t_serial / t_par);
   }
 
   // --- Full padding flow ---------------------------------------------
-  // Baseline replica: scalar kernels at one thread, RSMT cache off (the
-  // pre-SoA configuration), measured in-bench best-of-3.
+  // Baseline replica: scalar kernels at one thread (the pre-SoA
+  // configuration), measured in-bench best-of-3.
   {
     FlowMetrics m_base;
     std::uint64_t sum_legacy = 0;
     double t_base = 1e300;
     for (int r = 0; r < flow_reps; ++r) {
       t_base = std::min(
-          t_base, run_flow(spec, 1, /*legacy=*/true, /*rsmt_cache=*/false,
-                           &m_base, &sum_legacy));
+          t_base, run_flow(spec, 1, /*legacy=*/true, &m_base, &sum_legacy));
     }
 
     FlowMetrics m_1t;
     std::uint64_t sum_t1 = 0;
     double t_1t = 1e300;
     for (int r = 0; r < flow_reps; ++r) {
-      t_1t = std::min(t_1t, run_flow(spec, 1, false, true, &m_1t, &sum_t1));
+      t_1t = std::min(t_1t, run_flow(spec, 1, false, &m_1t, &sum_t1));
     }
 
     FlowMetrics m_par;
     std::uint64_t sum_par = 0;
     double t_par = 1e300;
     for (int r = 0; r < flow_reps; ++r) {
-      t_par = std::min(t_par,
-                       run_flow(spec, par_threads, false, true, &m_par, &sum_par));
+      t_par =
+          std::min(t_par, run_flow(spec, par_threads, false, &m_par, &sum_par));
     }
 
     rec.baseline("flow_s", t_base);
@@ -244,10 +231,10 @@ int main() {
     // Determinism evidence: final placements across thread counts and
     // with the vector kernels disabled, against the scalar baseline.
     std::uint64_t sum_t2 = 0, sum_t8 = 0, sum_t8_nosimd = 0;
-    run_flow(spec, 2, false, true, nullptr, &sum_t2);
-    run_flow(spec, 8, false, true, nullptr, &sum_t8);
+    run_flow(spec, 2, false, nullptr, &sum_t2);
+    run_flow(spec, 8, false, nullptr, &sum_t8);
     simd::set_enabled(false);
-    run_flow(spec, 8, false, true, nullptr, &sum_t8_nosimd);
+    run_flow(spec, 8, false, nullptr, &sum_t8_nosimd);
     simd::set_enabled(true);
     rec.checksum("flow_legacy", sum_legacy);
     rec.checksum("flow_t1", sum_t1);

@@ -57,10 +57,10 @@ int main(int argc, char** argv) {
                      TextTable::fmt(r.vof_pct(), 2),
                      TextTable::fmt(r.routed_wl(), 0),
                      TextTable::fmt(r.runtime_s(), 1),
-                     TextTable::fmt(r.flow.router.route_time_s, 2),
-                     TextTable::fmt_int(r.flow.router.segments),
-                     TextTable::fmt_int(r.flow.router.rerouted),
-                     TextTable::fmt_int(r.flow.router.rounds_used),
+                     TextTable::fmt(r.route.route_time_s, 2),
+                     TextTable::fmt_int(r.route.segments),
+                     TextTable::fmt_int(r.route.rerouted),
+                     TextTable::fmt_int(r.route.rounds_used),
                      r.pass_h() ? "yes" : "NO", r.pass_v() ? "yes" : "NO"});
       acc[p].hof += r.hof_pct();
       acc[p].vof += r.vof_pct();

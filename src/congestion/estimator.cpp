@@ -13,9 +13,7 @@ CongestionEstimator::CongestionEstimator(const Design& design,
       config_(config),
       grid_(GcellGrid::from_row_pitch(design.die, design.tech.row_height,
                                       config.rows_per_gcell)),
-      capacity_(build_capacity_maps(design, grid_)),
-      cache_(design.nets.size(), config.cache_quantum,
-             config.enable_rsmt_cache) {}
+      capacity_(build_capacity_maps(design, grid_)) {}
 
 namespace {
 
@@ -239,7 +237,7 @@ void CongestionEstimator::add_pin_layer(Map2D<double>& dmd_h,
 
 CongestionResult CongestionEstimator::estimate() const {
   // Trees and spans in parallel per net: each net writes only its own
-  // slots, and unchanged nets are served from the topology cache.
+  // slots.
   const std::size_t n_nets = design_.nets.size();
   CongestionResult result;
   result.trees.resize(n_nets);
@@ -254,7 +252,7 @@ CongestionResult CongestionEstimator::estimate() const {
           for (PinId pid : design_.nets[ni].pins) {
             pin_pts.push_back(design_.pin_position(pid));
           }
-          result.trees[ni] = cache_.get_or_build(ni, pin_pts);
+          result.trees[ni] = build_rsmt(pin_pts);
           spans_of(grid_, result.trees[ni], spans[ni]);
         }
       },

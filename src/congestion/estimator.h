@@ -27,7 +27,6 @@
 #include "grid/routing_maps.h"
 #include "netlist/design.h"
 #include "rsmt/rsmt.h"
-#include "rsmt/rsmt_cache.h"
 
 namespace puffer {
 
@@ -45,10 +44,6 @@ struct CongestionConfig {
   // strategy exploration may raise it for padding features too).
   double pins_per_site = 2.0;
   double pin_crowding = 0.0;
-  // RSMT topology cache: nets whose quantized pin positions are unchanged
-  // since the previous estimate() reuse their tree (see rsmt_cache.h).
-  bool enable_rsmt_cache = true;
-  double cache_quantum = 1e-3;
   // Detour expansion: search radius in Gcells and on/off switch (the
   // estimation-accuracy ablation toggles this).
   int expand_radius = 4;
@@ -72,18 +67,14 @@ class CongestionEstimator {
   CongestionEstimator(const Design& design, CongestionConfig config);
 
   // Estimation from the design's current cell positions. Every call
-  // builds the demand maps from scratch; only the RSMT topology cache
-  // carries over between calls.
+  // builds the trees and demand maps from scratch; nothing carries over
+  // between calls.
   CongestionResult estimate() const;
 
   const GcellGrid& grid() const { return grid_; }
 
   // Pin-access capacity of one Gcell under the crowding model.
   double gcell_pin_capacity() const;
-
-  // Topology-cache statistics (accumulated across estimate() calls).
-  const RsmtCache& tree_cache() const { return cache_; }
-  RsmtCache& tree_cache() { return cache_; }
 
  private:
   void add_pin_layer(Map2D<double>& dmd_h, Map2D<double>& dmd_v) const;
@@ -92,9 +83,6 @@ class CongestionEstimator {
   CongestionConfig config_;
   GcellGrid grid_;
   CapacityMaps capacity_;  // capacity depends only on fixed blockages
-  // Per-net memo of RSMT topologies; estimate() is logically const, the
-  // cache is a pure performance artifact.
-  mutable RsmtCache cache_;
 };
 
 }  // namespace puffer

@@ -25,10 +25,7 @@ ExperimentResult run_experiment(Design& design, PlacerKind kind,
     case PlacerKind::kPuffer: {
       PufferFlow flow(design, config.puffer);
       result.flow = flow.run();
-      // Warm evaluation: the router reuses the flow's RSMT topology cache
-      // for nets legalization left (quantized-)unmoved.
-      result.route =
-          evaluate_routability(design, config.eval_router, flow.estimator());
+      result.route = evaluate_routability(design, config.eval_router);
       break;
     }
     case PlacerKind::kReplaceRc:
@@ -40,11 +37,6 @@ ExperimentResult run_experiment(Design& design, PlacerKind kind,
       result.route = evaluate_routability(design, config.eval_router);
       break;
   }
-  result.flow.router.route_time_s = result.route.route_time_s;
-  result.flow.router.rrr_time_s = result.route.rrr_time_s;
-  result.flow.router.segments = result.route.segments;
-  result.flow.router.rerouted = result.route.rerouted;
-  result.flow.router.rounds_used = result.route.rounds_used;
   result.flow.stages.add("evaluate_route", result.route.route_time_s);
   PUFFER_LOG_INFO("experiment",
                   "%s / %s: HOF %.2f%% VOF %.2f%% WL %.4g RT %.1fs (route "
@@ -77,19 +69,6 @@ void log_flow_stage_metrics(const std::string& benchmark,
                       benchmark.c_str(), placer_label, lg.time_s, lg.placed,
                       lg.failed_cells, lg.avg_displacement());
     }
-  }
-  const OrchestratorStageMetrics& orch = flow.orchestrator;
-  if (orch.trials_run > 0 || orch.trials_resumed > 0 ||
-      orch.trials_pruned > 0) {
-    PUFFER_LOG_INFO("experiment",
-                    "%s / %s: orchestrator %d run / %d pruned / %d resumed, "
-                    "prefix %.2fs, trials %.2fs, ckpt save %.0fms restore "
-                    "%.0fms, utilization %.0f%%",
-                    benchmark.c_str(), placer_label, orch.trials_run,
-                    orch.trials_pruned, orch.trials_resumed, orch.prefix_s,
-                    orch.trials_s, 1000.0 * orch.checkpoint_save_s,
-                    1000.0 * orch.checkpoint_restore_s,
-                    100.0 * orch.scheduler_utilization);
   }
 }
 

@@ -38,9 +38,9 @@ struct ExperimentConfig {
 };
 
 // Logs the per-stage observability lines (legalization, detailed
-// placement, orchestrator) for a finished flow. run_experiment calls it;
-// the trial orchestrator calls it on the best trial's FlowMetrics so
-// orchestrated runs report stage metrics through the same channel.
+// placement) for a finished flow. run_experiment calls it; the trial
+// orchestrator calls it on the best trial's FlowMetrics so orchestrated
+// runs report stage metrics through the same channel.
 void log_flow_stage_metrics(const std::string& benchmark,
                             const char* placer_label, const FlowMetrics& flow);
 

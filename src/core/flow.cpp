@@ -113,8 +113,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   // identically for an in-memory and an on-disk snapshot.
   EPlaceEngine engine(design_, config_.gp);
   PaddingEngine padder(design_, engine.movable_cells(), config_.padding);
-  // One estimator for all padding rounds, so its RSMT topology cache
-  // carries over.
   estimator_ = std::make_unique<CongestionEstimator>(design_, config_.congestion);
   if (snapshot != nullptr && !snapshot->padding.empty()) {
     ScopedStageTimer t(metrics.stages, "restore");
@@ -159,10 +157,10 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
       engine.set_padding(pad);
       PUFFER_LOG_INFO(kTag,
                       "padding round %d at iter %d (overflow %.3f, est "
-                      "expanded %d segs; est %.3fs, cache hit %.0f%%)",
+                      "expanded %d segs; est %.3fs)",
                       padder.attempts(), engine.iteration(),
                       engine.density_overflow(), congestion.expanded_segments,
-                      est_s, 100.0 * estimator_->tree_cache().hit_rate());
+                      est_s);
       // Let the density system absorb the new areas before re-estimating,
       // with the pool kept warm as in run_to_overflow().
       {
@@ -194,7 +192,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
     // holds the mid-flow positions; the orchestrator only reads the
     // per-round overflow trail and the deterministic penalty loss.
     metrics.runtime_s = total.elapsed_seconds();
-    metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
     metrics.padding_stage = padder.stage_metrics();
     PUFFER_LOG_INFO(kTag, "flow aborted by round callback after round %d",
                     round);
@@ -236,7 +233,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
   metrics.hpwl_legal = design_.total_hpwl();
   metrics.legality = check_legality(design_);
   metrics.runtime_s = total.elapsed_seconds();
-  metrics.rsmt_cache_hit_rate = estimator_->tree_cache().hit_rate();
   metrics.padding_stage = padder.stage_metrics();
   PUFFER_LOG_INFO(kTag, "flow done in %.1fs: hpwl %.4g -> %.4g, %s",
                   metrics.runtime_s, metrics.hpwl_gp, metrics.hpwl_legal,
@@ -262,10 +258,8 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
 
 RouteResult evaluate_routability(const Design& design,
                                  const RouterConfig& config,
-                                 CongestionEstimator* warm) {
-  GlobalRouter router(design, config,
-                      warm ? &warm->tree_cache() : nullptr);
-  return router.route();
+                                 CongestionEstimator* /*unused*/) {
+  return GlobalRouter(design, config).route();
 }
 
 }  // namespace puffer

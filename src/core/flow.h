@@ -55,34 +55,6 @@ struct PufferConfig {
   int num_threads = 0;
 };
 
-// Evaluation-router stage metrics: filled by the experiment harness from
-// the RouteResult of the neutral evaluation that follows the flow (the
-// router runs outside run(), so the flow itself leaves these zero).
-struct RouterStageMetrics {
-  double route_time_s = 0.0;  // total route() wall time
-  double rrr_time_s = 0.0;    // rip-up-and-reroute phase wall time
-  int segments = 0;
-  int rerouted = 0;
-  int rounds_used = 0;
-};
-
-// Orchestration-stage metrics: filled by the trial orchestrator
-// (src/orchestrate/) on the best trial's FlowMetrics so the experiment
-// CSV carries exploration observability next to the router/legalization
-// stage numbers. All-zero for a plain (non-orchestrated) flow.
-struct OrchestratorStageMetrics {
-  int trials_run = 0;      // sessions evaluated to completion
-  int trials_pruned = 0;   // sessions stopped by the early-stop rule
-  int trials_resumed = 0;  // completed trials replayed from the journal
-  double checkpoint_save_s = 0.0;     // snapshot encode+write wall time
-  double checkpoint_restore_s = 0.0;  // snapshot read+decode (summed)
-  // Busy-worker fraction of the trial phase: sum of session wall times /
-  // (elapsed wall time x concurrency).
-  double scheduler_utilization = 0.0;
-  double prefix_s = 0.0;  // shared-prefix wall time (or restore time)
-  double trials_s = 0.0;  // wall time of the concurrent trial phase
-};
-
 // Congestion-estimation stage metrics, accumulated by the flow over its
 // padding rounds. Every estimate is built from scratch, so each call
 // counts as a full build and the reuse figures stay zero; the member
@@ -105,14 +77,14 @@ struct FlowMetrics {
   double runtime_s = 0.0;
   StageTimes stages;
   LegalityReport legality;
-  // Congestion-estimation calls and wall time over the padding rounds,
-  // plus the RSMT topology-cache hit rate.
+  // Congestion-estimation calls and wall time over the padding rounds.
   IncrementalStats estimation;
+  // Always 0: the flow keeps no RSMT topology cache. The member stays
+  // because the benchmark harness (perfbench/harness/trace.cpp) reads it.
   double rsmt_cache_hit_rate = 0.0;
   // Padding feature-extraction calls and wall time (see
   // padding/features.h).
   PaddingStageMetrics padding_stage;
-  RouterStageMetrics router;
   // Legalization / detailed-placement stage observability (wall time,
   // displacement — see LegalizeResult / DetailedPlaceResult). dp is
   // all-zero unless run_dp is set.
@@ -125,7 +97,6 @@ struct FlowMetrics {
   // True when a round callback stopped the flow before final convergence
   // (the session was pruned; legalization was skipped).
   bool aborted_early = false;
-  OrchestratorStageMetrics orchestrator;
   // Per-kernel wall-time breakdown of the global-placement Nesterov loop
   // (wirelength gradient, density rasterization, Poisson solve, gradient
   // assembly, step updates).
@@ -196,8 +167,7 @@ class PufferFlow {
   std::uint64_t prefix_key(double fork_overflow) const;
 
   // The flow's congestion estimator (valid after run() or run_from();
-  // null before). Exposed so the evaluation router can warm-start from
-  // the flow's RSMT topology cache instead of rebuilding every net's tree.
+  // null before). It keeps no state between estimate() calls.
   CongestionEstimator* estimator() { return estimator_.get(); }
 
   // Installs a per-round telemetry/cancellation observer, invoked (after
@@ -217,17 +187,15 @@ class PufferFlow {
   Design& design_;
   PufferConfig config_;
   ProgressHook progress_hook_;
-  // Owned by the flow so the RSMT topology cache persists across padding
-  // rounds and outlives run() for the warm evaluation router.
   std::unique_ptr<CongestionEstimator> estimator_;
 };
 
-// Runs the evaluation router on the design's current placement. `warm`
-// (optional) shares the flow estimator's RSMT topology cache with the
-// router, skipping tree construction for nets unmoved since the last
-// estimate.
+// Runs the evaluation router on the design's current placement. The
+// estimator argument is ignored: the router builds every net's tree
+// itself. It stays because the benchmark harness
+// (perfbench/harness/place.cpp) passes flow.estimator().
 RouteResult evaluate_routability(const Design& design,
                                  const RouterConfig& config = {},
-                                 CongestionEstimator* warm = nullptr);
+                                 CongestionEstimator* unused = nullptr);
 
 }  // namespace puffer

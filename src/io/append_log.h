@@ -1,6 +1,7 @@
 // Append-only, crash-safe line log: the storage under the exploration
 // trial journal (orchestrate/trial_journal.h) and the serve daemon's
-// request log (serve/request_log.h).
+// request log (serve/request_log.h), plus the record format both write
+// (LogLine and the log_* field readers below).
 //
 // One record per '\n'-terminated line, flushed and fsync'd per append, so
 // a crash at any point leaves at worst a torn final line. The tolerant
@@ -11,9 +12,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 namespace puffer {
 
@@ -51,5 +55,51 @@ class AppendLog {
   std::FILE* file_ = nullptr;
   std::size_t bytes_ = 0;  // length of the accepted prefix plus appends
 };
+
+// Builds one record line: a flat JSON object whose first field is
+// "type". Keys are unique and values are never nested. Doubles that must
+// replay exactly are stored as their IEEE-754 bit patterns in hex.
+class LogLine {
+ public:
+  explicit LogLine(const char* type) { str("type", type); }
+
+  // A string value. '"', '\\', '\n' and '\r' are written as '_', so the
+  // line needs no escapes and stays one line.
+  LogLine& str(const char* key, const std::string& value);
+  template <typename Int>
+  LogLine& num(const char* key, Int value) {
+    static_assert(std::is_integral_v<Int>);
+    field(key);
+    text_ += std::to_string(value);
+    return *this;
+  }
+  LogLine& hex(const char* key, std::uint64_t value);  // "%016x" string
+  LogLine& bits(const char* key, double value);  // hex of the bit pattern
+  LogLine& approx(const char* key, double value);  // %.6g, for readers
+  LogLine& bits_array(const char* key, const std::vector<double>& values);
+
+  // The finished line, without a '\n'.
+  std::string line() const { return text_ + "}"; }
+
+ private:
+  void field(const char* key);
+
+  std::string text_ = "{";
+};
+
+// Field readers for lines LogLine wrote. Each returns false when the key
+// is missing or its value does not parse, which log loaders treat as a
+// torn record.
+//
+// The "type" of a whole line (one that opens with '{' and closes with
+// '}').
+bool log_type(const std::string& line, std::string* out);
+bool log_str(const std::string& line, const char* key, std::string* out);
+bool log_int(const std::string& line, const char* key, int* out);
+bool log_u64(const std::string& line, const char* key, std::uint64_t* out);
+bool log_hex(const std::string& line, const char* key, std::uint64_t* out);
+bool log_bits(const std::string& line, const char* key, double* out);
+bool log_bits_array(const std::string& line, const char* key,
+                    std::vector<double>* out);
 
 }  // namespace puffer

@@ -170,6 +170,20 @@ void set_nonblocking(int fd) {
   }
 }
 
+bool read_ready(int fd, FrameBuffer* in) {
+  char buf[1 << 16];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      in->append(buf, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n == 0) return false;  // peer closed
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    if (errno != EINTR) return false;
+  }
+}
+
 void ignore_sigpipe() { ::signal(SIGPIPE, SIG_IGN); }
 
 }  // namespace puffer

@@ -15,6 +15,8 @@
 
 namespace puffer {
 
+class FrameBuffer;
+
 bool is_unix_address(const std::string& address);
 
 // Bound + listening fd for `address`. SO_REUSEADDR on TCP listeners;
@@ -35,6 +37,12 @@ int connect_socket_retry(const std::string& address, double timeout_s);
 // Puts `fd` into non-blocking mode (poll()-driven servers); throws
 // CheckpointError on failure.
 void set_nonblocking(int fd);
+
+// Appends every byte socket `fd` has ready to `in` without blocking, even
+// when `fd` is in blocking mode. Returns false once the peer has closed
+// the connection or the read failed (the bytes before that are
+// appended), true when no more bytes are ready.
+bool read_ready(int fd, FrameBuffer* in);
 
 // Ignores SIGPIPE process-wide so a dead peer surfaces as a write error
 // (CheckpointError) instead of killing the process. Idempotent.

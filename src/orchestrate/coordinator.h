@@ -14,16 +14,22 @@
 // by EOF/write failure; its in-flight trial returns to the pending queue
 // and is reassigned to a surviving (or newly attached) worker. Workers
 // may attach at any time, including mid-batch. If every worker is gone
-// and none attaches within `attach_timeout_s`, the executor either runs
-// the remaining trials in-process (`local_fallback`, default) or throws.
-// Coordinator death is the journal's job, exactly as for the in-process
-// scheduler: resume replays completed trials (scripts/kill_resume_smoke).
+// and none attaches within `attach_timeout_s`, the executor runs the
+// remaining trials in-process. Sockets are read without blocking, like
+// pufferd's connections: an accepted connection joins the poll set and
+// its handshake runs once a whole Hello has arrived, so a peer that
+// connects and stays silent, or stalls mid-frame, holds up nothing.
+// Writes still block. Coordinator death is the journal's job, exactly as
+// for the in-process scheduler: resume replays completed trials
+// (scripts/kill_resume_smoke).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "io/checkpoint.h"
 #include "orchestrate/orchestrator.h"
 
 namespace puffer {
@@ -35,12 +41,9 @@ struct CoordinatorConfig {
   // Block until this many workers have attached before the first batch.
   int min_workers = 1;
   // How long to wait for the first min_workers, and for a replacement
-  // when every worker died mid-run.
+  // when every worker died mid-run, before evaluating the remaining
+  // trials in this process.
   double attach_timeout_s = 120.0;
-  // When no worker attaches in time: true = evaluate the remaining
-  // trials in this process (exploration always completes), false =
-  // throw CheckpointError.
-  bool local_fallback = true;
 };
 
 // Throws std::invalid_argument on an empty listen address or
@@ -70,27 +73,38 @@ class CoordinatorExecutor : public TrialExecutor {
   // called by the destructor, exposed for a graceful early stop.
   void shutdown_workers();
 
-  int workers_attached() const;  // currently attached
+  int workers_attached() const;  // currently attached (handshake done)
   // Trials that died with a worker and were reassigned.
   int trials_reassigned() const { return trials_reassigned_; }
-  // Trials evaluated by the in-process fallback path.
-  int trials_local_fallback() const { return trials_local_fallback_; }
+  // Trials evaluated in this process because no worker was left.
+  int trials_in_process() const { return trials_in_process_; }
 
  private:
   struct Worker;
+  // Handles one frame from an attached worker; throws CheckpointError to
+  // drop it.
+  using FrameFn = std::function<void(Worker&, const WireFrame&)>;
 
-  void accept_and_handshake();      // one pending connection
-  void drop_worker(std::size_t w, const char* why);
+  // Waits up to one poll interval, then reads every ready connection
+  // without blocking, runs the handshake of each whose Hello has
+  // arrived, passes attached workers' frames to `on_frame`, and accepts
+  // a new connection. Drops a connection that closes, fails, sends a bad
+  // frame or has a frame rejected; a dropped worker's trial index goes to
+  // `orphans`. Returns the number of attached workers dropped.
+  int pump(const FrameFn& on_frame, std::vector<int>* orphans);
+  void handshake(Worker& w, const WireFrame& frame);
+  void drop_worker(std::size_t w, const std::string& why);
 
   CoordinatorConfig config_;
   int listen_fd_ = -1;
   TrialRunContext ctx_;
   std::string snapshot_bytes_;      // encode_snapshot(ctx.snapshot), cached
   std::string base_config_text_;
+  // Accepted connections, attached or still waiting for their Hello.
   std::vector<Worker> workers_;
   int peak_workers_ = 0;
   int trials_reassigned_ = 0;
-  int trials_local_fallback_ = 0;
+  int trials_in_process_ = 0;
 };
 
 // Convenience wrapper: run a full distributed exploration. Identical

@@ -161,9 +161,8 @@ OrchestrationResult TrialOrchestrator::run(TrialExecutor& executor) {
   result.best_loss = std::numeric_limits<double>::max();
 
   // One flow instance serves the whole orchestration: it computes the
-  // prefix key, runs the shared prefix, and keeps the warm RSMT cache.
-  // Sessions never touch it (each builds its own flow on a private
-  // design copy).
+  // prefix key and runs the shared prefix. Sessions never touch it (each
+  // builds its own flow on a private design copy).
   PufferFlow prefix_flow(design_, base_.puffer);
   const std::uint64_t dkey = design_structure_key(design_);
   const std::uint64_t pkey = prefix_flow.prefix_key(config_.fork_overflow);
@@ -410,10 +409,17 @@ OrchestrationResult TrialOrchestrator::run(TrialExecutor& executor) {
     e.best_checksum = result.best_checksum;
     journal->append(e);
   }
-  // Mirror the stage metrics onto the best trial's FlowMetrics so the
-  // experiment CSV carries them (valid or not, the struct is returned).
-  result.best_flow.orchestrator = result.stats;
   log_flow_stage_metrics(design_.name, "orchestrated", result.best_flow);
+  const OrchestratorStageMetrics& st = result.stats;
+  PUFFER_LOG_INFO(kTag,
+                  "%s: %d run / %d pruned / %d resumed, prefix %.2fs, "
+                  "trials %.2fs, ckpt save %.0fms restore %.0fms, "
+                  "utilization %.0f%%",
+                  design_.name.c_str(), st.trials_run, st.trials_pruned,
+                  st.trials_resumed, st.prefix_s, st.trials_s,
+                  1000.0 * st.checkpoint_save_s,
+                  1000.0 * st.checkpoint_restore_s,
+                  100.0 * st.scheduler_utilization);
   return result;
 }
 

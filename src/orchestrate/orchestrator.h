@@ -57,6 +57,20 @@ struct OrchestratorConfig {
 // validate_explore_config).
 OrchestratorConfig validate_orchestrator_config(OrchestratorConfig config);
 
+// Orchestration-stage metrics of one exploration.
+struct OrchestratorStageMetrics {
+  int trials_run = 0;      // sessions evaluated to completion
+  int trials_pruned = 0;   // sessions stopped by the early-stop rule
+  int trials_resumed = 0;  // completed trials replayed from the journal
+  double checkpoint_save_s = 0.0;     // snapshot encode+write wall time
+  double checkpoint_restore_s = 0.0;  // snapshot read+decode (summed)
+  // Busy-worker fraction of the trial phase: sum of session wall times /
+  // (elapsed wall time x concurrency).
+  double scheduler_utilization = 0.0;
+  double prefix_s = 0.0;  // shared-prefix wall time (or restore time)
+  double trials_s = 0.0;  // wall time of the concurrent trial phase
+};
+
 struct OrchestrationResult {
   Assignment best;
   double best_loss = 0.0;
@@ -70,8 +84,7 @@ struct OrchestrationResult {
   OrchestratorStageMetrics stats;
   // Flow/route metrics of the best trial -- only when it executed in
   // this process (false when the best loss was replayed from the
-  // journal). stats is additionally mirrored into
-  // best_flow.orchestrator either way.
+  // journal).
   bool best_metrics_valid = false;
   FlowMetrics best_flow;
   RouteResult best_route;

@@ -58,13 +58,7 @@ TrialResult run_trial_session(const Design& base_design,
     result.loss = pruner->penalty_loss(prune_value);
     result.checksum = 0;
   } else {
-    result.route =
-        evaluate_routability(design, cfg.eval_router, flow.estimator());
-    result.flow.router.route_time_s = result.route.route_time_s;
-    result.flow.router.rrr_time_s = result.route.rrr_time_s;
-    result.flow.router.segments = result.route.segments;
-    result.flow.router.rerouted = result.route.rerouted;
-    result.flow.router.rounds_used = result.route.rounds_used;
+    result.route = evaluate_routability(design, cfg.eval_router);
     result.flow.stages.add("evaluate_route", result.route.route_time_s);
     result.loss = result.route.overflow.hof_pct + result.route.overflow.vof_pct;
     result.checksum = position_checksum(design);

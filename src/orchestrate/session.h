@@ -59,8 +59,8 @@ std::uint64_t assignment_key(const Assignment& a);
 // to io/checkpoint.h so the serve daemon shares the same fingerprint.
 
 // Runs one trial: copy `base_design`, fork from the snapshot with the
-// candidate strategy applied, evaluate routability (warm, sharing the
-// session flow's RSMT cache). Thread-safe: call from any runner thread.
+// candidate strategy applied, evaluate routability. Thread-safe: call
+// from any runner thread.
 TrialResult run_trial_session(const Design& base_design,
                               const TrialTask& task);
 

@@ -73,14 +73,12 @@ RouterConfig validate_router_config(RouterConfig config) {
   return config;
 }
 
-GlobalRouter::GlobalRouter(const Design& design, RouterConfig config,
-                           RsmtCache* tree_cache)
+GlobalRouter::GlobalRouter(const Design& design, RouterConfig config)
     : design_(design),
       config_(validate_router_config(config)),
       grid_(GcellGrid::from_row_pitch(design.die, design.tech.row_height,
                                       config_.rows_per_gcell)),
-      capacity_(build_capacity_maps(design, grid_)),
-      tree_cache_(tree_cache) {}
+      capacity_(build_capacity_maps(design, grid_)) {}
 
 RouteResult GlobalRouter::route() const {
   Timer route_timer;
@@ -138,12 +136,7 @@ RouteResult GlobalRouter::route() const {
             if (net.pins.size() < 2) continue;
             pts.clear();
             for (PinId pid : net.pins) pts.push_back(design_.pin_position(pid));
-            // Warm start: reuse the estimator's cached topology when the
-            // quantized pins still match (per-net slots, race-free).
-            const RsmtTree tree =
-                tree_cache_ ? tree_cache_->get_or_build(
-                                  static_cast<std::size_t>(n), pts)
-                            : build_rsmt(pts);
+            const RsmtTree tree = build_rsmt(pts);
             for (const RsmtSegment& s : tree.segments) {
               Seg seg;
               seg.a = grid_.index_of(

@@ -55,7 +55,6 @@
 
 #include "grid/routing_maps.h"
 #include "netlist/design.h"
-#include "rsmt/rsmt_cache.h"
 
 namespace puffer {
 
@@ -97,17 +96,9 @@ struct RouteResult {
 
 class GlobalRouter {
  public:
-  // `tree_cache` (optional, not owned, must outlive the router) shares
-  // per-net RSMT topologies with the congestion estimator: trees are
-  // geometric (grid-independent), so an evaluation run right after a
-  // padding flow reuses the flow's cached topologies instead of
-  // rebuilding every net. Keyed by quantized pins, a stale tree can only
-  // be served within the cache quantum (same contract as the estimator).
-  //
   // `config` is validated with validate_router_config (throws
   // std::invalid_argument on a non-positive rows_per_gcell).
-  GlobalRouter(const Design& design, RouterConfig config = {},
-               RsmtCache* tree_cache = nullptr);
+  GlobalRouter(const Design& design, RouterConfig config = {});
 
   // Routes all nets from the design's current cell positions.
   RouteResult route() const;
@@ -119,7 +110,6 @@ class GlobalRouter {
   RouterConfig config_;
   GcellGrid grid_;
   CapacityMaps capacity_;
-  RsmtCache* tree_cache_ = nullptr;  // optional warm-start, not owned
 };
 
 }  // namespace puffer

@@ -1,96 +1,11 @@
 #include "serve/request_log.h"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 namespace puffer {
 namespace {
 
 constexpr int kLogVersion = 1;
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
-}
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// Minimal flat-object JSON field extraction -- the log only ever parses
-// lines it wrote itself (same idiom and caveats as the trial journal).
-bool find_raw(const std::string& line, const std::string& key,
-              std::string* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t p = at + needle.size();
-  while (p < line.size() && line[p] == ' ') ++p;
-  if (p >= line.size()) return false;
-  if (line[p] == '"') {
-    const std::size_t end = line.find('"', p + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(p + 1, end - p - 1);
-    return true;
-  }
-  std::size_t end = p;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') {
-    ++end;
-  }
-  if (end == line.size()) return false;
-  *out = line.substr(p, end - p);
-  return true;
-}
-
-bool get_hex(const std::string& line, const std::string& key,
-             std::uint64_t* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw) || raw.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t v = std::strtoull(raw.c_str(), &end, 16);
-  if (errno != 0 || end == raw.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
-bool get_int(const std::string& line, const std::string& key, int* out) {
-  std::string raw;
-  if (!find_raw(line, key, &raw) || raw.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(raw.c_str(), &end, 10);
-  if (errno != 0 || end == raw.c_str() || *end != '\0') return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-bool get_string(const std::string& line, const std::string& key,
-                std::string* out) {
-  return find_raw(line, key, out);
-}
-
-// Session labels and failure messages go through the log as JSON string
-// values; anything that would break the flat-line format is replaced.
-std::string sanitize(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == '"' || c == '\\' || c == '\n' || c == '\r') c = '_';
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -111,74 +26,50 @@ void RequestLog::append(const RequestLogRecord& rec) {
 }
 
 std::string RequestLog::encode(const RequestLogRecord& rec) {
-  char buf[512];
-  std::string s;
   switch (rec.type) {
     case RequestLogRecord::Type::kHeader:
-      std::snprintf(buf, sizeof(buf), "{\"type\":\"header\",\"version\":%d}",
-                    kLogVersion);
-      s = buf;
-      break;
+      return LogLine("header").num("version", kLogVersion).line();
     case RequestLogRecord::Type::kSubmit:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"type\":\"submit\",\"sid\":%" PRIu64
-                    ",\"job\":\"%s\",\"name\":\"%s\"}",
-                    rec.session_id, sanitize(rec.job_file).c_str(),
-                    sanitize(rec.job_name).c_str());
-      s = buf;
-      break;
+      return LogLine("submit")
+          .num("sid", rec.session_id)
+          .str("job", rec.job_file)
+          .str("name", rec.job_name)
+          .line();
     case RequestLogRecord::Type::kStart:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"type\":\"start\",\"sid\":%" PRIu64 "}",
-                    rec.session_id);
-      s = buf;
-      break;
+      return LogLine("start").num("sid", rec.session_id).line();
     case RequestLogRecord::Type::kCancel:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"type\":\"cancel\",\"sid\":%" PRIu64 "}",
-                    rec.session_id);
-      s = buf;
-      break;
+      return LogLine("cancel").num("sid", rec.session_id).line();
     case RequestLogRecord::Type::kFinish:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"type\":\"finish\",\"sid\":%" PRIu64
-                    ",\"state\":%d,\"checksum\":\"%s\",\"hpwl_bits\":\"%s\","
-                    "\"runtime_bits\":\"%s\",\"rounds\":%d,\"result\":\"%s\","
-                    "\"msg\":\"%s\"}",
-                    rec.session_id, static_cast<int>(rec.state),
-                    hex_u64(rec.checksum).c_str(),
-                    hex_u64(double_bits(rec.hpwl_legal)).c_str(),
-                    hex_u64(double_bits(rec.runtime_s)).c_str(), rec.rounds,
-                    sanitize(rec.result_file).c_str(),
-                    sanitize(rec.message).c_str());
-      s = buf;
-      break;
+      return LogLine("finish")
+          .num("sid", rec.session_id)
+          .num("state", static_cast<int>(rec.state))
+          .hex("checksum", rec.checksum)
+          .bits("hpwl_bits", rec.hpwl_legal)
+          .bits("runtime_bits", rec.runtime_s)
+          .num("rounds", rec.rounds)
+          .str("result", rec.result_file)
+          .str("msg", rec.message)
+          .line();
   }
-  return s;
+  return std::string();
 }
 
 bool RequestLog::decode(const std::string& line, RequestLogRecord* out) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
   std::string type;
-  if (!get_string(line, "type", &type)) return false;
+  if (!log_type(line, &type)) return false;
   RequestLogRecord rec;
-  std::string sid_raw;
   if (type == "header") {
     rec.type = RequestLogRecord::Type::kHeader;
     int version = 0;
-    if (!get_int(line, "version", &version) || version != kLogVersion) {
+    if (!log_int(line, "version", &version) || version != kLogVersion) {
       return false;
     }
   } else {
-    if (!find_raw(line, "sid", &sid_raw) || sid_raw.empty()) return false;
-    char* end = nullptr;
-    errno = 0;
-    rec.session_id = std::strtoull(sid_raw.c_str(), &end, 10);
-    if (errno != 0 || end == sid_raw.c_str() || *end != '\0') return false;
+    if (!log_u64(line, "sid", &rec.session_id)) return false;
     if (type == "submit") {
       rec.type = RequestLogRecord::Type::kSubmit;
-      if (!get_string(line, "job", &rec.job_file)) return false;
-      if (!get_string(line, "name", &rec.job_name)) return false;
+      if (!log_str(line, "job", &rec.job_file)) return false;
+      if (!log_str(line, "name", &rec.job_name)) return false;
     } else if (type == "start") {
       rec.type = RequestLogRecord::Type::kStart;
     } else if (type == "cancel") {
@@ -186,20 +77,17 @@ bool RequestLog::decode(const std::string& line, RequestLogRecord* out) {
     } else if (type == "finish") {
       rec.type = RequestLogRecord::Type::kFinish;
       int state = 0;
-      if (!get_int(line, "state", &state) || state < 0 ||
+      if (!log_int(line, "state", &state) || state < 0 ||
           state > static_cast<int>(SessionState::kFailed)) {
         return false;
       }
       rec.state = static_cast<std::uint8_t>(state);
-      std::uint64_t bits = 0;
-      if (!get_hex(line, "checksum", &rec.checksum)) return false;
-      if (!get_hex(line, "hpwl_bits", &bits)) return false;
-      rec.hpwl_legal = bits_double(bits);
-      if (!get_hex(line, "runtime_bits", &bits)) return false;
-      rec.runtime_s = bits_double(bits);
-      if (!get_int(line, "rounds", &rec.rounds)) return false;
-      if (!get_string(line, "result", &rec.result_file)) return false;
-      if (!get_string(line, "msg", &rec.message)) return false;
+      if (!log_hex(line, "checksum", &rec.checksum)) return false;
+      if (!log_bits(line, "hpwl_bits", &rec.hpwl_legal)) return false;
+      if (!log_bits(line, "runtime_bits", &rec.runtime_s)) return false;
+      if (!log_int(line, "rounds", &rec.rounds)) return false;
+      if (!log_str(line, "result", &rec.result_file)) return false;
+      if (!log_str(line, "msg", &rec.message)) return false;
     } else {
       return false;
     }

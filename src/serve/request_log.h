@@ -1,9 +1,10 @@
 // Append-only request log for the serve daemon (pufferd).
 //
 // Same crash-safety idiom as the trial journal (orchestrate/
-// trial_journal.h), on the same io/append_log.h storage: one flat JSONL
-// record per line, fsync per append, a tolerant loader that drops at most
-// one torn final line, which reopening cuts off. Together with
+// trial_journal.h), on the same io/append_log.h storage and record
+// format: one flat JSONL record per line, fsync per append, a tolerant
+// loader that drops at most one torn final line, which reopening cuts
+// off. Together with
 // the spool directory -- which keeps every session's raw submit body and
 // final result blob as atomically-written files -- the log makes the
 // daemon restartable: replaying it reconstructs each session's last

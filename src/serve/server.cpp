@@ -177,19 +177,7 @@ void PufferServer::read_conn(int fd) {
   const auto it = conns_.find(fd);
   if (it == conns_.end()) return;
   Connection& conn = *it->second;
-  char buf[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n > 0) {
-      conn.in.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {  // peer closed
-      close_conn(fd);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
+  if (!read_ready(fd, &conn.in)) {  // peer closed or read failed
     close_conn(fd);
     return;
   }

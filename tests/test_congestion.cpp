@@ -10,7 +10,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "congestion/estimator.h"
-#include "core/flow.h"
 #include "io/synthetic.h"
 
 namespace puffer {
@@ -237,16 +236,13 @@ TEST(Estimator, WorksOnSyntheticDesign) {
   EXPECT_GT(r.maps.dmd_v.sum(), 0.0);
 }
 
-// Cross-call reuse: the RSMT topology cache is the one piece of state an
-// estimator keeps between estimate() calls.
-
 // Restores the global worker-pool setting after a test that changes it.
 struct ThreadGuard {
   ~ThreadGuard() { par::set_num_threads(0); }
 };
 
-// Repeated estimates on one estimator (a warm topology cache, cells moved
-// between calls) are bit-identical for any worker count.
+// Repeated estimates on one estimator (cells moved between calls) are
+// bit-identical for any worker count.
 TEST(Incremental, ThreadCountInvariance) {
   ThreadGuard guard;
   std::vector<std::uint64_t> checksums[2];
@@ -275,30 +271,6 @@ TEST(Incremental, ThreadCountInvariance) {
     }
   }
   EXPECT_EQ(checksums[0], checksums[1]);
-}
-
-// The warm evaluation router (sharing the estimator's topology cache)
-// must produce exactly the same routing result as a cold router.
-TEST(Incremental, WarmRouterMatchesColdRouter) {
-  SyntheticSpec spec;
-  spec.num_cells = 260;
-  spec.num_nets = 400;
-  spec.num_macros = 2;
-  spec.seed = 37;
-  const Design d = generate_synthetic(spec);
-  CongestionConfig cfg;
-  cfg.pin_crowding = 1.0;
-  CongestionEstimator est(d, cfg);
-  est.estimate();  // populate the topology cache
-
-  const RouterConfig rcfg;
-  const RouteResult cold = evaluate_routability(d, rcfg);
-  const RouteResult warm = evaluate_routability(d, rcfg, &est);
-  EXPECT_EQ(demand_checksum(cold.maps), demand_checksum(warm.maps));
-  EXPECT_DOUBLE_EQ(cold.wirelength, warm.wirelength);
-  EXPECT_EQ(cold.segments, warm.segments);
-  EXPECT_DOUBLE_EQ(cold.overflow.hof_pct, warm.overflow.hof_pct);
-  EXPECT_DOUBLE_EQ(cold.overflow.vof_pct, warm.overflow.vof_pct);
 }
 
 }  // namespace

@@ -500,9 +500,6 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
     EXPECT_EQ(resumed.best_loss, first.best_loss);
     EXPECT_EQ(resumed.best, first.best);
     EXPECT_EQ(resumed.best_checksum, first.best_checksum);
-    // The orchestrator metrics ride on the best trial's FlowMetrics for
-    // the experiment CSV.
-    EXPECT_EQ(resumed.best_flow.orchestrator.trials_resumed, 2);
   }
 
   // A different seed re-keys the space: resuming against the existing

@@ -1,8 +1,7 @@
 // Determinism suite for the parallel runtime (common/parallel.h) and its
 // users: results must be bit-identical across PUFFER_THREADS=1,2,8 and
 // across repeated runs, because the chunk decomposition -- not the worker
-// count -- fixes every floating-point fold order. Also covers the RSMT
-// topology cache (rsmt/rsmt_cache.h) correctness: moved pins invalidate.
+// count -- fixes every floating-point fold order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,7 +16,6 @@
 #include "gp/engine.h"
 #include "gp/wirelength.h"
 #include "io/synthetic.h"
-#include "rsmt/rsmt_cache.h"
 
 namespace puffer {
 namespace {
@@ -238,76 +236,6 @@ TEST_F(ParallelTest, FullFlowBitIdenticalAcrossThreads) {
   for (std::size_t i = 0; i < pos1.size(); ++i) {
     EXPECT_EQ(pos1[i], pos8[i]) << "position mismatch at " << i;
   }
-}
-
-TEST_F(ParallelTest, RsmtCacheHitsOnUnchangedPins) {
-  const Design d = small_design(37);
-  CongestionEstimator est(d, CongestionConfig{});
-  const CongestionResult r1 = est.estimate();
-  const std::uint64_t misses_after_first = est.tree_cache().misses();
-  EXPECT_GT(misses_after_first, 0u);  // cold cache
-  EXPECT_EQ(est.tree_cache().hits(), 0u);
-  const CongestionResult r2 = est.estimate();
-  // Nothing moved: every net is served from the cache...
-  EXPECT_EQ(est.tree_cache().misses(), misses_after_first);
-  EXPECT_EQ(est.tree_cache().hits(), misses_after_first);
-  // ...and the result is identical to the rebuilt one.
-  for (std::size_t i = 0; i < r1.maps.dmd_h.raw().size(); ++i) {
-    EXPECT_EQ(r1.maps.dmd_h.raw()[i], r2.maps.dmd_h.raw()[i]);
-    EXPECT_EQ(r1.maps.dmd_v.raw()[i], r2.maps.dmd_v.raw()[i]);
-  }
-}
-
-TEST_F(ParallelTest, RsmtCacheMovedPinInvalidatesEntry) {
-  Design d = small_design(41);
-  CongestionEstimator est(d, CongestionConfig{});
-  est.estimate();
-  const std::uint64_t misses1 = est.tree_cache().misses();
-  // Move one movable cell far enough to change its Gcell.
-  for (Cell& c : d.cells) {
-    if (!c.movable()) continue;
-    c.x += 40.0;
-    c.y += 40.0;
-    break;
-  }
-  est.estimate();
-  // Only the moved cell's nets rebuild; everything else hits.
-  const std::uint64_t misses2 = est.tree_cache().misses();
-  EXPECT_GT(misses2, misses1);
-  EXPECT_LT(misses2 - misses1, misses1);
-  EXPECT_GT(est.tree_cache().hits(), 0u);
-}
-
-TEST_F(ParallelTest, RsmtCacheKeyQuantization) {
-  RsmtCache cache(1, 1e-3);
-  const std::vector<Point> pins{{1.0, 2.0}, {5.0, 7.0}};
-  std::vector<Point> nudged = pins;
-  nudged[0].x += 1e-5;  // below the quantum: same key
-  EXPECT_EQ(cache.key_of(pins), cache.key_of(nudged));
-  std::vector<Point> moved = pins;
-  moved[0].x += 0.5;  // well beyond the quantum: new key
-  EXPECT_NE(cache.key_of(pins), cache.key_of(moved));
-
-  // A moved pin forces a rebuild through get_or_build as well.
-  cache.get_or_build(0, pins);
-  cache.get_or_build(0, pins);
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.get_or_build(0, moved);
-  EXPECT_EQ(cache.misses(), 2u);
-  // The rebuilt tree reflects the new positions, not the cached ones.
-  const RsmtTree& t = cache.get_or_build(0, moved);
-  EXPECT_EQ(t.points[static_cast<std::size_t>(t.pin_point[0])].pos.x,
-            moved[0].x);
-}
-
-TEST_F(ParallelTest, DisabledCacheAlwaysRebuilds) {
-  CongestionConfig cfg;
-  cfg.enable_rsmt_cache = false;
-  const Design d = small_design(43);
-  CongestionEstimator est(d, cfg);
-  est.estimate();
-  est.estimate();
-  EXPECT_EQ(est.tree_cache().hits(), 0u);
 }
 
 TEST_F(ParallelTest, WorkerLeaseRespectsBudget) {

@@ -3,14 +3,17 @@
 // rejection), message codecs, the prune-thresholds wire codec, the
 // worker's snapshot-key mismatch rejection, and coordinator/worker
 // end-to-end runs (bit-identity with the in-process scheduler, trial
-// reassignment after a worker dies mid-trial).
+// reassignment after a worker dies mid-trial, peers that connect and
+// stall).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -413,6 +416,62 @@ TEST_F(ProtocolTest, WorkerDeathMidTrialReassigned) {
   healthy.join();
 
   // Identical exploration despite the death.
+  EXPECT_EQ(dist.best_trial, ref.best_trial);
+  EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
+  EXPECT_EQ(dist.best_checksum, ref.best_checksum);
+}
+
+TEST_F(ProtocolTest, SilentPeersDoNotStallTheCoordinator) {
+  OrchestrationResult ref;
+  {
+    Design d = generate_synthetic(tiny_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), tiny_experiment_config(),
+                           tiny_orch_config());
+    ref = orch.run();
+  }
+
+  const std::string address = temp_socket("puffer_proto_silent.sock");
+  Design d = generate_synthetic(tiny_spec());
+  TrialOrchestrator orchestrator(d, puffer_param_specs(),
+                                 tiny_experiment_config(), tiny_orch_config());
+  CoordinatorConfig coord;
+  coord.listen = address;
+  coord.min_workers = 1;
+  coord.attach_timeout_s = 60.0;
+  CoordinatorExecutor executor(coord);  // listening from here on
+
+  // Two stalled peers queue ahead of the healthy worker: one connects and
+  // never sends a byte, one sends half a Hello and stops.
+  const int silent = connect_socket(address);
+  const int half = connect_socket(address);
+  HelloMsg hello;
+  hello.design_key = design_structure_key(d);
+  hello.worker_name = "half";
+  const std::string frame = encode_frame(
+      static_cast<std::uint32_t>(MsgType::kHello), encode_hello(hello));
+  ASSERT_EQ(::write(half, frame.data(), frame.size() / 2),
+            static_cast<ssize_t>(frame.size() / 2));
+  std::thread healthy([&address] {
+    Design wd = generate_synthetic(tiny_spec());
+    WorkerConfig cfg;
+    cfg.connect = address;
+    cfg.name = "healthy";
+    cfg.connect_timeout_s = 60.0;
+    EXPECT_EQ(run_worker(wd, tiny_experiment_config(), cfg), 0);
+  });
+
+  std::future<OrchestrationResult> run = std::async(
+      std::launch::async, [&] { return orchestrator.run(executor); });
+  EXPECT_EQ(run.wait_for(std::chrono::seconds(90)), std::future_status::ready)
+      << "the coordinator stalled on a peer that sent no whole frame";
+  // Closing the stalled peers frees a coordinator blocked reading them,
+  // so a failure ends here instead of hanging the suite.
+  ::close(silent);
+  ::close(half);
+  const OrchestrationResult dist = run.get();
+  executor.shutdown_workers();
+  healthy.join();
+
   EXPECT_EQ(dist.best_trial, ref.best_trial);
   EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
   EXPECT_EQ(dist.best_checksum, ref.best_checksum);

@@ -24,6 +24,7 @@
 #include "io/design_codec.h"
 #include "io/net.h"
 #include "io/synthetic.h"
+#include "orchestrate/trial_journal.h"
 #include "serve/client.h"
 #include "serve/request_log.h"
 #include "serve/server.h"
@@ -355,6 +356,96 @@ TEST(RequestLog, ReopenAfterTornTailKeepsNewRecords) {
   EXPECT_EQ(sessions[1].result_file, "result_2.bin");
 }
 
+// Both logs' record lines, pinned byte for byte: logs written before a
+// codec change must still load after it.
+TEST(LogLineFormat, PinsEveryRecordTypeOfBothLogs) {
+  JournalRecord j;
+  j.type = JournalRecord::Type::kHeader;
+  j.design_key = 0x0123456789abcdefull;
+  j.prefix_key = 0xfedcba9876543210ull;
+  j.space_key = 1;
+  j.seed = 1234;
+  j.trials = 16;
+  j.batch_size = 4;
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"header\",\"version\":1,\"design_key\":"
+            "\"0123456789abcdef\",\"prefix_key\":\"fedcba9876543210\","
+            "\"space_key\":\"0000000000000001\",\"seed\":"
+            "\"00000000000004d2\",\"trials\":16,\"batch_size\":4}");
+  j.type = JournalRecord::Type::kCheckpoint;
+  j.path = "ckpt/prefix.ckpt";
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"checkpoint\",\"path\":\"ckpt/prefix.ckpt\","
+            "\"prefix_key\":\"fedcba9876543210\"}");
+  j.type = JournalRecord::Type::kTrialStart;
+  j.trial = 3;
+  j.akey = 0xabc;
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"trial_start\",\"trial\":3,\"akey\":"
+            "\"0000000000000abc\"}");
+  j.type = JournalRecord::Type::kTrialComplete;
+  j.loss = 1.25;
+  j.pruned = true;
+  j.prune_round = 1;
+  j.checksum = 0;
+  j.rounds = {0.1, 2.5};
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"trial_complete\",\"trial\":3,\"akey\":"
+            "\"0000000000000abc\",\"loss_bits\":\"3ff4000000000000\","
+            "\"loss\":1.25,\"pruned\":1,\"prune_round\":1,\"checksum\":"
+            "\"0000000000000000\",\"rounds\":[\"3fb999999999999a\","
+            "\"4004000000000000\"]}");
+  j.loss = 1.0 / 3.0;
+  j.pruned = false;
+  j.prune_round = -1;
+  j.checksum = 0xdeadbeef;
+  j.rounds.clear();
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"trial_complete\",\"trial\":3,\"akey\":"
+            "\"0000000000000abc\",\"loss_bits\":\"3fd5555555555555\","
+            "\"loss\":0.333333,\"pruned\":0,\"prune_round\":-1,"
+            "\"checksum\":\"00000000deadbeef\",\"rounds\":[]}");
+  j.type = JournalRecord::Type::kExploreComplete;
+  j.best_trial = 3;
+  j.best_loss = 1.25;
+  j.best_checksum = 0x1234;
+  EXPECT_EQ(TrialJournal::encode(j),
+            "{\"type\":\"explore_complete\",\"best_trial\":3,"
+            "\"best_loss_bits\":\"3ff4000000000000\",\"best_loss\":1.25,"
+            "\"best_checksum\":\"0000000000001234\"}");
+
+  RequestLogRecord r;
+  r.type = RequestLogRecord::Type::kHeader;
+  EXPECT_EQ(RequestLog::encode(r), "{\"type\":\"header\",\"version\":1}");
+  r.type = RequestLogRecord::Type::kSubmit;
+  r.session_id = 7;
+  r.job_file = "job_7.bin";
+  r.job_name = "a\"b\\c\nd\re";
+  EXPECT_EQ(RequestLog::encode(r),
+            "{\"type\":\"submit\",\"sid\":7,\"job\":\"job_7.bin\","
+            "\"name\":\"a_b_c_d_e\"}");
+  r.type = RequestLogRecord::Type::kStart;
+  EXPECT_EQ(RequestLog::encode(r), "{\"type\":\"start\",\"sid\":7}");
+  r.type = RequestLogRecord::Type::kCancel;
+  r.session_id = 18446744073709551615ull;
+  EXPECT_EQ(RequestLog::encode(r),
+            "{\"type\":\"cancel\",\"sid\":18446744073709551615}");
+  r.type = RequestLogRecord::Type::kFinish;
+  r.session_id = 7;
+  r.state = static_cast<std::uint8_t>(SessionState::kFailed);
+  r.checksum = 0x0123456789abcdefull;
+  r.hpwl_legal = 1.25;
+  r.runtime_s = 0.1;
+  r.rounds = 3;
+  r.result_file = "result_7.bin";
+  r.message = "bad \"key\"";
+  EXPECT_EQ(RequestLog::encode(r),
+            "{\"type\":\"finish\",\"sid\":7,\"state\":4,\"checksum\":"
+            "\"0123456789abcdef\",\"hpwl_bits\":\"3ff4000000000000\","
+            "\"runtime_bits\":\"3fb999999999999a\",\"rounds\":3,"
+            "\"result\":\"result_7.bin\",\"msg\":\"bad _key_\"}");
+}
+
 // --- session manager -----------------------------------------------------
 
 // Drives the manager the way the poll loop does, without a server.
@@ -549,6 +640,72 @@ TEST(ServeSessionManager, RestartRecoversFinishedAndRerunsUnfinished) {
   ASSERT_TRUE(fresh.accepted);
   EXPECT_GT(fresh.session_id, pending_sid);
   h2.mgr().cancel(fresh.session_id);
+}
+
+// A failure message longer than any fixed line buffer must not cut its
+// finish record short: a torn record would lose it and every later one.
+TEST(ServeSessionManager, RestartKeepsSessionsAfterALongFailureMessage) {
+  ServeConfig cfg = manager_config("serve_mgr_long_msg");
+  std::uint64_t failed_sid = 0, done_sid = 0;
+  std::string message;
+  {
+    ManagerHarness h(cfg);
+    SubmitMsg bad = small_job("long-key");
+    bad.config_text = std::string(600, 'k') + " = 1\n";
+    const auto a = h.mgr().submit(encode_submit(bad));
+    ASSERT_TRUE(a.accepted);
+    failed_sid = a.session_id;
+    const ServeSession* s = h.settle(failed_sid);
+    ASSERT_NE(s, nullptr);
+    ASSERT_EQ(s->state, SessionState::kFailed);
+    message = s->summary.message;
+    ASSERT_GT(message.size(), 600u);
+    const auto b = h.mgr().submit(encode_submit(small_job("after")));
+    ASSERT_TRUE(b.accepted);
+    done_sid = b.session_id;
+    ASSERT_NE(h.settle(done_sid), nullptr);
+  }
+
+  ManagerHarness h2(cfg);
+  const ServeSession* failed = h2.mgr().find(failed_sid);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->state, SessionState::kFailed);
+  EXPECT_EQ(failed->summary.message, message);
+  const ServeSession* done = h2.mgr().find(done_sid);
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->state, SessionState::kDone);
+  EXPECT_EQ(done->summary.checksum, direct_reference().checksum);
+  const auto fresh = h2.mgr().submit(encode_submit(small_job("fresh")));
+  ASSERT_TRUE(fresh.accepted);
+  EXPECT_GT(fresh.session_id, done_sid);
+  h2.mgr().cancel(fresh.session_id);
+}
+
+// Same for a client's job name, which the submit record carries.
+TEST(ServeSessionManager, RestartKeepsSessionsAfterALongJobName) {
+  ServeConfig cfg = manager_config("serve_mgr_long_name");
+  const std::string name(600, 'n');
+  std::uint64_t named_sid = 0, next_sid = 0;
+  {
+    ManagerHarness h(cfg);
+    const auto a = h.mgr().submit(encode_submit(small_job(name.c_str())));
+    ASSERT_TRUE(a.accepted);
+    named_sid = a.session_id;
+    ASSERT_NE(h.settle(named_sid), nullptr);
+    const auto b = h.mgr().submit(encode_submit(small_job("after")));
+    ASSERT_TRUE(b.accepted);
+    next_sid = b.session_id;
+    ASSERT_NE(h.settle(next_sid), nullptr);
+  }
+
+  ManagerHarness h2(cfg);
+  for (const std::uint64_t sid : {named_sid, next_sid}) {
+    const ServeSession* s = h2.mgr().find(sid);
+    ASSERT_NE(s, nullptr) << "session " << sid << " lost on restart";
+    EXPECT_EQ(s->state, SessionState::kDone);
+    EXPECT_EQ(s->summary.checksum, direct_reference().checksum);
+  }
+  EXPECT_EQ(h2.mgr().find(named_sid)->job_name, name);
 }
 
 // --- daemon end-to-end ---------------------------------------------------

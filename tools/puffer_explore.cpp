@@ -37,8 +37,6 @@
 //                        fallback kicks in (120)
 //   --workers N          convenience: spawn N local puffer_worker
 //                        children on a private Unix socket
-//   --connect ADDR       run as a worker attached to ADDR (same as the
-//                        puffer_worker binary)
 #include <libgen.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -56,7 +54,6 @@
 #include "io/bookshelf.h"
 #include "orchestrate/coordinator.h"
 #include "orchestrate/orchestrator.h"
-#include "orchestrate/worker.h"
 
 namespace {
 
@@ -67,7 +64,7 @@ const std::string kUsage =
     "       [--journal FILE] [--resume] [--seed N]\n"
     "       [--save-config FILE] [--csv FILE] [--quiet]\n"
     "       [--listen ADDR [--min-workers N] [--attach-timeout S]]\n"
-    "       [--workers N] [--connect ADDR] [--help] [--version]\n";
+    "       [--workers N] [--help] [--version]\n";
 
 // Path of the puffer_worker binary, assumed to sit next to this one.
 std::string sibling_worker_path() {
@@ -119,7 +116,6 @@ int main(int argc, char** argv) {
   std::uint64_t gen_seed = 0;
   OrchestratorConfig orch;
   CoordinatorConfig coord;
-  std::string connect_addr;
   int spawn_workers = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -147,7 +143,6 @@ int main(int argc, char** argv) {
     else if (arg == "--min-workers") coord.min_workers = std::atoi(next());
     else if (arg == "--attach-timeout") coord.attach_timeout_s = std::atof(next());
     else if (arg == "--workers") spawn_workers = std::atoi(next());
-    else if (arg == "--connect") connect_addr = next();
     else if (arg == "--quiet") Logger::instance().set_level(LogLevel::kWarn);
     else {
       usage_error(kUsage, "unknown option " + arg);
@@ -173,19 +168,6 @@ int main(int argc, char** argv) {
   std::printf("design %s: %zu cells, %zu nets, %zu macros\n",
               design.name.c_str(), design.num_movable(), design.nets.size(),
               design.num_macros());
-
-  if (!connect_addr.empty()) {
-    // Worker mode: same as the puffer_worker binary, for convenience.
-    WorkerConfig worker;
-    worker.connect = connect_addr;
-    try {
-      ExperimentConfig base;
-      return run_worker(design, base, worker);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "worker failed: %s\n", e.what());
-      return 1;
-    }
-  }
 
   // --workers N spawns local worker children on a private Unix socket
   // (unless an explicit --listen address was given).
