@@ -79,7 +79,6 @@ int main() {
               kBatch, kConcurrency, par::num_threads());
 
   ExperimentConfig base;
-  base.puffer.num_threads = 0;
 
   // --- serial staged baseline -------------------------------------------
   // explore_parameters() with batch_size=kBatch is the exact fold the
@@ -91,7 +90,6 @@ int main() {
     Design d = base_design;
     ExperimentConfig cfg = base;
     cfg.puffer = apply_assignment(base.puffer, a);
-    cfg.puffer.num_threads = 0;
     PufferFlow flow(d, cfg.puffer);
     FlowSnapshot snap;
     flow.run_prefix(kForkOverflow, RngStream(kSeed), &snap);

@@ -80,7 +80,6 @@ int worker_main(const SyntheticSpec& spec, const std::string& address,
   Logger::instance().set_level(LogLevel::kWarn);
   Design design = generate_synthetic(spec);
   ExperimentConfig base;
-  base.puffer.num_threads = 0;
   WorkerConfig cfg;
   cfg.connect = address;
   cfg.name = "bench-worker-" + std::to_string(index);
@@ -120,7 +119,6 @@ int main() {
               kBatch, kWorkers, par::num_threads());
 
   ExperimentConfig base;
-  base.puffer.num_threads = 0;
 
   OrchestratorConfig orch_cfg;
   orch_cfg.trials = kTrials;

@@ -106,8 +106,8 @@ void restore_positions(Design& d, const Round& r) {
 // placement checksum.
 double run_flow(const SyntheticSpec& spec, int threads, bool legacy,
                 std::uint64_t* sum) {
+  par::set_num_threads(threads);
   PufferConfig cfg;
-  cfg.num_threads = threads;
   cfg.padding.feature.use_legacy_extractor = legacy;
   Design d = generate_synthetic(spec);
   const auto t0 = Clock::now();

@@ -63,8 +63,8 @@ std::uint64_t placement_checksum(const Design& d) {
 // wall time and fills the metrics + final placement checksum.
 double run_flow(const SyntheticSpec& spec, int threads, bool legacy,
                 FlowMetrics* metrics, std::uint64_t* sum) {
+  par::set_num_threads(threads);
   PufferConfig cfg;
-  cfg.num_threads = threads;
   cfg.gp.legacy_kernels = legacy;
   Design d = generate_synthetic(spec);
   const auto t0 = Clock::now();
@@ -215,9 +215,8 @@ int main() {
     rec.result("flow_padding_rounds", m_par.padding_rounds);
     {
       Design d = generate_synthetic(spec);
-      PufferConfig cfg;
-      cfg.num_threads = par_threads;
-      PufferFlow flow(d, cfg);
+      par::set_num_threads(par_threads);
+      PufferFlow flow(d, PufferConfig{});
       flow.run();
       const RouteResult r = evaluate_routability(d);
       rec.result("flow_overflow_pct", r.overflow.total_pct());

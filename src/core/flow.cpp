@@ -17,7 +17,7 @@ PufferFlow::PufferFlow(Design& design, PufferConfig config)
   validate_legalize_config(config_.legal);
 }
 
-FlowMetrics PufferFlow::run() { return run_internal(nullptr, nullptr); }
+FlowMetrics PufferFlow::run() { return run_internal(nullptr); }
 
 std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   BinaryWriter w;
@@ -43,7 +43,6 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
                                    FlowSnapshot* out) {
   FlowMetrics metrics;
   Timer total;
-  if (config_.num_threads > 0) par::set_num_threads(config_.num_threads);
 
   {
     ScopedStageTimer t(metrics.stages, "initial_place");
@@ -80,16 +79,13 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
   return metrics;
 }
 
-FlowMetrics PufferFlow::run_from(const FlowSnapshot& snapshot,
-                                 const RoundCallback& cb) {
-  return run_internal(&snapshot, cb);
+FlowMetrics PufferFlow::run_from(const FlowSnapshot& snapshot) {
+  return run_internal(&snapshot);
 }
 
-FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
-                                     const RoundCallback& cb) {
+FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   FlowMetrics metrics;
   Timer total;
-  if (config_.num_threads > 0) par::set_num_threads(config_.num_threads);
 
   if (snapshot == nullptr) {
     ScopedStageTimer t(metrics.stages, "initial_place");
@@ -135,10 +131,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
       metrics.estimation.full_time_s += est_s;
       const OverflowStats est_of = compute_overflow(congestion.maps);
       metrics.round_est_overflow.push_back(est_of.total_pct());
-      if (cb && !cb(round, est_of)) {
-        metrics.aborted_early = true;
-        break;
-      }
       if (progress_hook_) {
         FlowProgress progress;
         progress.round = round;
@@ -147,8 +139,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
         progress.maps = &congestion.maps;
         if (!progress_hook_(progress)) {
           metrics.aborted_early = true;
-          PUFFER_LOG_INFO(kTag, "flow cancelled by progress hook at round %d",
-                          round);
           break;
         }
       }
@@ -193,7 +183,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot,
     // per-round overflow trail and the deterministic penalty loss.
     metrics.runtime_s = total.elapsed_seconds();
     metrics.padding_stage = padder.stage_metrics();
-    PUFFER_LOG_INFO(kTag, "flow aborted by round callback after round %d",
+    PUFFER_LOG_INFO(kTag, "flow stopped by progress hook at round %d",
                     round);
     return metrics;
   }

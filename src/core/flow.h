@@ -49,10 +49,6 @@ struct PufferConfig {
   // default: the paper's flow evaluates directly after legalization).
   bool run_dp = false;
   double final_overflow = 0.10;  // GP convergence target after padding
-  // Worker threads for the parallel kernels: 0 = keep the current global
-  // setting (PUFFER_THREADS env / hardware), 1 = exact serial path.
-  // Results are bit-identical for any value (see docs/architecture.md).
-  int num_threads = 0;
 };
 
 // Congestion-estimation stage metrics, accumulated by the flow over its
@@ -94,8 +90,9 @@ struct FlowMetrics {
   // estimate, in round order — the rung metrics the early-stop pruner
   // reads.
   std::vector<double> round_est_overflow;
-  // True when a round callback stopped the flow before final convergence
-  // (the session was pruned; legalization was skipped).
+  // True when the progress hook stopped the flow before final
+  // convergence (the session was pruned or cancelled; legalization was
+  // skipped).
   bool aborted_early = false;
   // Per-kernel wall-time breakdown of the global-placement Nesterov loop
   // (wirelength gradient, density rasterization, Poisson solve, gradient
@@ -103,19 +100,13 @@ struct FlowMetrics {
   GpKernelTimes gp_kernels;
 };
 
-// Per-padding-round progress hook for run_from(): called after each
-// round's congestion estimate with the round index (0-based) and the
-// estimated overflow. Returning false aborts the flow (skipping final
-// convergence and legalization) — the early-stop pruning mechanism.
-using RoundCallback =
-    std::function<bool(int round, const OverflowStats& est)>;
-
-// Richer per-round progress record for observers (the serve daemon's
-// streaming telemetry): the round's estimated overflow, the current
-// HPWL, and a read-only view of the round's congestion maps (valid only
-// for the duration of the hook call). Observers must not mutate the
-// design — the hook is called mid-flow and anything it changes would
-// break the determinism contract.
+// Per-padding-round progress record, passed to the progress hook after
+// each round's congestion estimate: the round index (0-based), the
+// round's estimated overflow, the current HPWL, and a read-only view of
+// the round's congestion maps (valid only for the duration of the hook
+// call). Observers (the serve daemon's streaming telemetry, the trial
+// pruner) must not mutate the design — the hook is called mid-flow and
+// anything it changes would break the determinism contract.
 struct FlowProgress {
   int round = 0;
   OverflowStats est;
@@ -123,11 +114,10 @@ struct FlowProgress {
   const RoutingMaps* maps = nullptr;
 };
 
-// Returning false cancels the flow at the round boundary: the run stops
-// before final convergence and legalization with aborted_early set, the
-// same early-exit path the pruning callback uses. Cancellation is only
-// observed at padding-round boundaries (a flow that never triggers
-// padding runs to completion).
+// Returning false stops the flow at the round boundary, before final
+// convergence and legalization, with aborted_early set: how a session is
+// cancelled or a trial pruned. Only padding-round boundaries observe it
+// (a flow that never triggers padding runs to completion).
 using ProgressHook = std::function<bool(const FlowProgress&)>;
 
 class PufferFlow {
@@ -148,8 +138,7 @@ class PufferFlow {
   // run_from() restores the fork state and runs the rest of the flow:
   // a fresh placement engine (the Nesterov state restarts from the
   // restored positions at the boundary — the staged contract), the
-  // padding loop, final convergence and legalization. `cb` (optional)
-  // is the per-round pruning hook.
+  // padding loop, final convergence and legalization.
   //
   // Bit-identity contract: run_from(s) produces identical results
   // whether `s` came from run_prefix() in the same process or through
@@ -158,8 +147,7 @@ class PufferFlow {
   // PUFFER_THREADS like every other kernel.
   FlowMetrics run_prefix(double fork_overflow, const RngStream& rng,
                          FlowSnapshot* out);
-  FlowMetrics run_from(const FlowSnapshot& snapshot,
-                       const RoundCallback& cb = nullptr);
+  FlowMetrics run_from(const FlowSnapshot& snapshot);
 
   // Hash of the prefix-relevant configuration (initial placement, GP,
   // fork point). Trials may only fork from a snapshot whose prefix_key
@@ -170,10 +158,9 @@ class PufferFlow {
   // null before). It keeps no state between estimate() calls.
   CongestionEstimator* estimator() { return estimator_.get(); }
 
-  // Installs a per-round telemetry/cancellation observer, invoked (after
-  // the pruning callback, when both are set) at every padding-round
-  // boundary of run() and run_from(). Read-only: installing a hook never
-  // changes the flow's results.
+  // Installs a per-round observer, invoked at every padding-round
+  // boundary of run() and run_from(). Read-only: a hook that returns true
+  // never changes the flow's results.
   void set_progress_hook(ProgressHook hook) {
     progress_hook_ = std::move(hook);
   }
@@ -181,8 +168,7 @@ class PufferFlow {
  private:
   // Shared body of run() / run_from(): `snapshot` non-null restores the
   // fork state instead of running initial placement.
-  FlowMetrics run_internal(const FlowSnapshot* snapshot,
-                           const RoundCallback& cb);
+  FlowMetrics run_internal(const FlowSnapshot* snapshot);
 
   Design& design_;
   PufferConfig config_;

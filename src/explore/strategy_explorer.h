@@ -39,8 +39,8 @@ struct ExploreConfig {
   // Observations are folded in candidate order, so best/best_loss and the
   // early-stop point are identical for any PUFFER_THREADS value.
   // Concurrent evaluators must be thread-safe and must not mutate global
-  // state (e.g. a PufferFlow evaluator must keep num_threads = 0 so it
-  // does not resize the shared worker pool mid-batch).
+  // state (e.g. call par::set_num_threads, which resizes the shared
+  // worker pool mid-batch).
   int batch_size = 1;
   TpeConfig tpe;
   std::uint64_t seed = 1234;

@@ -1,8 +1,10 @@
 #include "io/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -210,28 +212,38 @@ std::string read_file(const std::string& path) {
   return data;
 }
 
+void ensure_dir(const std::string& path) {
+  if (path.empty()) return;
+  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
+  if (errno == ENOENT) {
+    const std::size_t slash = path.find_last_of('/');
+    if (slash != std::string::npos && slash > 0) {
+      ensure_dir(path.substr(0, slash));
+      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
+    }
+  }
+  throw CheckpointError("cannot create directory " + path + ": " +
+                        std::strerror(errno));
+}
+
 // --- stream-backed frame I/O ---------------------------------------------
 
 namespace {
 
 constexpr std::uint32_t kFrameMagic = 0x5055464d;  // "PUFM"
 constexpr std::uint32_t kWireVersion = 1;
+// magic, version, type, body size | body | fnv1a(body)
+constexpr std::size_t kFrameHeader = 20;
+constexpr std::size_t kFrameTrailer = 8;
 
-// Reads exactly n bytes. Returns the number read: n on success, 0 on EOF
-// before the first byte, anything else means the stream died mid-read.
-std::size_t read_exact(int fd, char* dst, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::read(fd, dst + got, n - got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw CheckpointError(std::string("frame: read failed: ") +
-                            std::strerror(errno));
-    }
-    if (r == 0) break;
-    got += static_cast<std::size_t>(r);
+// Little-endian unsigned integer of `n` bytes at `p`.
+std::uint64_t le_bytes(const char* p, int n) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < n; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
   }
-  return got;
+  return v;
 }
 
 void write_all(int fd, const char* src, std::size_t n) {
@@ -266,69 +278,24 @@ void write_frame_fd(int fd, std::uint32_t type, const std::string& body) {
 }
 
 bool read_frame_fd(int fd, WireFrame* out) {
-  // Header: magic, version, type, body size.
-  char header[20];
-  const std::size_t got = read_exact(fd, header, sizeof(header));
-  if (got == 0) return false;  // clean EOF between frames
-  if (got < sizeof(header)) {
-    throw CheckpointError("frame: truncated header (" + std::to_string(got) +
-                          " of " + std::to_string(sizeof(header)) + " bytes)");
-  }
-  // BinaryReader wants an owning std::string; decode the fixed-size
-  // header in place instead.
-  const auto u32_at = [&](int off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(header[off + i]))
-           << (8 * i);
+  // Reads only the bytes the frame still misses, so the stream stays
+  // positioned at the next frame; FrameBuffer does all the validation.
+  FrameBuffer in;
+  char buf[1 << 16];
+  while (!in.next(out)) {
+    const ssize_t r = ::read(fd, buf, std::min(in.missing(), sizeof(buf)));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw CheckpointError(std::string("frame: read failed: ") +
+                            std::strerror(errno));
     }
-    return v;
-  };
-  const auto u64_at = [&](int off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(header[off + i]))
-           << (8 * i);
+    if (r == 0) {
+      if (in.buffered() == 0) return false;  // clean EOF between frames
+      throw CheckpointError("frame: truncated after " +
+                            std::to_string(in.buffered()) + " bytes");
     }
-    return v;
-  };
-  if (u32_at(0) != kFrameMagic) {
-    throw CheckpointError("frame: bad magic (stream out of sync)");
+    in.append(buf, static_cast<std::size_t>(r));
   }
-  const std::uint32_t version = u32_at(4);
-  if (version != kWireVersion) {
-    throw CheckpointError("frame: unsupported wire version " +
-                          std::to_string(version));
-  }
-  const std::uint32_t type = u32_at(8);
-  const std::uint64_t body_size = u64_at(12);
-  if (body_size > kMaxFrameBody) {
-    throw CheckpointError("frame: body size " + std::to_string(body_size) +
-                          " exceeds limit (corrupt length prefix?)");
-  }
-
-  std::string body(static_cast<std::size_t>(body_size), '\0');
-  if (body_size > 0 &&
-      read_exact(fd, body.data(), body.size()) != body.size()) {
-    throw CheckpointError("frame: truncated body");
-  }
-  char trailer[8];
-  if (read_exact(fd, trailer, sizeof(trailer)) != sizeof(trailer)) {
-    throw CheckpointError("frame: truncated checksum trailer");
-  }
-  std::uint64_t want = 0;
-  for (int i = 0; i < 8; ++i) {
-    want |= static_cast<std::uint64_t>(static_cast<unsigned char>(trailer[i]))
-            << (8 * i);
-  }
-  const std::uint64_t got_sum = fnv1a_bytes(body.data(), body.size());
-  if (want != got_sum) {
-    throw CheckpointError("frame: body checksum mismatch");
-  }
-  out->type = type;
-  out->body = std::move(body);
   return true;
 }
 
@@ -341,55 +308,44 @@ void FrameBuffer::append(const char* data, std::size_t n) {
   buf_.append(data, n);
 }
 
-bool FrameBuffer::next(WireFrame* out) {
-  constexpr std::size_t kHeader = 20;  // magic, version, type, body size
-  if (buffered() < kHeader) return false;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(buf_.data()) + pos_;
-  const auto u32_at = [&](int off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&](int off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p[off + i]) << (8 * i);
-    }
-    return v;
-  };
-  if (u32_at(0) != kFrameMagic) {
+std::size_t FrameBuffer::frame_size() const {
+  if (buffered() < kFrameHeader) return 0;
+  const char* p = buf_.data() + pos_;
+  if (le_bytes(p, 4) != kFrameMagic) {
     throw CheckpointError("frame: bad magic (stream out of sync)");
   }
-  const std::uint32_t version = u32_at(4);
+  const std::uint64_t version = le_bytes(p + 4, 4);
   if (version != kWireVersion) {
     throw CheckpointError("frame: unsupported wire version " +
                           std::to_string(version));
   }
-  const std::uint64_t body_size = u64_at(12);
+  const std::uint64_t body_size = le_bytes(p + 12, 8);
   if (body_size > kMaxFrameBody) {
     throw CheckpointError("frame: body size " + std::to_string(body_size) +
                           " exceeds limit (corrupt length prefix?)");
   }
-  const std::size_t total =
-      kHeader + static_cast<std::size_t>(body_size) + 8;
-  if (buffered() < total) return false;
-  std::string body(buf_, pos_ + kHeader, static_cast<std::size_t>(body_size));
-  std::uint64_t want = 0;
-  {
-    const unsigned char* t = p + kHeader + body_size;
-    for (int i = 0; i < 8; ++i) {
-      want |= static_cast<std::uint64_t>(t[i]) << (8 * i);
-    }
-  }
-  if (want != fnv1a_bytes(body.data(), body.size())) {
+  return kFrameHeader + static_cast<std::size_t>(body_size) + kFrameTrailer;
+}
+
+std::size_t FrameBuffer::missing() const {
+  const std::size_t size = frame_size();
+  if (size == 0) return kFrameHeader - buffered();
+  return size > buffered() ? size - buffered() : 0;
+}
+
+bool FrameBuffer::next(WireFrame* out) {
+  const std::size_t size = frame_size();
+  if (size == 0 || buffered() < size) return false;
+  const char* p = buf_.data() + pos_;
+  const std::size_t body_size = size - kFrameHeader - kFrameTrailer;
+  std::string body(p + kFrameHeader, body_size);
+  if (le_bytes(p + kFrameHeader + body_size, 8) !=
+      fnv1a_bytes(body.data(), body.size())) {
     throw CheckpointError("frame: body checksum mismatch");
   }
-  out->type = u32_at(8);
+  out->type = static_cast<std::uint32_t>(le_bytes(p + 8, 4));
   out->body = std::move(body);
-  pos_ += total;
+  pos_ += size;
   return true;
 }
 

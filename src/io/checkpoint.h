@@ -91,6 +91,10 @@ void atomic_write_file(const std::string& path, const std::string& data);
 // Reads a whole file; throws CheckpointError when unreadable.
 std::string read_file(const std::string& path);
 
+// mkdir -p (relative or absolute); throws CheckpointError when a
+// directory cannot be created.
+void ensure_dir(const std::string& path);
+
 // --- stream-backed frame I/O ---------------------------------------------
 // Length-prefixed binary frames over an arbitrary byte stream (socket,
 // pipe, ...): the same codec + FNV-1a integrity story as the checkpoint
@@ -122,23 +126,32 @@ void write_frame_fd(int fd, std::uint32_t type, const std::string& body);
 
 // Blocking read of one frame. Returns false on a clean EOF at a frame
 // boundary; throws CheckpointError on truncation mid-frame, bad magic,
-// version mismatch, oversized body, or checksum failure.
+// version mismatch, oversized body, or checksum failure. Reads no byte
+// past the frame, so the next call starts at the next frame.
 bool read_frame_fd(int fd, WireFrame* out);
 
-// Incremental frame decoder for non-blocking streams (the poll()-driven
-// serve daemon): append() whatever bytes arrived, next() pops complete
-// frames. Same validation as read_frame_fd -- bad magic, unsupported
-// version, oversized body and checksum mismatches throw CheckpointError
-// (after which the stream is unusable and should be closed). Bytes of a
-// not-yet-complete frame simply stay buffered.
+// Incremental frame decoder for non-blocking streams (io/net.h
+// FrameServer) and the one place a frame's header and trailer are
+// parsed: append() whatever bytes arrived, next() pops complete frames.
+// Bad magic, unsupported version, oversized body and checksum mismatches
+// throw CheckpointError (after which the stream is unusable and should be
+// closed). Bytes of a not-yet-complete frame simply stay buffered.
 class FrameBuffer {
  public:
   void append(const char* data, std::size_t n);
   // True (and *out filled) when a complete frame was buffered.
   bool next(WireFrame* out);
+  // Bytes still missing before next() can pop a frame: the rest of the
+  // header, then the rest of the frame. Throws like next() on a bad
+  // header.
+  std::size_t missing() const;
   std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
+  // Size of the buffered frame from its validated header; 0 while the
+  // header is incomplete.
+  std::size_t frame_size() const;
+
   std::string buf_;
   std::size_t pos_ = 0;  // consumed prefix, compacted lazily
 };

@@ -1,17 +1,11 @@
 #include "orchestrate/coordinator.h"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
 #include "common/logger.h"
-#include "common/timer.h"
 #include "core/config_io.h"
-#include "orchestrate/protocol.h"
 #include "orchestrate/pruner.h"
 #include "orchestrate/session.h"
 
@@ -39,50 +33,77 @@ CoordinatorConfig validate_coordinator_config(CoordinatorConfig config) {
   return config;
 }
 
-struct CoordinatorExecutor::Worker {
-  int fd = -1;
-  std::string name;
-  bool attached = false;  // handshake done: may take trials
-  int task = -1;  // index into the current batch's tasks, -1 = idle
-  FrameBuffer in;  // received bytes not yet decoded into frames
-};
-
 CoordinatorExecutor::CoordinatorExecutor(CoordinatorConfig config)
-    : config_(validate_coordinator_config(std::move(config))) {
-  ignore_sigpipe();
-  listen_fd_ = listen_socket(config_.listen);
+    : config_(validate_coordinator_config(std::move(config))),
+      frames_(
+          config_.listen,
+          [this](ConnId id, const WireFrame& frame) { on_frame(id, frame); },
+          [this](ConnId id, const std::string& why) { on_close(id, why); }) {
   PUFFER_LOG_INFO(kTag, "listening on %s", config_.listen.c_str());
 }
 
-CoordinatorExecutor::~CoordinatorExecutor() {
-  shutdown_workers();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (is_unix_address(config_.listen)) ::unlink(config_.listen.c_str());
-}
+CoordinatorExecutor::~CoordinatorExecutor() { shutdown_workers(); }
 
 int CoordinatorExecutor::slots() const { return std::max(1, peak_workers_); }
 
 int CoordinatorExecutor::workers_attached() const {
-  return static_cast<int>(
-      std::count_if(workers_.begin(), workers_.end(),
-                    [](const Worker& w) { return w.attached; }));
+  return static_cast<int>(std::count_if(
+      workers_.begin(), workers_.end(),
+      [](const auto& entry) { return entry.second.ready; }));
 }
 
 void CoordinatorExecutor::shutdown_workers() {
-  for (Worker& w : workers_) {
-    if (w.attached) {
-      try {
-        send_msg(w.fd, MsgType::kShutdown, std::string());
-      } catch (const CheckpointError&) {
-        // Worker already gone.
-      }
-    }
-    ::close(w.fd);
+  for (const auto& [id, w] : workers_) {
+    if (w.ready) send(id, MsgType::kShutdown, std::string());
+    frames_.close(id);
   }
   workers_.clear();
 }
 
-void CoordinatorExecutor::handshake(Worker& w, const WireFrame& frame) {
+void CoordinatorExecutor::send(ConnId id, MsgType type,
+                               const std::string& body) {
+  frames_.send(id, static_cast<std::uint32_t>(type), body);
+}
+
+void CoordinatorExecutor::on_frame(ConnId id, const WireFrame& frame) {
+  const auto it = workers_.find(id);
+  if (it == workers_.end()) {
+    handshake(id, frame);
+    return;
+  }
+  Worker& w = it->second;
+  if (w.ready) {
+    take_result(w, frame);
+    return;
+  }
+  if (frame.type != static_cast<std::uint32_t>(MsgType::kReady)) {
+    throw CheckpointError("expected ready");
+  }
+  w.ready = true;
+  const int attached = workers_attached();
+  peak_workers_ = std::max(peak_workers_, attached);
+  PUFFER_LOG_INFO(kTag, "worker %s attached (%d attached)", w.name.c_str(),
+                  attached);
+}
+
+void CoordinatorExecutor::on_close(ConnId id, const std::string& why) {
+  const auto it = workers_.find(id);
+  if (it == workers_.end()) {
+    PUFFER_LOG_WARN(kTag, "handshake failed: %s", why.c_str());
+    return;
+  }
+  const Worker& w = it->second;
+  PUFFER_LOG_WARN(kTag, "worker %s lost (%s)%s", w.name.c_str(), why.c_str(),
+                  w.task >= 0 ? ", reassigning its trial" : "");
+  if (w.task >= 0) {
+    pending_.push_back(w.task);
+    ++trials_reassigned_;
+  }
+  if (w.ready) since_lost_ = Timer();
+  workers_.erase(it);
+}
+
+void CoordinatorExecutor::handshake(ConnId id, const WireFrame& frame) {
   if (frame.type != static_cast<std::uint32_t>(MsgType::kHello)) {
     throw CheckpointError("expected hello");
   }
@@ -90,7 +111,7 @@ void CoordinatorExecutor::handshake(Worker& w, const WireFrame& frame) {
   const auto refuse = [&](const std::string& why) {
     ErrorMsg err;
     err.message = why;
-    send_msg(w.fd, MsgType::kError, encode_error(err));
+    send(id, MsgType::kError, encode_error(err));
     throw CheckpointError("refused worker " + hello.worker_name + ": " + why);
   };
   if (hello.protocol_version != kOrchProtocolVersion) {
@@ -112,71 +133,38 @@ void CoordinatorExecutor::handshake(Worker& w, const WireFrame& frame) {
   ack.seed = ctx_.seed;
   ack.base_config_text = base_config_text_;
   ack.snapshot_follows = cached ? 0 : 1;
-  send_msg(w.fd, MsgType::kHelloAck, encode_hello_ack(ack));
-  if (!cached) {
-    send_msg(w.fd, MsgType::kSnapshot, snapshot_bytes_);
-  }
-  w.name = hello.worker_name;
-  w.attached = true;
-  const int attached = workers_attached();
-  peak_workers_ = std::max(peak_workers_, attached);
-  PUFFER_LOG_INFO(kTag, "worker %s attached (%d connected, snapshot %s)",
-                  w.name.c_str(), attached, cached ? "cached" : "shipped");
+  send(id, MsgType::kHelloAck, encode_hello_ack(ack));
+  if (!cached) send(id, MsgType::kSnapshot, snapshot_bytes_);
+  workers_[id].name = hello.worker_name;
+  PUFFER_LOG_INFO(kTag, "worker %s said hello (snapshot %s)",
+                  hello.worker_name.c_str(), cached ? "cached" : "shipped");
 }
 
-void CoordinatorExecutor::drop_worker(std::size_t w, const std::string& why) {
-  const Worker& worker = workers_[w];
-  if (worker.attached) {
-    PUFFER_LOG_WARN(kTag, "worker %s lost (%s)%s", worker.name.c_str(),
-                    why.c_str(),
-                    worker.task >= 0 ? ", reassigning its trial" : "");
-  } else {
-    PUFFER_LOG_WARN(kTag, "handshake failed: %s", why.c_str());
+void CoordinatorExecutor::take_result(Worker& w, const WireFrame& frame) {
+  if (frame.type == static_cast<std::uint32_t>(MsgType::kError)) {
+    throw CheckpointError("worker error: " + decode_error(frame.body).message);
   }
-  ::close(worker.fd);
-  workers_.erase(workers_.begin() + static_cast<std::ptrdiff_t>(w));
-}
-
-int CoordinatorExecutor::pump(const FrameFn& on_frame,
-                              std::vector<int>* orphans) {
-  std::vector<pollfd> fds;
-  fds.reserve(workers_.size() + 1);
-  fds.push_back({listen_fd_, POLLIN, 0});
-  for (const Worker& w : workers_) fds.push_back({w.fd, POLLIN, 0});
-  if (::poll(fds.data(), fds.size(), kPollMs) <= 0) return 0;
-
-  int dropped = 0;
-  // Backwards, so a drop shifts only connections already handled.
-  for (std::size_t i = workers_.size(); i-- > 0;) {
-    if (fds[i + 1].revents == 0) continue;
-    Worker& w = workers_[i];
-    try {
-      // A hangup with a complete result still buffered must count the
-      // result, so the buffered frames are handled before the EOF.
-      const bool open = read_ready(w.fd, &w.in);
-      WireFrame frame;
-      while (w.in.next(&frame)) {
-        if (w.attached) {
-          on_frame(w, frame);
-        } else {
-          handshake(w, frame);
-        }
-      }
-      if (!open) throw CheckpointError("connection closed");
-    } catch (const CheckpointError& e) {
-      if (w.attached) {
-        ++dropped;
-        if (w.task >= 0) orphans->push_back(w.task);
-      }
-      drop_worker(i, e.what());
-    }
+  if (frame.type != static_cast<std::uint32_t>(MsgType::kTrialResult)) {
+    throw CheckpointError("unexpected message type " +
+                          std::to_string(frame.type));
   }
-  if (fds[0].revents & POLLIN) {
-    Worker w;
-    w.fd = accept_socket(listen_fd_);
-    workers_.push_back(std::move(w));
+  const TrialResultMsg msg = decode_trial_result(frame.body);
+  const auto i = static_cast<std::size_t>(w.task);
+  if (w.task < 0 || (*tasks_)[i].trial_id != msg.trial_id ||
+      assignment_key((*tasks_)[i].assignment) != msg.akey) {
+    throw CheckpointError("result does not match the assignment");
   }
-  return dropped;
+  TrialResult& r = (*results_)[i];
+  r.trial_id = msg.trial_id;
+  r.loss = msg.loss;
+  r.pruned = msg.pruned != 0;
+  r.prune_round = msg.prune_round;
+  r.checksum = msg.checksum;
+  r.rounds = msg.rounds;
+  r.wall_s = msg.wall_s;
+  r.metrics_valid = false;  // FlowMetrics never cross the wire
+  w.task = -1;
+  --remaining_;
 }
 
 void CoordinatorExecutor::prepare(const TrialRunContext& ctx) {
@@ -184,12 +172,6 @@ void CoordinatorExecutor::prepare(const TrialRunContext& ctx) {
   snapshot_bytes_ = encode_snapshot(*ctx.snapshot);
   base_config_text_ = config_to_text(ctx.base->puffer);
 
-  // No trial is assigned yet, so an attached worker has nothing to say.
-  const FrameFn unexpected = [](Worker&, const WireFrame& frame) {
-    throw CheckpointError("unexpected message type " +
-                          std::to_string(frame.type));
-  };
-  std::vector<int> orphans;
   Timer timer;
   while (workers_attached() < config_.min_workers) {
     if (timer.elapsed_seconds() > config_.attach_timeout_s) {
@@ -200,104 +182,60 @@ void CoordinatorExecutor::prepare(const TrialRunContext& ctx) {
                       config_.attach_timeout_s);
       return;
     }
-    pump(unexpected, &orphans);
+    frames_.poll(kPollMs);
   }
 }
 
 void CoordinatorExecutor::run_batch(const std::vector<TrialTask>& tasks,
                                     const std::vector<int>& to_run,
                                     std::vector<TrialResult>* results) {
-  std::deque<int> pending(to_run.begin(), to_run.end());
-  std::size_t remaining = to_run.size();
-  Timer starve_timer;  // time since the last worker disappeared
+  tasks_ = &tasks;
+  results_ = results;
+  pending_.assign(to_run.begin(), to_run.end());
+  remaining_ = to_run.size();
+  since_lost_ = Timer();
 
-  const auto assign_to = [&](Worker& w, int i) {
-    const TrialTask& task = tasks[static_cast<std::size_t>(i)];
-    TrialAssignMsg msg;
-    msg.trial_id = task.trial_id;
-    msg.assignment = task.assignment;
-    msg.akey = assignment_key(task.assignment);
-    if (task.pruner) msg.pruner_blob = encode_prune_thresholds(*task.pruner);
-    send_msg(w.fd, MsgType::kTrialAssign, encode_trial_assign(msg));
-    w.task = i;
-  };
-  const FrameFn take_result = [&](Worker& w, const WireFrame& frame) {
-    if (frame.type == static_cast<std::uint32_t>(MsgType::kError)) {
-      throw CheckpointError("worker error: " +
-                            decode_error(frame.body).message);
-    }
-    if (frame.type != static_cast<std::uint32_t>(MsgType::kTrialResult)) {
-      throw CheckpointError("unexpected message type " +
-                            std::to_string(frame.type));
-    }
-    const TrialResultMsg msg = decode_trial_result(frame.body);
-    const int i = w.task;
-    if (i < 0 ||
-        tasks[static_cast<std::size_t>(i)].trial_id != msg.trial_id ||
-        assignment_key(tasks[static_cast<std::size_t>(i)].assignment) !=
-            msg.akey) {
-      throw CheckpointError("result does not match the assignment");
-    }
-    TrialResult& r = (*results)[static_cast<std::size_t>(i)];
-    r.trial_id = msg.trial_id;
-    r.loss = msg.loss;
-    r.pruned = msg.pruned != 0;
-    r.prune_round = msg.prune_round;
-    r.checksum = msg.checksum;
-    r.rounds = msg.rounds;
-    r.wall_s = msg.wall_s;
-    r.metrics_valid = false;  // FlowMetrics never cross the wire
-    w.task = -1;
-    --remaining;
-  };
-
-  while (remaining > 0) {
-    // Hand pending trials to idle workers. A send failure means the
-    // worker died between polls: requeue and drop.
-    for (std::size_t w = 0; w < workers_.size() && !pending.empty();) {
-      if (!workers_[w].attached || workers_[w].task >= 0) {
-        ++w;
-        continue;
-      }
-      const int i = pending.front();
-      try {
-        assign_to(workers_[w], i);
-        pending.pop_front();
-        ++w;
-      } catch (const CheckpointError&) {
-        drop_worker(w, "send failed");
-        starve_timer = Timer();
-      }
+  while (remaining_ > 0) {
+    // Hand pending trials to idle attached workers.
+    for (auto& [id, w] : workers_) {
+      if (pending_.empty()) break;
+      if (!w.ready || w.task >= 0) continue;
+      const TrialTask& task =
+          tasks[static_cast<std::size_t>(pending_.front())];
+      TrialAssignMsg msg;
+      msg.trial_id = task.trial_id;
+      msg.assignment = task.assignment;
+      msg.akey = assignment_key(task.assignment);
+      if (task.pruner) msg.pruner_blob = encode_prune_thresholds(*task.pruner);
+      send(id, MsgType::kTrialAssign, encode_trial_assign(msg));
+      w.task = pending_.front();
+      pending_.pop_front();
     }
 
     if (workers_attached() == 0 &&
-        starve_timer.elapsed_seconds() > config_.attach_timeout_s) {
+        since_lost_.elapsed_seconds() > config_.attach_timeout_s) {
       // Every worker is gone and none re-attached in time: evaluate the
       // rest in-process so the exploration finishes.
       PUFFER_LOG_WARN(kTag,
                       "no workers for %.0f s; evaluating %zu remaining "
                       "trial(s) in-process",
-                      config_.attach_timeout_s, remaining);
-      while (!pending.empty()) {
-        const int i = pending.front();
-        pending.pop_front();
+                      config_.attach_timeout_s, remaining_);
+      for (const int i : pending_) {
         (*results)[static_cast<std::size_t>(i)] = run_trial_session(
             *tasks[static_cast<std::size_t>(i)].design,
             tasks[static_cast<std::size_t>(i)]);
         ++trials_in_process_;
-        --remaining;
+        --remaining_;
       }
+      pending_.clear();
       continue;
     }
 
     // Wait for results, worker deaths, or new attaches.
-    std::vector<int> orphans;
-    if (pump(take_result, &orphans) > 0) starve_timer = Timer();
-    for (const int i : orphans) {
-      pending.push_back(i);
-      ++trials_reassigned_;
-    }
+    frames_.poll(kPollMs);
   }
+  tasks_ = nullptr;
+  results_ = nullptr;
 }
 
 OrchestrationResult run_distributed_orchestration(

@@ -10,27 +10,30 @@
 // *where* a trial evaluates, and workers run the identical session code
 // on a structure-verified copy of the design.
 //
-// Fault model: a worker that dies or disconnects mid-trial is detected
-// by EOF/write failure; its in-flight trial returns to the pending queue
-// and is reassigned to a surviving (or newly attached) worker. Workers
-// may attach at any time, including mid-batch. If every worker is gone
-// and none attaches within `attach_timeout_s`, the executor runs the
-// remaining trials in-process. Sockets are read without blocking, like
-// pufferd's connections: an accepted connection joins the poll set and
-// its handshake runs once a whole Hello has arrived, so a peer that
-// connects and stays silent, or stalls mid-frame, holds up nothing.
-// Writes still block. Coordinator death is the journal's job, exactly as
-// for the in-process scheduler: resume replays completed trials
-// (scripts/kill_resume_smoke).
+// Fault model: a worker that dies or disconnects mid-trial shows up as a
+// closed connection; its in-flight trial returns to the pending queue and
+// is reassigned to a surviving (or newly attached) worker. Workers may
+// attach at any time, including mid-batch. If every worker is gone and
+// none attaches within `attach_timeout_s`, the executor runs the
+// remaining trials in-process. The sockets run on io/net.h FrameServer,
+// like pufferd's: no read or write waits on a peer, and a worker counts
+// as attached only once it reports kReady with the prefix snapshot in
+// hand, so a peer that stays silent, stalls mid-frame, or never reads its
+// snapshot holds up nothing. Coordinator death is the journal's job,
+// exactly as for the in-process scheduler: resume replays completed
+// trials (scripts/kill_resume_smoke).
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "io/checkpoint.h"
+#include "common/timer.h"
+#include "io/net.h"
 #include "orchestrate/orchestrator.h"
+#include "orchestrate/protocol.h"
 
 namespace puffer {
 
@@ -59,8 +62,8 @@ class CoordinatorExecutor : public TrialExecutor {
   CoordinatorExecutor(const CoordinatorExecutor&) = delete;
   CoordinatorExecutor& operator=(const CoordinatorExecutor&) = delete;
 
-  // Waits for min_workers attaches and completes their handshakes
-  // (snapshot shipped unless cached).
+  // Waits until min_workers workers have attached: handshake done,
+  // snapshot shipped unless cached, kReady received.
   void prepare(const TrialRunContext& ctx) override;
   void run_batch(const std::vector<TrialTask>& tasks,
                  const std::vector<int>& to_run,
@@ -69,39 +72,46 @@ class CoordinatorExecutor : public TrialExecutor {
   // utilization denominator.
   int slots() const override;
 
-  // Sends kShutdown to every attached worker and closes the sockets;
-  // called by the destructor, exposed for a graceful early stop.
+  // Sends kShutdown to every attached worker and closes the workers'
+  // connections; called by the destructor, exposed for a graceful early
+  // stop.
   void shutdown_workers();
 
-  int workers_attached() const;  // currently attached (handshake done)
+  int workers_attached() const;  // currently attached (kReady received)
   // Trials that died with a worker and were reassigned.
   int trials_reassigned() const { return trials_reassigned_; }
   // Trials evaluated in this process because no worker was left.
   int trials_in_process() const { return trials_in_process_; }
 
  private:
-  struct Worker;
-  // Handles one frame from an attached worker; throws CheckpointError to
-  // drop it.
-  using FrameFn = std::function<void(Worker&, const WireFrame&)>;
+  using ConnId = FrameServer::ConnId;
+  struct Worker {
+    std::string name;
+    bool ready = false;  // kReady received: may take trials
+    int task = -1;  // index into the current batch's tasks, -1 = idle
+  };
 
-  // Waits up to one poll interval, then reads every ready connection
-  // without blocking, runs the handshake of each whose Hello has
-  // arrived, passes attached workers' frames to `on_frame`, and accepts
-  // a new connection. Drops a connection that closes, fails, sends a bad
-  // frame or has a frame rejected; a dropped worker's trial index goes to
-  // `orphans`. Returns the number of attached workers dropped.
-  int pump(const FrameFn& on_frame, std::vector<int>* orphans);
-  void handshake(Worker& w, const WireFrame& frame);
-  void drop_worker(std::size_t w, const std::string& why);
+  // FrameServer handlers. on_frame throws CheckpointError to drop the
+  // connection, which then reaches on_close.
+  void on_frame(ConnId id, const WireFrame& frame);
+  void on_close(ConnId id, const std::string& why);
+  void handshake(ConnId id, const WireFrame& frame);
+  void take_result(Worker& w, const WireFrame& frame);
+  void send(ConnId id, MsgType type, const std::string& body);
 
   CoordinatorConfig config_;
-  int listen_fd_ = -1;
+  FrameServer frames_;
   TrialRunContext ctx_;
   std::string snapshot_bytes_;      // encode_snapshot(ctx.snapshot), cached
   std::string base_config_text_;
-  // Accepted connections, attached or still waiting for their Hello.
-  std::vector<Worker> workers_;
+  // Connections that sent a valid Hello, attached or not yet ready.
+  std::map<ConnId, Worker> workers_;
+  // The batch run_batch() is working on (null between batches).
+  const std::vector<TrialTask>* tasks_ = nullptr;
+  std::vector<TrialResult>* results_ = nullptr;
+  std::deque<int> pending_;  // trial indices not assigned to a worker
+  std::size_t remaining_ = 0;  // trials of the batch without a result
+  Timer since_lost_;  // since the last attached worker was lost
   int peak_workers_ = 0;
   int trials_reassigned_ = 0;
   int trials_in_process_ = 0;

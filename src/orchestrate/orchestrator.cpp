@@ -1,12 +1,8 @@
 #include "orchestrate/orchestrator.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -25,21 +21,6 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "orchestrate";
-
-// mkdir -p for the checkpoint directory (relative or absolute).
-void ensure_dir(const std::string& path) {
-  if (path.empty()) return;
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  if (errno == ENOENT) {
-    const std::size_t slash = path.find_last_of('/');
-    if (slash != std::string::npos && slash > 0) {
-      ensure_dir(path.substr(0, slash));
-      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-    }
-  }
-  throw CheckpointError("cannot create directory " + path + ": " +
-                        std::strerror(errno));
-}
 
 }  // namespace
 

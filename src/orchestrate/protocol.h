@@ -15,13 +15,15 @@
 //                             <---  HelloAck(keys, base config,
 //                                            snapshot_follows)
 //                             <---  Snapshot(encode_snapshot bytes)   [opt]
+//   Ready                     --->
 //                             <---  TrialAssign(trial, akey, x, pruner)
 //   TrialResult(...)          --->
 //                ... more assignments ...
 //                             <---  Shutdown
 //
-// Either side may send Error(message) and close. A worker that dies
-// mid-trial is detected by EOF/write failure on its socket; the
+// Either side may send Error(message) and close. The coordinator counts
+// a worker as attached, and assigns it trials, only after its Ready. A
+// worker that dies mid-trial shows up as a closed connection; the
 // coordinator requeues the trial for the surviving workers.
 #pragma once
 
@@ -37,7 +39,7 @@ namespace puffer {
 
 // Protocol (message-schema) version, checked in Hello/HelloAck on top of
 // the per-frame wire version.
-constexpr std::uint32_t kOrchProtocolVersion = 2;
+constexpr std::uint32_t kOrchProtocolVersion = 3;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,
@@ -47,6 +49,7 @@ enum class MsgType : std::uint32_t {
   kTrialResult = 5,
   kShutdown = 6,
   kError = 7,
+  kReady = 8,  // empty body: the worker holds the prefix snapshot
 };
 
 struct HelloMsg {
@@ -112,12 +115,7 @@ TrialResultMsg decode_trial_result(const std::string& body);
 std::string encode_error(const ErrorMsg& m);
 ErrorMsg decode_error(const std::string& body);
 
-// Typed frame send over the stream layer.
+// Typed blocking frame send (the worker side).
 void send_msg(int fd, MsgType type, const std::string& body);
-
-// The socket address helpers (is_unix_address, listen_socket,
-// accept_socket, connect_socket, connect_socket_retry, ignore_sigpipe)
-// moved to the shared io/net.h so serve/, coordinator and worker use one
-// implementation; included above for source compatibility.
 
 }  // namespace puffer

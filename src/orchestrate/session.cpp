@@ -34,22 +34,20 @@ TrialResult run_trial_session(const Design& base_design,
   Design design = base_design;  // private copy: sessions share nothing
   ExperimentConfig cfg = *task.base;
   cfg.puffer = apply_assignment(task.base->puffer, task.assignment);
-  // Sessions must never resize the shared worker pool mid-run.
-  cfg.puffer.num_threads = 0;
 
   PufferFlow flow(design, cfg.puffer);
   int prune_round = -1;
   double prune_value = 0.0;
   const PruneThresholds* pruner = task.pruner;
-  const RoundCallback cb = [&](int round, const OverflowStats& est) {
-    if (pruner && pruner->should_prune(round, est.total_pct())) {
-      prune_round = round;
-      prune_value = est.total_pct();
+  if (pruner) {
+    flow.set_progress_hook([&](const FlowProgress& p) {
+      if (!pruner->should_prune(p.round, p.est.total_pct())) return true;
+      prune_round = p.round;
+      prune_value = p.est.total_pct();
       return false;
-    }
-    return true;
-  };
-  result.flow = flow.run_from(*task.snapshot, cb);
+    });
+  }
+  result.flow = flow.run_from(*task.snapshot);
   result.rounds = result.flow.round_est_overflow;
 
   if (result.flow.aborted_early) {

@@ -115,7 +115,8 @@ bool serve_coordinator(int fd, const Design& design,
   // both sides apply candidate assignments onto identical bases.
   ExperimentConfig cfg = base;
   cfg.puffer = config_from_text(ack.base_config_text, base.puffer);
-  cfg.puffer.num_threads = 0;
+  // Snapshot in hand: only now may the coordinator assign trials.
+  send_msg(fd, MsgType::kReady, std::string());
 
   PUFFER_LOG_INFO(kTag, "%s attached: design %016llx prefix %016llx",
                   worker_name.c_str(),

@@ -143,15 +143,8 @@ ServerHelloMsg decode_server_hello(const std::string& body) {
 
 std::string encode_submit(const SubmitMsg& m) {
   BinaryWriter w;
-  w.put_u8(m.format);
   w.put_string(m.job_name);
   w.put_string(m.design_blob);
-  w.put_u64(m.files.size());
-  for (const auto& f : m.files) {
-    w.put_string(f.first);
-    w.put_string(f.second);
-  }
-  w.put_string(m.aux_name);
   w.put_string(m.config_text);
   return w.take();
 }
@@ -159,20 +152,8 @@ std::string encode_submit(const SubmitMsg& m) {
 SubmitMsg decode_submit(const std::string& body) {
   BinaryReader r(body);
   SubmitMsg m;
-  m.format = r.get_u8();
-  if (m.format > static_cast<std::uint8_t>(JobFormat::kBookshelfBundle)) {
-    throw CheckpointError("serve: invalid job format");
-  }
   m.job_name = r.get_string();
   m.design_blob = r.get_string();
-  const std::uint64_t nfiles = r.get_u64();
-  check_count(nfiles, r.remaining(), 8 + 8, "submit file");
-  m.files.resize(static_cast<std::size_t>(nfiles));
-  for (auto& f : m.files) {
-    f.first = r.get_string();
-    f.second = r.get_string();
-  }
-  m.aux_name = r.get_string();
   m.config_text = r.get_string();
   finish_decode(r, "submit");
   return m;

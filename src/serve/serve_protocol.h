@@ -42,7 +42,7 @@ namespace puffer {
 
 // Protocol (message-schema) version, checked in the hello exchange on
 // top of the per-frame wire version.
-constexpr std::uint32_t kServeProtocolVersion = 1;
+constexpr std::uint32_t kServeProtocolVersion = 2;
 
 enum class ServeMsgType : std::uint32_t {
   // client -> daemon
@@ -105,20 +105,9 @@ struct ServerHelloMsg {
   std::string daemon_name;
 };
 
-// How the job's netlist is encoded.
-enum class JobFormat : std::uint8_t {
-  kBinaryDesign = 0,     // io/design_codec.h blob
-  kBookshelfBundle = 1,  // named Bookshelf file texts (.aux + members)
-};
-
 struct SubmitMsg {
-  std::uint8_t format = static_cast<std::uint8_t>(JobFormat::kBinaryDesign);
   std::string job_name;     // client-side label (logs only)
-  std::string design_blob;  // kBinaryDesign: encode_design bytes
-  // kBookshelfBundle: (file name, file text) pairs; aux_name selects the
-  // .aux member. File names must be plain basenames (no '/').
-  std::vector<std::pair<std::string, std::string>> files;
-  std::string aux_name;
+  std::string design_blob;  // io/design_codec.h encode_design bytes
   // Strategy overrides applied onto the daemon's base config
   // (core/config_io.h text form; empty = daemon defaults).
   std::string config_text;

@@ -1,10 +1,6 @@
 #include "serve/session_manager.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -12,7 +8,6 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "core/config_io.h"
-#include "io/bookshelf.h"
 #include "io/checkpoint.h"
 #include "io/design_codec.h"
 #include "serve/telemetry.h"
@@ -22,28 +17,6 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "serve";
-
-// mkdir -p (same idiom as the orchestrator's checkpoint directory).
-void ensure_dir(const std::string& path) {
-  if (path.empty()) return;
-  if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-  if (errno == ENOENT) {
-    const std::size_t slash = path.find_last_of('/');
-    if (slash != std::string::npos && slash > 0) {
-      ensure_dir(path.substr(0, slash));
-      if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
-    }
-  }
-  throw CheckpointError("cannot create directory " + path + ": " +
-                        std::strerror(errno));
-}
-
-// Bundle file names become spool paths; anything that could escape the
-// job directory is rejected at admission.
-bool safe_bundle_name(const std::string& name) {
-  return !name.empty() && name.find('/') == std::string::npos &&
-         name.find('\\') == std::string::npos && name != "." && name != "..";
-}
 
 }  // namespace
 
@@ -175,25 +148,7 @@ ServeSessionManager::AdmitResult ServeSessionManager::submit(
   SubmitMsg msg;
   try {
     msg = decode_submit(raw_submit_body);
-    if (msg.format == static_cast<std::uint8_t>(JobFormat::kBinaryDesign)) {
-      (void)decode_design(msg.design_blob);  // reject garbage at the door
-    } else {
-      if (msg.files.empty() || !safe_bundle_name(msg.aux_name)) {
-        throw CheckpointError("bundle needs files and a valid aux name");
-      }
-      bool has_aux = false;
-      for (const auto& f : msg.files) {
-        if (!safe_bundle_name(f.first)) {
-          throw CheckpointError("bundle file name '" + f.first +
-                                "' is not a plain basename");
-        }
-        has_aux = has_aux || f.first == msg.aux_name;
-      }
-      if (!has_aux) {
-        throw CheckpointError("aux file '" + msg.aux_name +
-                              "' missing from bundle");
-      }
-    }
+    (void)decode_design(msg.design_blob);  // reject garbage at the door
   } catch (const CheckpointError& e) {
     res.reason = RejectReason::kBadRequest;
     res.message = e.what();
@@ -299,26 +254,10 @@ void ServeSessionManager::run_session(Impl* impl) {
 
   try {
     const SubmitMsg msg = decode_submit(impl->raw_body);
-    Design design;
-    if (msg.format == static_cast<std::uint8_t>(JobFormat::kBinaryDesign)) {
-      design = decode_design(msg.design_blob);
-    } else {
-      // Materialize the Bookshelf bundle in a per-job spool directory.
-      const std::string dir =
-          spool_path("job_" + std::to_string(sid) + "_files");
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        ensure_dir(dir);
-        for (const auto& f : msg.files) {
-          atomic_write_file(dir + "/" + f.first, f.second);
-        }
-      }
-      design = read_bookshelf(dir + "/" + msg.aux_name);
-    }
+    Design design = decode_design(msg.design_blob);
     // Unknown keys / bad values in the override text fail the session
     // (admission only vets the netlist; strategy errors surface here).
     PufferConfig cfg = config_from_text(msg.config_text, config_.base_config);
-    cfg.num_threads = 0;  // sessions never resize the shared pool
 
     // The whole session computes under this lease: max_running sessions
     // split the global worker budget instead of stacking full pools.

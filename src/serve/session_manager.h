@@ -11,8 +11,7 @@
 //
 // Determinism: each session runs the standard PufferFlow on a private
 // Design copy under a par::WorkerLease of num_threads()/max_running
-// workers, with PufferConfig.num_threads forced to 0 (sessions must
-// never resize the shared pool). The bit-identity contract of the
+// workers. The bit-identity contract of the
 // kernels therefore extends to the daemon: a job submitted over the
 // wire yields the same position_checksum as PufferFlow::run() on the
 // same design + config in-process, regardless of what else the daemon
@@ -94,7 +93,7 @@ class ServeSessionManager {
 
   // Admission control. Rejects (never blocks, never drops) when the
   // daemon is draining, the queue is full, or the submit body is
-  // malformed (undecodable message / design, bad bundle file names).
+  // malformed (undecodable message or design).
   // On acceptance the job is spooled + logged, then pump() starts it
   // when a runner slot frees up.
   AdmitResult submit(const std::string& raw_submit_body);

@@ -48,11 +48,10 @@ SyntheticSpec golden_spec(int which) {
   return spec;
 }
 
-PufferConfig golden_config(int threads) {
+PufferConfig golden_config() {
   PufferConfig cfg;
   cfg.gp.max_iters = 250;
   cfg.padding.xi = 3;
-  cfg.num_threads = threads;
   return cfg;
 }
 
@@ -65,8 +64,9 @@ constexpr std::uint64_t kRunFromChecksum = 12581770096606996840ull;
 TEST_F(GoldenTest, RunMatchesRecordedChecksums) {
   for (int which = 0; which < 2; ++which) {
     for (const int threads : kThreads) {
+      par::set_num_threads(threads);
       Design d = generate_synthetic(golden_spec(which));
-      PufferFlow flow(d, golden_config(threads));
+      PufferFlow flow(d, golden_config());
       const FlowMetrics m = flow.run();
       EXPECT_GE(m.padding_rounds, 2) << "design " << which;
       EXPECT_EQ(position_checksum(d), kRunChecksum[which])
@@ -77,14 +77,15 @@ TEST_F(GoldenTest, RunMatchesRecordedChecksums) {
 
 TEST_F(GoldenTest, PrefixThenRunFromMatchesRecordedChecksums) {
   for (const int threads : kThreads) {
+    par::set_num_threads(threads);
     Design d = generate_synthetic(golden_spec(0));
-    PufferFlow flow(d, golden_config(threads));
+    PufferFlow flow(d, golden_config());
     FlowSnapshot snap;
     flow.run_prefix(0.45, RngStream(7), &snap);
     EXPECT_EQ(position_checksum(d), kPrefixChecksum) << "threads " << threads;
 
     Design fresh = generate_synthetic(golden_spec(0));
-    PufferFlow resumed(fresh, golden_config(threads));
+    PufferFlow resumed(fresh, golden_config());
     const FlowMetrics m = resumed.run_from(snap);
     EXPECT_GE(m.padding_rounds, 2);
     EXPECT_EQ(position_checksum(fresh), kRunFromChecksum)

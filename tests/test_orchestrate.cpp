@@ -47,7 +47,6 @@ PufferConfig small_flow_config() {
   PufferConfig cfg;
   cfg.gp.max_iters = 250;
   cfg.padding.xi = 3;
-  cfg.num_threads = 0;  // never resize the pool from inside a test
   return cfg;
 }
 

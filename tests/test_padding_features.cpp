@@ -93,7 +93,6 @@ PufferConfig flow_config() {
   PufferConfig cfg;
   cfg.gp.max_iters = 250;
   cfg.padding.xi = 3;
-  cfg.num_threads = 0;  // tests pin the global count themselves
   return cfg;
 }
 

@@ -216,7 +216,7 @@ TEST_F(ParallelTest, FullFlowBitIdenticalAcrossThreads) {
     PufferConfig cfg;
     cfg.gp.max_iters = 120;
     cfg.padding.xi = 2;
-    cfg.num_threads = threads;
+    par::set_num_threads(threads);
     PufferFlow flow(d, cfg);
     const FlowMetrics m = flow.run();
     for (const Cell& c : d.cells) {

@@ -1,13 +1,14 @@
 // Distributed-orchestration wire tests: stream-backed checkpoint frames
 // (round-trip over socketpair/pipe, truncation and corrupted-FNV
-// rejection), message codecs, the prune-thresholds wire codec, the
-// worker's snapshot-key mismatch rejection, and coordinator/worker
-// end-to-end runs (bit-identity with the in-process scheduler, trial
-// reassignment after a worker dies mid-trial, peers that connect and
-// stall).
+// rejection), the non-blocking FrameServer, message codecs, the
+// prune-thresholds wire codec, the worker's snapshot-key mismatch
+// rejection, and coordinator/worker end-to-end runs (bit-identity with
+// the in-process scheduler, trial reassignment after a worker dies
+// mid-trial, peers that connect and stall or never read).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -70,7 +71,6 @@ ExperimentConfig tiny_experiment_config() {
   ExperimentConfig cfg;
   cfg.puffer.gp.max_iters = 250;
   cfg.puffer.padding.xi = 3;
-  cfg.puffer.num_threads = 0;
   return cfg;
 }
 
@@ -169,6 +169,77 @@ TEST_F(ProtocolTest, BadMagicRejected) {
   fds.close_a();
   WireFrame f;
   EXPECT_THROW(read_frame_fd(fds.b, &f), CheckpointError);
+}
+
+// --- FrameServer ----------------------------------------------------------
+
+TEST(FrameServer, PeerThatNeverReadsBlocksNeitherSendNorOtherPeers) {
+  const std::string address = temp_socket("puffer_frame_server.sock");
+  std::vector<std::pair<FrameServer::ConnId, WireFrame>> got;
+  FrameServer* self = nullptr;
+  FrameServer server(
+      address,
+      [&](FrameServer::ConnId id, const WireFrame& frame) {
+        got.emplace_back(id, frame);
+        self->send(id, 2, "answer to " + frame.body);
+      },
+      [](FrameServer::ConnId, const std::string&) {});
+  self = &server;
+
+  // The deaf peer says one thing and never reads again.
+  const int deaf = connect_socket(address);
+  write_frame_fd(deaf, 1, "deaf");
+  for (int i = 0; i < 50 && got.empty(); ++i) server.poll(100);
+  ASSERT_EQ(got.size(), 1u);
+  const FrameServer::ConnId deaf_id = got[0].first;
+
+  // 4 MiB of frames to it: far more than its socket holds, so send()
+  // would have to wait for the peer if it could block.
+  const std::string chunk(64 << 10, 'x');
+  for (int i = 0; i < 64; ++i) server.send(deaf_id, 3, chunk);
+  EXPECT_GT(server.unsent(), 3u << 20);
+
+  // A second peer's frame is delivered and answered in one poll() call.
+  const int other = connect_socket(address);
+  timeval timeout{};
+  timeout.tv_sec = 10;  // a missing answer fails the read, not the suite
+  ASSERT_EQ(::setsockopt(other, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  write_frame_fd(other, 1, "other");
+  server.poll(5000);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_NE(got[1].first, deaf_id);
+  EXPECT_EQ(got[1].second.body, "other");
+  WireFrame answer;
+  ASSERT_TRUE(read_frame_fd(other, &answer));
+  EXPECT_EQ(answer.type, 2u);
+  EXPECT_EQ(answer.body, "answer to other");
+  EXPECT_GT(server.unsent(), 3u << 20);  // still queued for the deaf peer
+  ::close(deaf);
+  ::close(other);
+}
+
+TEST(FrameServer, HandlesTheFramesAPeerSentBeforeItHungUp) {
+  const std::string address = temp_socket("puffer_frame_hangup.sock");
+  std::vector<std::string> events;
+  FrameServer server(
+      address,
+      [&](FrameServer::ConnId, const WireFrame& frame) {
+        events.push_back("frame " + frame.body);
+      },
+      [&](FrameServer::ConnId, const std::string& why) {
+        events.push_back("closed: " + why);
+      });
+  const int fd = connect_socket(address);
+  write_frame_fd(fd, 1, "first");
+  write_frame_fd(fd, 1, "last words");
+  ::close(fd);
+  for (int i = 0; i < 50 && events.size() < 3; ++i) server.poll(100);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0], "frame first");
+  EXPECT_EQ(events[1], "frame last words");
+  EXPECT_EQ(events[2], "closed: connection closed");
 }
 
 // --- message codecs -------------------------------------------------------
@@ -387,6 +458,7 @@ TEST_F(ProtocolTest, WorkerDeathMidTrialReassigned) {
     ASSERT_TRUE(read_frame_fd(fd, &f));  // HelloAck
     const HelloAckMsg ack = decode_hello_ack(f.body);
     if (ack.snapshot_follows) ASSERT_TRUE(read_frame_fd(fd, &f));
+    send_msg(fd, MsgType::kReady, std::string());
     ASSERT_TRUE(read_frame_fd(fd, &f));  // first TrialAssign
     EXPECT_EQ(f.type, static_cast<std::uint32_t>(MsgType::kTrialAssign));
     ::close(fd);  // die mid-trial
@@ -468,6 +540,57 @@ TEST_F(ProtocolTest, SilentPeersDoNotStallTheCoordinator) {
   // so a failure ends here instead of hanging the suite.
   ::close(silent);
   ::close(half);
+  const OrchestrationResult dist = run.get();
+  executor.shutdown_workers();
+  healthy.join();
+
+  EXPECT_EQ(dist.best_trial, ref.best_trial);
+  EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
+  EXPECT_EQ(dist.best_checksum, ref.best_checksum);
+}
+
+TEST_F(ProtocolTest, PeerThatNeverReadsDoesNotStallTheCoordinator) {
+  OrchestrationResult ref;
+  {
+    Design d = generate_synthetic(tiny_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), tiny_experiment_config(),
+                           tiny_orch_config());
+    ref = orch.run();
+  }
+
+  const std::string address = temp_socket("puffer_proto_deaf.sock");
+  Design d = generate_synthetic(tiny_spec());
+  TrialOrchestrator orchestrator(d, puffer_param_specs(),
+                                 tiny_experiment_config(), tiny_orch_config());
+  CoordinatorConfig coord;
+  coord.listen = address;
+  coord.min_workers = 1;
+  coord.attach_timeout_s = 60.0;
+  CoordinatorExecutor executor(coord);  // listening from here on
+
+  // Ahead of the healthy worker, a peer sends a valid Hello and then
+  // never reads: not its snapshot, not an assignment.
+  const int deaf = connect_socket(address);
+  HelloMsg hello;
+  hello.design_key = design_structure_key(d);
+  hello.worker_name = "deaf";
+  send_msg(deaf, MsgType::kHello, encode_hello(hello));
+  std::thread healthy([&address] {
+    Design wd = generate_synthetic(tiny_spec());
+    WorkerConfig cfg;
+    cfg.connect = address;
+    cfg.name = "healthy";
+    cfg.connect_timeout_s = 60.0;
+    EXPECT_EQ(run_worker(wd, tiny_experiment_config(), cfg), 0);
+  });
+
+  std::future<OrchestrationResult> run = std::async(
+      std::launch::async, [&] { return orchestrator.run(executor); });
+  EXPECT_EQ(run.wait_for(std::chrono::seconds(90)), std::future_status::ready)
+      << "the coordinator stalled on a peer that never reads";
+  // Closing the deaf peer frees a coordinator waiting on it, so a failure
+  // ends here instead of hanging the suite.
+  ::close(deaf);
   const OrchestrationResult dist = run.get();
   executor.shutdown_workers();
   healthy.join();

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -51,7 +52,6 @@ PufferConfig small_flow_config() {
   PufferConfig cfg;
   cfg.gp.max_iters = 250;
   cfg.padding.xi = 3;
-  cfg.num_threads = 0;
   return cfg;
 }
 
@@ -108,16 +108,12 @@ const DirectReference& direct_reference() {
 
 TEST(ServeProtocol, SubmitRoundTrip) {
   SubmitMsg m;
-  m.format = static_cast<std::uint8_t>(JobFormat::kBookshelfBundle);
   m.job_name = "alpha";
-  m.files = {{"d.aux", "RowBasedPlacement : d.nodes"}, {"d.nodes", "..."}};
-  m.aux_name = "d.aux";
+  m.design_blob = std::string("PUFD\0\x01 blob", 11);
   m.config_text = "padding.tau = 0.25\n";
   const SubmitMsg d = decode_submit(encode_submit(m));
-  EXPECT_EQ(d.format, m.format);
   EXPECT_EQ(d.job_name, "alpha");
-  EXPECT_EQ(d.files, m.files);
-  EXPECT_EQ(d.aux_name, "d.aux");
+  EXPECT_EQ(d.design_blob, m.design_blob);
   EXPECT_EQ(d.config_text, m.config_text);
 }
 
@@ -842,6 +838,36 @@ TEST(PufferServer, PerConnectionCapAndDetachReattach) {
     EXPECT_EQ(after.history[i].hpwl, rounds[i].hpwl);
     EXPECT_EQ(after.history[i].tile, rounds[i].tile);
   }
+}
+
+TEST(PufferServer, DrainDoesNotWaitForAClientThatStoppedReading) {
+  ServeConfig cfg;
+  cfg.spool_dir = temp_dir("serve_e2e_drain").string();
+  const std::string address =
+      (std::filesystem::temp_directory_path() / "serve_e2e_drain.sock")
+          .string();
+  PufferServer server(address, cfg);
+  std::future<void> run =
+      std::async(std::launch::async, [&server] { server.run(); });
+
+  // A client pipelines queries and reads no reply: the replies fill its
+  // socket, and the rest stays queued in the daemon.
+  const int fd = connect_socket_retry(address, 10.0);
+  send_serve_msg(fd, ServeMsgType::kClientHello,
+                 encode_client_hello(ClientHelloMsg{}));
+  const std::string query = encode_session_ref(SessionRefMsg{});
+  for (int i = 0; i < 4000; ++i) {
+    send_serve_msg(fd, ServeMsgType::kQuery, query);
+  }
+
+  server.request_drain();
+  EXPECT_EQ(run.wait_for(std::chrono::seconds(20)),
+            std::future_status::ready)
+      << "the drain waited on a client that stopped reading";
+  // Closing the client ends a drain that waits on it, so a failure ends
+  // here instead of hanging the suite.
+  ::close(fd);
+  run.get();
 }
 
 TEST(PufferServer, MalformedTrafficIsRejectedWithoutTakingTheDaemonDown) {

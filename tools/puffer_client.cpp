@@ -125,7 +125,6 @@ int cmd_direct(int argc, char** argv, int from) {
   // byte-identical design a daemon would decode.
   Design design = decode_design(encode_design(build_design(job)));
   PufferConfig cfg = config_from_text(read_config_text(job), PufferConfig{});
-  cfg.num_threads = 0;
   PufferFlow flow(design, cfg);
   const FlowMetrics metrics = flow.run();
   SessionSummary s;

@@ -10,7 +10,8 @@
 //   --save-config FILE   write the effective strategy parameters
 //   --out PREFIX         write PREFIX.pl (and PREFIX.svg with --svg)
 //   --svg                also render the placement + congestion overlay
-//   --dp                 run detailed placement after legalization
+//   --dp                 run detailed placement after legalization, before
+//                        the evaluation (PUFFER flow only)
 //   --seed N             synthetic generator seed override
 //   --report             print the routed HOF/VOF/WL report
 //   --quality            print the placement quality analysis
@@ -24,7 +25,6 @@
 #include "common/logger.h"
 #include "core/config_io.h"
 #include "core/experiment.h"
-#include "dp/detailed_place.h"
 #include "io/bookshelf.h"
 #include "viz/svg.h"
 
@@ -82,6 +82,10 @@ int main(int argc, char** argv) {
   else {
     usage_error(kUsage, "unknown placer '" + placer + "'");
   }
+  if (dp && kind != PlacerKind::kPuffer) {
+    usage_error(kUsage,
+                "--dp is a PUFFER flow setting; it needs --placer puffer");
+  }
 
   Design design;
   try {
@@ -114,9 +118,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "config error: %s\n", e.what());
     return 1;
   }
+  config.puffer.run_dp = dp;
   const ExperimentResult result = run_experiment(design, kind, config);
   if (dp) {
-    const DetailedPlaceResult dpr = detailed_place(design);
+    const DetailedPlaceResult& dpr = result.flow.dp;
     std::printf("detailed placement: %d moves, HPWL %.4g -> %.4g (%.2f%%)\n",
                 dpr.accepted_moves, dpr.hpwl_before, dpr.hpwl_after,
                 dpr.improvement_pct());
