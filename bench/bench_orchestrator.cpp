@@ -92,7 +92,7 @@ int main() {
     cfg.puffer = apply_assignment(base.puffer, a);
     PufferFlow flow(d, cfg.puffer);
     FlowSnapshot snap;
-    flow.run_prefix(kForkOverflow, RngStream(kSeed), &snap);
+    flow.run_prefix(kForkOverflow, &snap);
     flow.run_from(snap);
     const RouteResult route = evaluate_routability(d, cfg.eval_router);
     {

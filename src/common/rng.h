@@ -47,77 +47,4 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
-// Counter-based splittable stream for trial orchestration.
-//
-// State is two words: a stream `key` (identity) and a draw `counter`
-// (position). Outputs come from the SplitMix64 finalizer applied to the
-// keyed counter, so the stream is random-access and the full state
-// serializes as two uint64s (checkpoints store it verbatim).
-//
-// split(child_id) derives a child stream from the parent's *key only* --
-// never from its counter -- so per-trial streams are a pure function of
-// (root seed, trial id). Trials scheduled in any order, or re-derived
-// after a crash-resume, get bit-identical streams.
-class RngStream {
- public:
-  explicit RngStream(std::uint64_t seed) : key_(mix64(seed ^ kSeedSalt)) {}
-
-  std::uint64_t next_u64() { return mix64(key_ + kGolden * ++counter_); }
-
-  // Uniform double in [lo, hi) with a 53-bit mantissa.
-  double uniform(double lo, double hi) {
-    const double u =
-        static_cast<double>(next_u64() >> 11) * (1.0 / 9007199254740992.0);
-    return lo + (hi - lo) * u;
-  }
-
-  // Uniform integer in [lo, hi] inclusive (hi >= lo); unbiased enough for
-  // orchestration use (rejection-free multiply-shift).
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
-    const unsigned __int128 wide =
-        static_cast<unsigned __int128>(next_u64()) * span;
-    return lo + static_cast<std::int64_t>(wide >> 64);
-  }
-
-  // Child stream keyed by (this stream's identity, child_id). Does not
-  // advance or read the parent's counter: order-independent.
-  RngStream split(std::uint64_t child_id) const {
-    RngStream child(0);
-    child.key_ = mix64(key_ ^ mix64(child_id + kSplitSalt));
-    child.counter_ = 0;
-    return child;
-  }
-
-  // --- serialization (checkpoint round-trip) ---------------------------
-  std::uint64_t key() const { return key_; }
-  std::uint64_t counter() const { return counter_; }
-  static RngStream from_state(std::uint64_t key, std::uint64_t counter) {
-    RngStream s(0);
-    s.key_ = key;
-    s.counter_ = counter;
-    return s;
-  }
-
-  bool operator==(const RngStream& o) const {
-    return key_ == o.key_ && counter_ == o.counter_;
-  }
-
- private:
-  static constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  static constexpr std::uint64_t kSeedSalt = 0x5851f42d4c957f2dULL;
-  static constexpr std::uint64_t kSplitSalt = 0xd1b54a32d192ed03ULL;
-
-  static std::uint64_t mix64(std::uint64_t z) {
-    z += kGolden;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
-  std::uint64_t key_ = 0;
-  std::uint64_t counter_ = 0;
-};
-
 }  // namespace puffer

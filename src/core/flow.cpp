@@ -39,8 +39,7 @@ std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }
 
-FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
-                                   FlowSnapshot* out) {
+FlowMetrics PufferFlow::run_prefix(double fork_overflow, FlowSnapshot* out) {
   FlowMetrics metrics;
   Timer total;
 
@@ -64,7 +63,6 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
   if (out) {
     out->design_key = design_structure_key(design_);
     out->prefix_key = prefix_key(fork_overflow);
-    out->fork_overflow = fork_overflow;
     const std::size_t n = design_.cells.size();
     out->x.resize(n);
     out->y.resize(n);
@@ -72,9 +70,6 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, const RngStream& rng,
       out->x[i] = design_.cells[i].x;
       out->y[i] = design_.cells[i].y;
     }
-    out->padding.clear();  // the fork precedes every padding round
-    out->rng_key = rng.key();
-    out->rng_counter = rng.counter();
   }
   return metrics;
 }
@@ -110,10 +105,6 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   EPlaceEngine engine(design_, config_.gp);
   PaddingEngine padder(design_, engine.movable_cells(), config_.padding);
   estimator_ = std::make_unique<CongestionEstimator>(design_, config_.congestion);
-  if (snapshot != nullptr && !snapshot->padding.empty()) {
-    ScopedStageTimer t(metrics.stages, "restore");
-    engine.set_padding(snapshot->padding);
-  }
 
   // Global placement with interleaved routability optimization.
   int round = 0;

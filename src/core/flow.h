@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/timer.h"
 #include "congestion/estimator.h"
 #include "dp/detailed_place.h"
@@ -131,7 +130,7 @@ class PufferFlow {
   //
   // run_prefix() executes the trial-invariant part of the flow — initial
   // placement plus global placement down to `fork_overflow` — and
-  // captures the fork state (positions, RNG stream) into *out.
+  // captures the fork state (the cell positions) into *out.
   // `fork_overflow` must be >= the largest padding trigger tau any
   // continuation will use, so no padding round ever lands in the prefix.
   //
@@ -145,8 +144,7 @@ class PufferFlow {
   // save_snapshot()/load_snapshot() on disk — the codec is bit-exact and
   // the restore path is the same either way. Identical across
   // PUFFER_THREADS like every other kernel.
-  FlowMetrics run_prefix(double fork_overflow, const RngStream& rng,
-                         FlowSnapshot* out);
+  FlowMetrics run_prefix(double fork_overflow, FlowSnapshot* out);
   FlowMetrics run_from(const FlowSnapshot& snapshot);
 
   // Hash of the prefix-relevant configuration (initial placement, GP,

@@ -12,8 +12,9 @@
 namespace puffer {
 namespace {
 
-constexpr std::uint32_t kSnapshotMagic = 0x50554653;  // "PUFS"
-constexpr std::uint32_t kSnapshotVersion = 2;
+// Frame type of a stored FlowSnapshot: "PS", layout 3. A new layout
+// takes a new type, so a reader never misreads an older one.
+constexpr std::uint32_t kSnapshotFrame = 0x50530003;
 
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
   return fnv1a_bytes(&v, sizeof(v), h);
@@ -272,6 +273,25 @@ std::string encode_frame(std::uint32_t type, const std::string& body) {
   return w.take();
 }
 
+std::string decode_frame(const std::string& bytes, std::uint32_t type,
+                         const char* what) {
+  FrameBuffer in;
+  in.append(bytes.data(), bytes.size());
+  WireFrame frame;
+  if (!in.next(&frame)) {
+    throw CheckpointError(std::string(what) + ": truncated frame");
+  }
+  if (in.buffered() != 0) {
+    throw CheckpointError(std::string(what) + ": trailing bytes after frame");
+  }
+  if (frame.type != type) {
+    throw CheckpointError(std::string(what) + ": frame type " +
+                          std::to_string(frame.type) + ", expected " +
+                          std::to_string(type));
+  }
+  return std::move(frame.body);
+}
+
 void write_frame_fd(int fd, std::uint32_t type, const std::string& body) {
   const std::string bytes = encode_frame(type, body);
   write_all(fd, bytes.data(), bytes.size());
@@ -399,63 +419,27 @@ std::uint64_t position_checksum(const Design& design) {
 // --- snapshot encode/decode ----------------------------------------------
 
 std::string encode_snapshot(const FlowSnapshot& snap) {
-  BinaryWriter payload;
-  payload.put_u64(snap.design_key);
-  payload.put_u64(snap.prefix_key);
-  payload.put_f64(snap.fork_overflow);
-  payload.put_f64_vec(snap.x);
-  payload.put_f64_vec(snap.y);
-  payload.put_f64_vec(snap.padding);
-  payload.put_u64(snap.rng_key);
-  payload.put_u64(snap.rng_counter);
-
-  BinaryWriter out;
-  out.put_u32(kSnapshotMagic);
-  out.put_u32(kSnapshotVersion);
-  const std::string& body = payload.buffer();
-  out.put_u64(body.size());
-  out.put_bytes(body.data(), body.size());
-  out.put_u64(fnv1a_bytes(body.data(), body.size()));
-  return out.take();
+  BinaryWriter w;
+  w.put_u64(snap.design_key);
+  w.put_u64(snap.prefix_key);
+  w.put_f64_vec(snap.x);
+  w.put_f64_vec(snap.y);
+  return encode_frame(kSnapshotFrame, w.buffer());
 }
 
 FlowSnapshot decode_snapshot(const std::string& bytes) {
-  BinaryReader r(bytes);
-  if (r.get_u32() != kSnapshotMagic) {
-    throw CheckpointError("checkpoint: bad magic (not a PUFFER snapshot)");
-  }
-  const std::uint32_t version = r.get_u32();
-  if (version != kSnapshotVersion) {
-    throw CheckpointError("checkpoint: unsupported snapshot version " +
-                          std::to_string(version));
-  }
-  const std::uint64_t body_size = r.get_u64();
-  if (body_size > r.remaining()) {
-    throw CheckpointError("checkpoint: truncated snapshot body");
-  }
-  const std::string body = bytes.substr(r.pos(),
-                                        static_cast<std::size_t>(body_size));
-  const std::string trailer = bytes.substr(
-      r.pos() + static_cast<std::size_t>(body_size));
-  BinaryReader tr(trailer);
-  const std::uint64_t want = tr.get_u64();
-  const std::uint64_t got = fnv1a_bytes(body.data(), body.size());
-  if (want != got) {
-    throw CheckpointError("checkpoint: payload checksum mismatch");
-  }
-
-  BinaryReader p(body);
+  const std::string body = decode_frame(bytes, kSnapshotFrame, "snapshot");
+  BinaryReader r(body);
   FlowSnapshot snap;
-  snap.design_key = p.get_u64();
-  snap.prefix_key = p.get_u64();
-  snap.fork_overflow = p.get_f64();
-  snap.x = p.get_f64_vec();
-  snap.y = p.get_f64_vec();
-  snap.padding = p.get_f64_vec();
-  snap.rng_key = p.get_u64();
-  snap.rng_counter = p.get_u64();
+  snap.design_key = r.get_u64();
+  snap.prefix_key = r.get_u64();
+  snap.x = r.get_f64_vec();
+  snap.y = r.get_f64_vec();
+  if (!r.at_end()) {
+    throw CheckpointError("snapshot: trailing bytes after payload");
+  }
   if (snap.x.size() != snap.y.size()) {
-    throw CheckpointError("checkpoint: x/y position arrays disagree");
+    throw CheckpointError("snapshot: x/y position arrays disagree");
   }
   return snap;
 }

@@ -5,16 +5,14 @@
 // exploration trials can restore it and diverge instead of each
 // re-running the shared prefix. The captured state is exactly what the
 // staged flow contract (core/flow.h: run_prefix / run_from) needs to
-// continue bit-identically:
+// continue bit-identically: every cell's lower-left position (doubles,
+// bit-exact), plus the keys that say which design and prefix config it
+// belongs to.
 //
-//   * every cell's lower-left position (doubles, bit-exact),
-//   * the per-movable-cell padding widths at the fork,
-//   * the RNG stream state (two words, see common/rng.h).
-//
-// The file format is versioned, little-endian, with a trailing FNV-1a
-// checksum over the payload; save_snapshot writes atomically
-// (tmp + fsync + rename) so a crash never leaves a torn checkpoint.
-// Decoding errors throw CheckpointError.
+// A stored snapshot is one PUFM frame (below) of its own frame type, so
+// it shares the frame's little-endian layout and FNV-1a trailer;
+// save_snapshot writes atomically (tmp + fsync + rename) so a crash never
+// leaves a torn checkpoint. Decoding errors throw CheckpointError.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +65,6 @@ class BinaryReader {
   std::string get_string();
   std::vector<double> get_f64_vec();
 
-  std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return buf_.size() - pos_; }
   bool at_end() const { return pos_ == buf_.size(); }
 
@@ -77,7 +74,7 @@ class BinaryReader {
   std::size_t pos_ = 0;
 };
 
-// FNV-1a over a byte range (shared by the checkpoint trailer and the
+// FNV-1a over a byte range (shared by the frame trailer and the
 // journal's record hashes).
 std::uint64_t fnv1a_bytes(const void* data, std::size_t n,
                           std::uint64_t h = 1469598103934665603ull);
@@ -95,10 +92,10 @@ std::string read_file(const std::string& path);
 // directory cannot be created.
 void ensure_dir(const std::string& path);
 
-// --- stream-backed frame I/O ---------------------------------------------
-// Length-prefixed binary frames over an arbitrary byte stream (socket,
-// pipe, ...): the same codec + FNV-1a integrity story as the checkpoint
-// files, but framed so many messages share one connection. Layout:
+// --- frames ----------------------------------------------------------------
+// Length-prefixed binary frames: the envelope of every message over a
+// byte stream (socket, pipe, ...) and of every stored blob (snapshot,
+// design). Layout:
 //
 //   u32 magic "PUFM" | u32 wire version | u32 frame type |
 //   u64 body size | body bytes | u64 fnv1a(body)
@@ -116,8 +113,15 @@ struct WireFrame {
 // length prefix must not trigger a multi-GiB allocation).
 constexpr std::uint64_t kMaxFrameBody = 1ull << 30;
 
-// Serializes one frame to bytes (exposed so tests can corrupt it).
+// Serializes one frame to bytes.
 std::string encode_frame(std::uint32_t type, const std::string& body);
+
+// Decodes `bytes` that must hold exactly one whole frame of `type` (a
+// stored blob) and returns its body. Throws CheckpointError on a corrupt
+// or truncated frame, another frame type, or bytes after the frame; the
+// messages of the last three start with `what`.
+std::string decode_frame(const std::string& bytes, std::uint32_t type,
+                         const char* what);
 
 // Blocking write of one frame to `fd`; retries short writes and EINTR.
 // Throws CheckpointError on any I/O failure (including EPIPE -- callers
@@ -164,18 +168,10 @@ struct FlowSnapshot {
   // Hash of the prefix-relevant configuration (init + gp + fork point);
   // a trial whose prefix config differs must not reuse the checkpoint.
   std::uint64_t prefix_key = 0;
-  // Density overflow the prefix ran to (the fork point).
-  double fork_overflow = 0.0;
   // Lower-left positions for *all* cells, index-aligned with
   // Design::cells (fixed cells included: restoring them is free and makes
   // the snapshot self-validating).
   std::vector<double> x, y;
-  // Per-movable-cell padding widths at the fork (empty = no padding yet;
-  // the fork point is normally before the first padding round).
-  std::vector<double> padding;
-  // RNG stream state at the fork (common/rng.h RngStream).
-  std::uint64_t rng_key = 0;
-  std::uint64_t rng_counter = 0;
 };
 
 // Stable structural hash of a design: counts, die, rows, cell
@@ -187,8 +183,9 @@ std::uint64_t design_structure_key(const Design& design);
 // fingerprint shared by trial orchestration and the serve daemon.
 std::uint64_t position_checksum(const Design& design);
 
-// Versioned encode/decode (throws CheckpointError on malformed input,
-// version mismatch, or checksum failure).
+// One frame of the snapshot type. decode_snapshot throws
+// CheckpointError on anything else: a corrupt frame, a snapshot of an
+// older layout, or a body with bytes left over.
 std::string encode_snapshot(const FlowSnapshot& snap);
 FlowSnapshot decode_snapshot(const std::string& bytes);
 

@@ -6,8 +6,9 @@ namespace puffer {
 
 namespace {
 
-constexpr std::uint32_t kDesignMagic = 0x50554644;  // "PUFD"
-constexpr std::uint32_t kDesignVersion = 1;
+// Frame type of a design blob: "PD", layout 2. A new layout takes a new
+// type, so a reader never misreads an older one.
+constexpr std::uint32_t kDesignFrame = 0x50440002;
 
 // A garbled count prefix must not trigger a huge allocation: every list
 // is bounded by the bytes that could plausibly encode it.
@@ -23,8 +24,6 @@ void check_count(std::uint64_t n, std::size_t remaining, std::size_t min_size,
 
 std::string encode_design(const Design& d) {
   BinaryWriter w;
-  w.put_u32(kDesignMagic);
-  w.put_u32(kDesignVersion);
   w.put_string(d.name);
 
   // Technology.
@@ -84,36 +83,14 @@ std::string encode_design(const Design& d) {
     w.put_f64(r.height);
   }
 
-  const std::uint64_t sum = fnv1a_bytes(w.buffer().data(), w.buffer().size());
-  w.put_u64(sum);
-  return w.take();
+  return encode_frame(kDesignFrame, w.buffer());
 }
 
 Design decode_design(const std::string& bytes) {
-  if (bytes.size() < 8 + 8) {
-    throw CheckpointError("design: blob too small");
-  }
-  const std::string payload = bytes.substr(0, bytes.size() - 8);
-  {
-    BinaryReader t(bytes);
-    // Verify the trailer before trusting any count in the payload.
-    const std::string trailer = bytes.substr(bytes.size() - 8);
-    BinaryReader tr(trailer);
-    const std::uint64_t want = tr.get_u64();
-    if (want != fnv1a_bytes(payload.data(), payload.size())) {
-      throw CheckpointError("design: payload checksum mismatch");
-    }
-    (void)t;
-  }
+  // The frame trailer is verified before any count in the payload is
+  // trusted.
+  const std::string payload = decode_frame(bytes, kDesignFrame, "design");
   BinaryReader r(payload);
-  if (r.get_u32() != kDesignMagic) {
-    throw CheckpointError("design: bad magic");
-  }
-  const std::uint32_t version = r.get_u32();
-  if (version != kDesignVersion) {
-    throw CheckpointError("design: unsupported version " +
-                          std::to_string(version));
-  }
 
   Design d;
   d.name = r.get_string();

@@ -117,27 +117,16 @@ void CoordinatorExecutor::handshake(ConnId id, const WireFrame& frame) {
   if (hello.protocol_version != kOrchProtocolVersion) {
     refuse("protocol version mismatch");
   }
-  if (hello.design_key != ctx_.design_key) {
+  if (hello.design_key != design_key_) {
     // A worker holding a different benchmark must never evaluate
     // trials: its results would fold garbage into the TPE state.
     refuse("design mismatch: worker loaded a different benchmark");
   }
-  const bool cached =
-      std::find(hello.cached.begin(), hello.cached.end(),
-                std::make_pair(ctx_.design_key, ctx_.prefix_key)) !=
-      hello.cached.end();
-  HelloAckMsg ack;
-  ack.design_key = ctx_.design_key;
-  ack.prefix_key = ctx_.prefix_key;
-  ack.space_key = ctx_.space_key;
-  ack.seed = ctx_.seed;
-  ack.base_config_text = base_config_text_;
-  ack.snapshot_follows = cached ? 0 : 1;
-  send(id, MsgType::kHelloAck, encode_hello_ack(ack));
-  if (!cached) send(id, MsgType::kSnapshot, snapshot_bytes_);
+  send(id, MsgType::kHelloAck, hello_ack_);
+  send(id, MsgType::kSnapshot, snapshot_bytes_);
   workers_[id].name = hello.worker_name;
-  PUFFER_LOG_INFO(kTag, "worker %s said hello (snapshot %s)",
-                  hello.worker_name.c_str(), cached ? "cached" : "shipped");
+  PUFFER_LOG_INFO(kTag, "worker %s said hello, snapshot shipped",
+                  hello.worker_name.c_str());
 }
 
 void CoordinatorExecutor::take_result(Worker& w, const WireFrame& frame) {
@@ -168,9 +157,13 @@ void CoordinatorExecutor::take_result(Worker& w, const WireFrame& frame) {
 }
 
 void CoordinatorExecutor::prepare(const TrialRunContext& ctx) {
-  ctx_ = ctx;
+  HelloAckMsg ack;
+  ack.design_key = ctx.snapshot->design_key;
+  ack.prefix_key = ctx.snapshot->prefix_key;
+  ack.base_config_text = config_to_text(ctx.base->puffer);
+  design_key_ = ack.design_key;
+  hello_ack_ = encode_hello_ack(ack);
   snapshot_bytes_ = encode_snapshot(*ctx.snapshot);
-  base_config_text_ = config_to_text(ctx.base->puffer);
 
   Timer timer;
   while (workers_attached() < config_.min_workers) {

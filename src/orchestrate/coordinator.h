@@ -63,7 +63,7 @@ class CoordinatorExecutor : public TrialExecutor {
   CoordinatorExecutor& operator=(const CoordinatorExecutor&) = delete;
 
   // Waits until min_workers workers have attached: handshake done,
-  // snapshot shipped unless cached, kReady received.
+  // snapshot shipped, kReady received.
   void prepare(const TrialRunContext& ctx) override;
   void run_batch(const std::vector<TrialTask>& tasks,
                  const std::vector<int>& to_run,
@@ -101,9 +101,10 @@ class CoordinatorExecutor : public TrialExecutor {
 
   CoordinatorConfig config_;
   FrameServer frames_;
-  TrialRunContext ctx_;
-  std::string snapshot_bytes_;      // encode_snapshot(ctx.snapshot), cached
-  std::string base_config_text_;
+  // What every attach is answered with, built once by prepare().
+  std::uint64_t design_key_ = 0;  // the snapshot's design
+  std::string hello_ack_;         // encoded HelloAck
+  std::string snapshot_bytes_;    // encode_snapshot(*ctx.snapshot)
   // Connections that sent a valid Hello, attached or not yet ready.
   std::map<ConnId, Worker> workers_;
   // The batch run_batch() is working on (null between batches).

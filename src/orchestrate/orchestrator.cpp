@@ -216,8 +216,7 @@ OrchestrationResult TrialOrchestrator::run(TrialExecutor& executor) {
     }
   }
   if (!restored) {
-    prefix_flow.run_prefix(config_.fork_overflow, RngStream(config_.seed),
-                           &snap);
+    prefix_flow.run_prefix(config_.fork_overflow, &snap);
     if (!ckpt_path.empty()) {
       ensure_dir(config_.checkpoint_dir);
       Timer t;
@@ -235,13 +234,8 @@ OrchestrationResult TrialOrchestrator::run(TrialExecutor& executor) {
   result.stats.prefix_s = prefix_timer.elapsed_seconds();
 
   TrialRunContext ctx;
-  ctx.design = &design_;
   ctx.base = &base_;
   ctx.snapshot = &snap;
-  ctx.design_key = dkey;
-  ctx.prefix_key = pkey;
-  ctx.space_key = skey;
-  ctx.seed = config_.seed;
   executor.prepare(ctx);
 
   // --- concurrent TPE loop ------------------------------------------------

@@ -93,13 +93,9 @@ struct OrchestrationResult {
 // Everything a batch executor needs once per exploration, published
 // after the shared prefix is ready and before the first batch.
 struct TrialRunContext {
-  const Design* design = nullptr;
   const ExperimentConfig* base = nullptr;
+  // The shared prefix; it carries its design and prefix keys.
   const FlowSnapshot* snapshot = nullptr;
-  std::uint64_t design_key = 0;
-  std::uint64_t prefix_key = 0;
-  std::uint64_t space_key = 0;
-  std::uint64_t seed = 0;
 };
 
 // Where a batch of trials executes. The orchestrator owns *what* is

@@ -17,11 +17,6 @@ std::string encode_hello(const HelloMsg& m) {
   BinaryWriter w;
   w.put_u32(m.protocol_version);
   w.put_u64(m.design_key);
-  w.put_u64(m.cached.size());
-  for (const auto& [dkey, pkey] : m.cached) {
-    w.put_u64(dkey);
-    w.put_u64(pkey);
-  }
   w.put_string(m.worker_name);
   return w.take();
 }
@@ -31,16 +26,6 @@ HelloMsg decode_hello(const std::string& body) {
   HelloMsg m;
   m.protocol_version = r.get_u32();
   m.design_key = r.get_u64();
-  const std::uint64_t n = r.get_u64();
-  if (n > body.size() / 16) {
-    throw CheckpointError("protocol: hello cache list exceeds buffer");
-  }
-  m.cached.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t dkey = r.get_u64();
-    const std::uint64_t pkey = r.get_u64();
-    m.cached.emplace_back(dkey, pkey);
-  }
   m.worker_name = r.get_string();
   finish_decode(r, "hello");
   return m;
@@ -51,10 +36,7 @@ std::string encode_hello_ack(const HelloAckMsg& m) {
   w.put_u32(m.protocol_version);
   w.put_u64(m.design_key);
   w.put_u64(m.prefix_key);
-  w.put_u64(m.space_key);
-  w.put_u64(m.seed);
   w.put_string(m.base_config_text);
-  w.put_u8(m.snapshot_follows);
   return w.take();
 }
 
@@ -64,10 +46,7 @@ HelloAckMsg decode_hello_ack(const std::string& body) {
   m.protocol_version = r.get_u32();
   m.design_key = r.get_u64();
   m.prefix_key = r.get_u64();
-  m.space_key = r.get_u64();
-  m.seed = r.get_u64();
   m.base_config_text = r.get_string();
-  m.snapshot_follows = r.get_u8();
   finish_decode(r, "hello_ack");
   return m;
 }

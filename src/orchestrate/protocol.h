@@ -11,10 +11,9 @@
 //
 //   worker                          coordinator
 //   ------                          -----------
-//   Hello(design_key, cached) --->
-//                             <---  HelloAck(keys, base config,
-//                                            snapshot_follows)
-//                             <---  Snapshot(encode_snapshot bytes)   [opt]
+//   Hello(design_key)         --->
+//                             <---  HelloAck(keys, base config)
+//                             <---  Snapshot(encode_snapshot bytes)
 //   Ready                     --->
 //                             <---  TrialAssign(trial, akey, x, pruner)
 //   TrialResult(...)          --->
@@ -29,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "io/checkpoint.h"
@@ -39,7 +37,7 @@ namespace puffer {
 
 // Protocol (message-schema) version, checked in Hello/HelloAck on top of
 // the per-frame wire version.
-constexpr std::uint32_t kOrchProtocolVersion = 3;
+constexpr std::uint32_t kOrchProtocolVersion = 4;
 
 enum class MsgType : std::uint32_t {
   kHello = 1,
@@ -57,25 +55,19 @@ struct HelloMsg {
   // Structure key of the design the worker loaded; the coordinator
   // refuses workers holding a different design.
   std::uint64_t design_key = 0;
-  // (design_key, prefix_key) pairs of snapshots the worker already holds
-  // in its cache -- a matching pair skips the Snapshot message.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> cached;
   std::string worker_name;
 };
 
 struct HelloAckMsg {
   std::uint32_t protocol_version = kOrchProtocolVersion;
+  // Keys of the snapshot that follows; the worker checks them against
+  // the snapshot's own.
   std::uint64_t design_key = 0;
   std::uint64_t prefix_key = 0;
-  std::uint64_t space_key = 0;
-  std::uint64_t seed = 0;
   // Strategy-relevant base PufferConfig as config_io text; the worker
   // applies it over its binary defaults so both sides evaluate trials
   // from the same base strategy.
   std::string base_config_text;
-  // 0 = the worker's cache already holds (design_key, prefix_key); no
-  // Snapshot message follows.
-  std::uint8_t snapshot_follows = 1;
 };
 
 struct TrialAssignMsg {

@@ -2,8 +2,6 @@
 
 #include <unistd.h>
 
-#include <utility>
-
 #include "common/logger.h"
 #include "common/parallel.h"
 #include "core/config_io.h"
@@ -29,34 +27,14 @@ void send_error(int fd, const std::string& message) {
 
 }  // namespace
 
-void SnapshotCache::put(FlowSnapshot snap) {
-  const auto key = std::make_pair(snap.design_key, snap.prefix_key);
-  cache_[key] = std::move(snap);
-}
-
-const FlowSnapshot* SnapshotCache::find(std::uint64_t design_key,
-                                        std::uint64_t prefix_key) const {
-  const auto it = cache_.find(std::make_pair(design_key, prefix_key));
-  return it == cache_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>> SnapshotCache::keys()
-    const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(cache_.size());
-  for (const auto& [key, snap] : cache_) out.push_back(key);
-  return out;
-}
-
 bool serve_coordinator(int fd, const Design& design,
-                       const ExperimentConfig& base, SnapshotCache* cache,
+                       const ExperimentConfig& base,
                        const std::string& worker_name) {
   const std::uint64_t dkey = design_structure_key(design);
 
-  // --- attach: Hello -> HelloAck -> (Snapshot) ---------------------------
+  // --- attach: Hello -> HelloAck -> Snapshot -----------------------------
   HelloMsg hello;
   hello.design_key = dkey;
-  hello.cached = cache->keys();
   hello.worker_name = worker_name;
   send_msg(fd, MsgType::kHello, encode_hello(hello));
 
@@ -81,33 +59,25 @@ bool serve_coordinator(int fd, const Design& design,
     return false;
   }
 
-  if (ack.snapshot_follows) {
-    if (!read_frame_fd(fd, &frame)) return false;
-    if (frame.type != static_cast<std::uint32_t>(MsgType::kSnapshot)) {
-      send_error(fd, "expected snapshot");
-      return false;
-    }
-    // decode_snapshot verifies the payload FNV; the key check on top
-    // rejects a snapshot for a different design or prefix config -- a
-    // worker must never fork trials from the wrong prefix.
-    FlowSnapshot snap = decode_snapshot(frame.body);
-    if (snap.design_key != ack.design_key ||
-        snap.prefix_key != ack.prefix_key) {
-      send_error(fd, "snapshot key mismatch (design/prefix)");
-      PUFFER_LOG_WARN(kTag,
-                      "rejected snapshot: keys %016llx/%016llx != announced "
-                      "%016llx/%016llx",
-                      static_cast<unsigned long long>(snap.design_key),
-                      static_cast<unsigned long long>(snap.prefix_key),
-                      static_cast<unsigned long long>(ack.design_key),
-                      static_cast<unsigned long long>(ack.prefix_key));
-      return false;
-    }
-    cache->put(std::move(snap));
+  if (!read_frame_fd(fd, &frame)) return false;
+  if (frame.type != static_cast<std::uint32_t>(MsgType::kSnapshot)) {
+    send_error(fd, "expected snapshot");
+    return false;
   }
-  const FlowSnapshot* snap = cache->find(ack.design_key, ack.prefix_key);
-  if (!snap) {
-    send_error(fd, "snapshot not cached and none shipped");
+  // decode_snapshot verifies the frame's FNV; the key check on top
+  // rejects a snapshot for a different design or prefix config -- a
+  // worker must never fork trials from the wrong prefix.
+  const FlowSnapshot snap = decode_snapshot(frame.body);
+  if (snap.design_key != ack.design_key ||
+      snap.prefix_key != ack.prefix_key) {
+    send_error(fd, "snapshot key mismatch (design/prefix)");
+    PUFFER_LOG_WARN(kTag,
+                    "rejected snapshot: keys %016llx/%016llx != announced "
+                    "%016llx/%016llx",
+                    static_cast<unsigned long long>(snap.design_key),
+                    static_cast<unsigned long long>(snap.prefix_key),
+                    static_cast<unsigned long long>(ack.design_key),
+                    static_cast<unsigned long long>(ack.prefix_key));
     return false;
   }
 
@@ -144,7 +114,7 @@ bool serve_coordinator(int fd, const Design& design,
         task.assignment = assign.assignment;
         task.design = &design;
         task.base = &cfg;
-        task.snapshot = snap;
+        task.snapshot = &snap;
         task.pruner = have_pruner ? &pruner : nullptr;
         // One session per worker process: lease the whole local budget.
         task.lease_want = par::num_threads();
@@ -180,7 +150,6 @@ bool serve_coordinator(int fd, const Design& design,
 int run_worker(const Design& design, const ExperimentConfig& base,
                const WorkerConfig& config) {
   ignore_sigpipe();
-  SnapshotCache cache;
   double retry_budget_s = config.connect_timeout_s;
   for (;;) {
     int fd = -1;
@@ -192,7 +161,7 @@ int run_worker(const Design& design, const ExperimentConfig& base,
     }
     bool clean = false;
     try {
-      clean = serve_coordinator(fd, design, base, &cache, config.name);
+      clean = serve_coordinator(fd, design, base, config.name);
     } catch (const std::exception& e) {
       PUFFER_LOG_WARN(kTag, "%s: connection lost: %s", config.name.c_str(),
                       e.what());
@@ -200,8 +169,7 @@ int run_worker(const Design& design, const ExperimentConfig& base,
     ::close(fd);
     if (clean) return 0;
     if (config.reconnect_timeout_s <= 0.0) return 1;
-    // Coordinator went away: keep trying to reattach (snapshot cache
-    // warm, so a restarted coordinator skips the transfer).
+    // Coordinator went away: keep trying to reattach.
     PUFFER_LOG_INFO(kTag, "%s: reconnecting to %s", config.name.c_str(),
                     config.connect.c_str());
     retry_budget_s = config.reconnect_timeout_s;

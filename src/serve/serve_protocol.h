@@ -42,7 +42,7 @@ namespace puffer {
 
 // Protocol (message-schema) version, checked in the hello exchange on
 // top of the per-frame wire version.
-constexpr std::uint32_t kServeProtocolVersion = 2;
+constexpr std::uint32_t kServeProtocolVersion = 3;
 
 enum class ServeMsgType : std::uint32_t {
   // client -> daemon

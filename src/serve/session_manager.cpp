@@ -42,7 +42,6 @@ struct ServeSessionManager::Impl {
   std::string raw_body;     // SubmitMsg body (empty once terminal)
   std::string job_file;     // spool file holding raw_body
   std::string result_file;  // spool file holding the encoded ResultMsg
-  std::string result_body;  // in-memory copy (lazily loaded from spool)
   std::atomic<bool> cancel{false};
   std::thread thread;
 };
@@ -293,10 +292,18 @@ void ServeSessionManager::run_session(Impl* impl) {
         result.x.push_back(c.x);
         result.y.push_back(c.y);
       }
+      // Spooled before the poll thread learns of the session's end, which
+      // then serves every fetch from this file. A failed write fails the
+      // session, never the daemon.
+      const std::string file = "result_" + std::to_string(sid) + ".bin";
+      {
+        std::lock_guard<std::mutex> lock(log_mu_);
+        atomic_write_file(spool_path(file), encode_result(result));
+      }
+      impl->result_file = file;
       fin.summary.state = static_cast<std::uint8_t>(SessionState::kDone);
       fin.summary.checksum = result.checksum;
       fin.summary.hpwl_legal = result.hpwl_legal;
-      fin.result_body = encode_result(result);
     }
   } catch (const std::exception& e) {
     fin.summary.state = static_cast<std::uint8_t>(SessionState::kFailed);
@@ -304,8 +311,8 @@ void ServeSessionManager::run_session(Impl* impl) {
     fin.summary.runtime_s = timer.elapsed_seconds();
   }
 
-  // Spool the result + log the finish before the poll thread learns of
-  // it, so a crash right after the event can always be replayed.
+  // Log the finish before the poll thread learns of it, so a crash right
+  // after the event can always be replayed.
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     RequestLogRecord rec;
@@ -317,12 +324,15 @@ void ServeSessionManager::run_session(Impl* impl) {
     rec.runtime_s = fin.summary.runtime_s;
     rec.rounds = fin.summary.padding_rounds;
     rec.message = fin.summary.message;
-    if (!fin.result_body.empty()) {
-      rec.result_file = "result_" + std::to_string(sid) + ".bin";
-      atomic_write_file(spool_path(rec.result_file), fin.result_body);
-      impl->result_file = rec.result_file;
+    rec.result_file = impl->result_file;
+    try {
+      log_->append(rec);
+    } catch (const CheckpointError& e) {
+      PUFFER_LOG_WARN(kTag,
+                      "session %llu: finish record not logged (%s); the "
+                      "session runs again after a restart",
+                      static_cast<unsigned long long>(sid), e.what());
     }
-    log_->append(rec);
   }
   push_event(std::move(fin));
 }
@@ -356,7 +366,6 @@ const ServeSession* ServeSessionManager::apply(const SessionEvent& event) {
   // (nearly) instant.
   impl.pub.state = static_cast<SessionState>(event.summary.state);
   impl.pub.summary = event.summary;
-  impl.result_body = event.result_body;
   impl.raw_body.clear();
   if (impl.thread.joinable()) impl.thread.join();
   --running_;
@@ -387,20 +396,18 @@ SnapshotMsg ServeSessionManager::snapshot(std::uint64_t session_id) const {
 }
 
 bool ServeSessionManager::result_body(std::uint64_t session_id,
-                                      std::string* out) {
+                                      std::string* out) const {
   const auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return false;
-  Impl& impl = *it->second;
-  if (impl.pub.state != SessionState::kDone) return false;
-  if (impl.result_body.empty()) {
-    if (impl.result_file.empty()) return false;
-    try {
-      impl.result_body = read_file(spool_path(impl.result_file));
-    } catch (const CheckpointError&) {
-      return false;
-    }
+  const Impl& impl = *it->second;
+  if (impl.pub.state != SessionState::kDone || impl.result_file.empty()) {
+    return false;
   }
-  *out = impl.result_body;
+  try {
+    *out = read_file(spool_path(impl.result_file));
+  } catch (const CheckpointError&) {
+    return false;
+  }
   return true;
 }
 

@@ -56,7 +56,6 @@ struct SessionEvent {
   std::uint64_t session_id = 0;
   TelemetryRound round;     // kTelemetry
   SessionSummary summary;   // kFinished
-  std::string result_body;  // kFinished + done: encoded ResultMsg
 };
 
 // Poll-thread view of one session.
@@ -123,10 +122,10 @@ class ServeSessionManager {
   // (+ summary when terminal).
   SnapshotMsg snapshot(std::uint64_t session_id) const;
 
-  // Encoded ResultMsg body for a kDone session (loads the spooled blob
-  // after a restart). False when the session is unknown, not done, or
-  // the blob is missing.
-  bool result_body(std::uint64_t session_id, std::string* out);
+  // Encoded ResultMsg body of a kDone session, read from its spooled
+  // result file on every call (the daemon keeps no result in memory).
+  // False when the session is unknown, not done, or the file unreadable.
+  bool result_body(std::uint64_t session_id, std::string* out) const;
 
   // Daemon-wide counters (+ the named session when session_id != 0).
   StatusMsg status(std::uint64_t session_id) const;

@@ -2,11 +2,9 @@
 // deterministic RNG.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -195,78 +193,6 @@ TEST(Logger, RespectsLevelAndSink) {
   std::fclose(tmp);
   EXPECT_EQ(content.find("should not appear"), std::string::npos);
   EXPECT_NE(content.find("should appear 2"), std::string::npos);
-}
-
-TEST(RngStream, DeterministicAndSerializable) {
-  RngStream a(42);
-  RngStream b(42);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-
-  // Serializing mid-stream and resuming continues the exact sequence.
-  RngStream c(7);
-  for (int i = 0; i < 13; ++i) c.next_u64();
-  RngStream resumed = RngStream::from_state(c.key(), c.counter());
-  EXPECT_EQ(resumed, c);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(resumed.next_u64(), c.next_u64());
-
-  // Different seeds diverge immediately.
-  EXPECT_NE(RngStream(1).next_u64(), RngStream(2).next_u64());
-}
-
-TEST(RngStream, UniformBoundsAndCoverage) {
-  RngStream s(99);
-  double lo = 1.0, hi = 0.0;
-  for (int i = 0; i < 2000; ++i) {
-    const double u = s.uniform(0.0, 1.0);
-    ASSERT_GE(u, 0.0);
-    ASSERT_LT(u, 1.0);
-    lo = std::min(lo, u);
-    hi = std::max(hi, u);
-  }
-  EXPECT_LT(lo, 0.05);
-  EXPECT_GT(hi, 0.95);
-
-  std::vector<int> counts(6, 0);
-  for (int i = 0; i < 6000; ++i) {
-    const std::int64_t v = s.uniform_int(0, 5);
-    ASSERT_GE(v, 0);
-    ASSERT_LE(v, 5);
-    ++counts[static_cast<std::size_t>(v)];
-  }
-  for (const int c : counts) EXPECT_GT(c, 600);
-}
-
-TEST(RngStream, SplitIsOrderIndependent) {
-  // A child's stream depends only on (parent key, child id): splitting
-  // before or after the parent draws, and in any sibling order, yields
-  // bit-identical children -- the property crash-resume relies on.
-  RngStream fresh(1234);
-  const RngStream child_before = fresh.split(5);
-
-  RngStream drawn(1234);
-  for (int i = 0; i < 17; ++i) drawn.next_u64();
-  const RngStream child_after = drawn.split(5);
-  EXPECT_EQ(child_before, child_after);
-
-  RngStream other(1234);
-  other.split(9);  // sibling derived first
-  EXPECT_EQ(other.split(5), child_before);
-}
-
-TEST(RngStream, SplitChildrenDoNotCollide) {
-  std::set<std::uint64_t> keys;
-  for (const std::uint64_t seed : {1ull, 2ull, 0xdeadbeefull}) {
-    const RngStream root(seed);
-    keys.insert(root.key());
-    for (std::uint64_t i = 0; i < 4096; ++i) {
-      const RngStream child = root.split(i);
-      EXPECT_NE(child.key(), root.key());
-      keys.insert(child.key());
-      // Grandchildren stay distinct too.
-      if (i < 64) keys.insert(child.split(i).key());
-    }
-  }
-  EXPECT_EQ(keys.size(), 3u * (4096u + 64u) + 3u);
 }
 
 }  // namespace

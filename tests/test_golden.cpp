@@ -81,7 +81,7 @@ TEST_F(GoldenTest, PrefixThenRunFromMatchesRecordedChecksums) {
     Design d = generate_synthetic(golden_spec(0));
     PufferFlow flow(d, golden_config());
     FlowSnapshot snap;
-    flow.run_prefix(0.45, RngStream(7), &snap);
+    flow.run_prefix(0.45, &snap);
     EXPECT_EQ(position_checksum(d), kPrefixChecksum) << "threads " << threads;
 
     Design fresh = generate_synthetic(golden_spec(0));

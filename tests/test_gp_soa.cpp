@@ -146,7 +146,7 @@ TEST_F(GpSoaTest, EngineCommitAndSnapshotRestoreKeepMirrorInSync) {
   Design d2 = generate_synthetic(small_spec());
   PufferFlow flow(d2, small_flow_config());
   FlowSnapshot snap;
-  flow.run_prefix(0.45, RngStream(7), &snap);
+  flow.run_prefix(0.45, &snap);
   GpSoA mirror;
   mirror.build(d2);
   EXPECT_TRUE(mirror.matches(d2));

@@ -126,7 +126,9 @@ TEST(Legalize, AvoidsMacros) {
   // No movable cell overlaps the macro.
   const Rect macro_rect{80, 80, 160, 160};
   for (const Cell& c : d.cells) {
-    if (c.movable()) EXPECT_DOUBLE_EQ(c.rect().overlap_area(macro_rect), 0.0);
+    if (c.movable()) {
+      EXPECT_DOUBLE_EQ(c.rect().overlap_area(macro_rect), 0.0);
+    }
   }
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "core/flow.h"
 #include "io/checkpoint.h"
 #include "io/synthetic.h"
@@ -85,36 +84,34 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   FlowSnapshot snap;
   snap.design_key = 11;
   snap.prefix_key = 22;
-  snap.fork_overflow = 0.45;
   snap.x = {1.0, 2.0, 3.0};
   snap.y = {4.0, 5.0, 6.0};
-  snap.padding = {0.0, 0.5, 0.0};
-  snap.rng_key = 33;
-  snap.rng_counter = 44;
 
   const std::string bytes = encode_snapshot(snap);
   const FlowSnapshot back = decode_snapshot(bytes);
   EXPECT_EQ(back.design_key, snap.design_key);
   EXPECT_EQ(back.prefix_key, snap.prefix_key);
-  EXPECT_EQ(back.fork_overflow, snap.fork_overflow);
   EXPECT_EQ(back.x, snap.x);
   EXPECT_EQ(back.y, snap.y);
-  EXPECT_EQ(back.padding, snap.padding);
-  EXPECT_EQ(back.rng_key, snap.rng_key);
-  EXPECT_EQ(back.rng_counter, snap.rng_counter);
 
   // A single flipped byte must fail the checksum trailer.
   std::string corrupt = bytes;
   corrupt[corrupt.size() / 2] ^= 0x40;
   EXPECT_THROW(decode_snapshot(corrupt), CheckpointError);
-  // Truncation must fail too.
+  // Truncation must fail too, and so must bytes after the frame.
   const std::string truncated = bytes.substr(0, bytes.size() - 5);
   EXPECT_THROW(decode_snapshot(truncated), CheckpointError);
-  // A snapshot of another format version (bytes 4..7, after the magic) is
-  // refused, never misread.
-  std::string old_version = bytes;
-  old_version[4] = 1;
-  EXPECT_THROW(decode_snapshot(old_version), CheckpointError);
+  EXPECT_THROW(decode_snapshot(bytes + "x"), CheckpointError);
+  // The same body in a frame of another type (another format or layout)
+  // is refused, never misread; so is a body with bytes left over.
+  FrameBuffer in;
+  in.append(bytes.data(), bytes.size());
+  WireFrame frame;
+  ASSERT_TRUE(in.next(&frame));
+  EXPECT_THROW(decode_snapshot(encode_frame(frame.type + 1, frame.body)),
+               CheckpointError);
+  EXPECT_THROW(decode_snapshot(encode_frame(frame.type, frame.body + "x")),
+               CheckpointError);
 
   EXPECT_THROW(load_snapshot("/nonexistent/dir/prefix.ckpt"), CheckpointError);
 }
@@ -132,7 +129,7 @@ TEST_F(OrchestrateTest, CheckpointRoundTripBitIdentical) {
     Design cont = generate_synthetic(small_spec());
     PufferFlow flow(cont, small_flow_config());
     FlowSnapshot snap;
-    flow.run_prefix(0.45, RngStream(7), &snap);
+    flow.run_prefix(0.45, &snap);
     flow.run_from(snap);  // uninterrupted continue, same process state
     const std::uint64_t cont_sum = position_checksum(cont);
 
@@ -140,7 +137,7 @@ TEST_F(OrchestrateTest, CheckpointRoundTripBitIdentical) {
     const FlowSnapshot loaded = load_snapshot(path);
     EXPECT_EQ(loaded.x, snap.x);
     EXPECT_EQ(loaded.y, snap.y);
-    EXPECT_EQ(loaded.rng_key, snap.rng_key);
+    EXPECT_EQ(loaded.prefix_key, snap.prefix_key);
 
     // Fresh design (generator positions, no initial_place), fresh flow:
     // the restore path must reproduce the continuation exactly.
@@ -469,10 +466,8 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
     EXPECT_EQ(again.best_checksum, first.best_checksum);
   }
 
-  // Partial resume (the kill-and-resume scenario): truncate the journal
-  // to the first two completed trials; the resumed run re-executes only
-  // the rest and converges to the identical result.
-  {
+  // Cuts the journal back to its first two completed trials.
+  const auto keep_two_completed_trials = [&] {
     const std::vector<JournalRecord> records =
         TrialJournal::load(cfg.journal_path);
     std::string kept;
@@ -485,10 +480,15 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
       if (rec.type == JournalRecord::Type::kTrialComplete) ++completes;
       kept += TrialJournal::encode(rec) + "\n";
     }
-    {
-      std::ofstream f(cfg.journal_path, std::ios::trunc);
-      f << kept;
-    }
+    std::ofstream f(cfg.journal_path, std::ios::trunc);
+    f << kept;
+  };
+
+  // Partial resume (the kill-and-resume scenario): truncate the journal
+  // to the first two completed trials; the resumed run re-executes only
+  // the rest and converges to the identical result.
+  {
+    keep_two_completed_trials();
     OrchestratorConfig rcfg = cfg;
     rcfg.resume = true;
     Design d = generate_synthetic(small_spec());
@@ -499,6 +499,51 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
     EXPECT_EQ(resumed.best_loss, first.best_loss);
     EXPECT_EQ(resumed.best, first.best);
     EXPECT_EQ(resumed.best_checksum, first.best_checksum);
+  }
+
+  // A checkpoint in the older PUFS layout (magic, version 2, a body that
+  // also holds the fork point, padding and two RNG words, FNV trailer)
+  // with this run's keys and positions is rebuilt, never misread: the
+  // prefix runs again, the resumed trials fork from it, and the outcome
+  // is bit-identical.
+  {
+    const std::string ckpt = cfg.checkpoint_dir + "/prefix.ckpt";
+    const FlowSnapshot snap = load_snapshot(ckpt);
+    BinaryWriter body;
+    body.put_u64(snap.design_key);
+    body.put_u64(snap.prefix_key);
+    body.put_f64(cfg.fork_overflow);
+    body.put_f64_vec(snap.x);
+    body.put_f64_vec(snap.y);
+    body.put_f64_vec({});  // padding
+    body.put_u64(0);       // RNG key
+    body.put_u64(0);       // RNG counter
+    BinaryWriter old;
+    old.put_u32(0x50554653);  // "PUFS"
+    old.put_u32(2);
+    old.put_u64(body.buffer().size());
+    old.put_bytes(body.buffer().data(), body.buffer().size());
+    old.put_u64(fnv1a_bytes(body.buffer().data(), body.buffer().size()));
+    atomic_write_file(ckpt, old.buffer());
+    keep_two_completed_trials();
+
+    OrchestratorConfig rcfg = cfg;
+    rcfg.resume = true;
+    Design d = generate_synthetic(small_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), small_experiment_config(),
+                           rcfg);
+    const OrchestrationResult rebuilt = orch.run();
+    EXPECT_EQ(rebuilt.stats.checkpoint_restore_s, 0.0);
+    EXPECT_GT(rebuilt.stats.checkpoint_save_s, 0.0);
+    EXPECT_EQ(rebuilt.stats.trials_resumed, 2);
+    EXPECT_EQ(rebuilt.best_loss, first.best_loss);
+    EXPECT_EQ(rebuilt.best, first.best);
+    EXPECT_EQ(rebuilt.best_checksum, first.best_checksum);
+    // The rebuilt checkpoint is in the current layout again.
+    const FlowSnapshot again = load_snapshot(ckpt);
+    EXPECT_EQ(again.prefix_key, snap.prefix_key);
+    EXPECT_EQ(again.x, snap.x);
+    EXPECT_EQ(again.y, snap.y);
   }
 
   // A different seed re-keys the space: resuming against the existing

@@ -217,7 +217,7 @@ TEST(PaddingFeatures, SnapshotRunFromReproducesContinuation) {
   Design cont = generate_synthetic(flow_spec(29));
   PufferFlow flow(cont, flow_config());
   FlowSnapshot snap;
-  flow.run_prefix(0.45, RngStream(7), &snap);
+  flow.run_prefix(0.45, &snap);
   flow.run_from(snap);
   const std::uint64_t cont_sum = placement_checksum(cont);
 

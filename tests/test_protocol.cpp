@@ -4,7 +4,8 @@
 // prune-thresholds wire codec, the worker's snapshot-key mismatch
 // rejection, and coordinator/worker end-to-end runs (bit-identity with
 // the in-process scheduler, trial reassignment after a worker dies
-// mid-trial, peers that connect and stall or never read).
+// mid-trial, a worker re-attaching after its coordinator is lost, peers
+// that connect and stall or never read).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -247,12 +248,10 @@ TEST(FrameServer, HandlesTheFramesAPeerSentBeforeItHungUp) {
 TEST_F(ProtocolTest, HelloRoundTrip) {
   HelloMsg m;
   m.design_key = 0xdeadbeefcafef00dull;
-  m.cached = {{1, 2}, {0xffffffffffffffffull, 3}};
   m.worker_name = "w-7";
   const HelloMsg d = decode_hello(encode_hello(m));
   EXPECT_EQ(d.protocol_version, kOrchProtocolVersion);
   EXPECT_EQ(d.design_key, m.design_key);
-  EXPECT_EQ(d.cached, m.cached);
   EXPECT_EQ(d.worker_name, m.worker_name);
 }
 
@@ -260,17 +259,12 @@ TEST_F(ProtocolTest, HelloAckRoundTrip) {
   HelloAckMsg m;
   m.design_key = 11;
   m.prefix_key = 22;
-  m.space_key = 33;
-  m.seed = 44;
   m.base_config_text = "gp.max_iters = 250\n";
-  m.snapshot_follows = 0;
   const HelloAckMsg d = decode_hello_ack(encode_hello_ack(m));
+  EXPECT_EQ(d.protocol_version, kOrchProtocolVersion);
   EXPECT_EQ(d.design_key, 11u);
   EXPECT_EQ(d.prefix_key, 22u);
-  EXPECT_EQ(d.space_key, 33u);
-  EXPECT_EQ(d.seed, 44u);
   EXPECT_EQ(d.base_config_text, m.base_config_text);
-  EXPECT_EQ(d.snapshot_follows, 0);
 }
 
 TEST_F(ProtocolTest, TrialMessagesRoundTripBitExact) {
@@ -350,10 +344,9 @@ TEST_F(ProtocolTest, WorkerRejectsSnapshotKeyMismatch) {
   const ExperimentConfig base = tiny_experiment_config();
 
   FdPair fds;
-  SnapshotCache cache;
   bool served = true;
   std::thread worker([&] {
-    served = serve_coordinator(fds.b, design, base, &cache, "t");
+    served = serve_coordinator(fds.b, design, base, "t");
   });
 
   WireFrame f;
@@ -364,7 +357,6 @@ TEST_F(ProtocolTest, WorkerRejectsSnapshotKeyMismatch) {
   HelloAckMsg ack;
   ack.design_key = dkey;
   ack.prefix_key = 777;
-  ack.snapshot_follows = 1;
   send_msg(fds.a, MsgType::kHelloAck, encode_hello_ack(ack));
   // The snapshot's own keys disagree with the announced prefix: the
   // worker must refuse to fork trials from it.
@@ -381,7 +373,6 @@ TEST_F(ProtocolTest, WorkerRejectsSnapshotKeyMismatch) {
             std::string::npos);
   worker.join();
   EXPECT_FALSE(served);
-  EXPECT_EQ(cache.keys().size(), 0u);  // nothing poisoned the cache
 }
 
 // --- end-to-end -----------------------------------------------------------
@@ -456,8 +447,7 @@ TEST_F(ProtocolTest, WorkerDeathMidTrialReassigned) {
     send_msg(fd, MsgType::kHello, encode_hello(hello));
     WireFrame f;
     ASSERT_TRUE(read_frame_fd(fd, &f));  // HelloAck
-    const HelloAckMsg ack = decode_hello_ack(f.body);
-    if (ack.snapshot_follows) ASSERT_TRUE(read_frame_fd(fd, &f));
+    ASSERT_TRUE(read_frame_fd(fd, &f));  // Snapshot
     send_msg(fd, MsgType::kReady, std::string());
     ASSERT_TRUE(read_frame_fd(fd, &f));  // first TrialAssign
     EXPECT_EQ(f.type, static_cast<std::uint32_t>(MsgType::kTrialAssign));
@@ -488,6 +478,82 @@ TEST_F(ProtocolTest, WorkerDeathMidTrialReassigned) {
   healthy.join();
 
   // Identical exploration despite the death.
+  EXPECT_EQ(dist.best_trial, ref.best_trial);
+  EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
+  EXPECT_EQ(dist.best_checksum, ref.best_checksum);
+}
+
+TEST_F(ProtocolTest, WorkerReattachesAfterCoordinatorLoss) {
+  OrchestrationResult ref;
+  {
+    Design d = generate_synthetic(tiny_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), tiny_experiment_config(),
+                           tiny_orch_config());
+    ref = orch.run();
+  }
+
+  const std::string address = temp_socket("puffer_proto_reattach.sock");
+  Design d = generate_synthetic(tiny_spec());
+  const std::uint64_t dkey = design_structure_key(d);
+  std::thread worker;
+  {
+    // A stand-in coordinator ships a snapshot of another prefix and,
+    // once the worker is ready, hangs up without kShutdown: a
+    // coordinator that died before assigning any trial.
+    FlowSnapshot other_prefix;
+    other_prefix.design_key = dkey;
+    other_prefix.prefix_key = 1;
+    other_prefix.x.assign(d.cells.size(), 0.0);
+    other_prefix.y.assign(d.cells.size(), 0.0);
+    bool ready = false;
+    FrameServer* self = nullptr;
+    FrameServer standin(
+        address,
+        [&](FrameServer::ConnId id, const WireFrame& frame) {
+          if (frame.type == static_cast<std::uint32_t>(MsgType::kHello)) {
+            EXPECT_EQ(decode_hello(frame.body).design_key, dkey);
+            HelloAckMsg ack;
+            ack.design_key = dkey;
+            ack.prefix_key = other_prefix.prefix_key;
+            self->send(id, static_cast<std::uint32_t>(MsgType::kHelloAck),
+                       encode_hello_ack(ack));
+            self->send(id, static_cast<std::uint32_t>(MsgType::kSnapshot),
+                       encode_snapshot(other_prefix));
+          } else if (frame.type ==
+                     static_cast<std::uint32_t>(MsgType::kReady)) {
+            ready = true;
+            self->close(id);
+          }
+        },
+        [](FrameServer::ConnId, const std::string&) {});
+    self = &standin;
+    worker = std::thread([&address] {
+      Design wd = generate_synthetic(tiny_spec());
+      WorkerConfig cfg;
+      cfg.connect = address;
+      cfg.name = "returning";
+      cfg.connect_timeout_s = 60.0;
+      cfg.reconnect_timeout_s = 60.0;
+      EXPECT_EQ(run_worker(wd, tiny_experiment_config(), cfg), 0);
+    });
+    for (int i = 0; i < 600 && !ready; ++i) standin.poll(100);
+    EXPECT_TRUE(ready);
+  }  // the stand-in's sockets close here
+
+  // The real exploration on the same address: the worker re-attaches,
+  // takes this coordinator's snapshot, and evaluates every trial.
+  TrialOrchestrator orchestrator(d, puffer_param_specs(),
+                                 tiny_experiment_config(), tiny_orch_config());
+  CoordinatorConfig coord;
+  coord.listen = address;
+  coord.min_workers = 1;
+  coord.attach_timeout_s = 60.0;
+  CoordinatorExecutor executor(coord);
+  const OrchestrationResult dist = orchestrator.run(executor);
+  EXPECT_EQ(executor.trials_in_process(), 0);
+  executor.shutdown_workers();
+  worker.join();
+
   EXPECT_EQ(dist.best_trial, ref.best_trial);
   EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
   EXPECT_EQ(dist.best_checksum, ref.best_checksum);

@@ -595,6 +595,47 @@ TEST(ServeSessionManager, UnusableGpConfigFailsTheSession) {
       << s->summary.message;
 }
 
+// A result file that cannot be spooled fails its session, not the
+// daemon: the finish record still lands, and the next session runs.
+TEST(ServeSessionManager, UnwritableResultSpoolFailsOnlyThatSession) {
+  ServeConfig cfg = manager_config("serve_mgr_unwritable");
+  // A directory where session 1's temporary result file must go.
+  std::filesystem::create_directory(cfg.spool_dir + "/result_1.bin.tmp");
+  std::uint64_t failed_sid = 0, done_sid = 0;
+  {
+    ManagerHarness h(cfg);
+    const auto a = h.mgr().submit(encode_submit(small_job("unwritable")));
+    ASSERT_TRUE(a.accepted);
+    failed_sid = a.session_id;
+    ASSERT_EQ(failed_sid, 1u);
+    const ServeSession* s = h.settle(failed_sid);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->state, SessionState::kFailed);
+    EXPECT_NE(s->summary.message.find("result_1.bin.tmp"), std::string::npos)
+        << s->summary.message;
+    std::string body;
+    EXPECT_FALSE(h.mgr().result_body(failed_sid, &body));
+
+    const auto b = h.mgr().submit(encode_submit(small_job("writable")));
+    ASSERT_TRUE(b.accepted);
+    done_sid = b.session_id;
+    const ServeSession* sb = h.settle(done_sid);
+    ASSERT_NE(sb, nullptr);
+    EXPECT_EQ(sb->state, SessionState::kDone);
+    ASSERT_TRUE(h.mgr().result_body(done_sid, &body));
+    EXPECT_EQ(decode_result(body).checksum, direct_reference().checksum);
+  }
+
+  // Both finish records were logged: a restart restores both sessions.
+  ManagerHarness h2(cfg);
+  const ServeSession* failed = h2.mgr().find(failed_sid);
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(failed->state, SessionState::kFailed);
+  const ServeSession* done = h2.mgr().find(done_sid);
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->state, SessionState::kDone);
+}
+
 TEST(ServeSessionManager, RestartRecoversFinishedAndRerunsUnfinished) {
   ServeConfig cfg = manager_config("serve_mgr_recover");
   std::uint64_t done_sid = 0, pending_sid = 0;
