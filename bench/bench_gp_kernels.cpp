@@ -50,8 +50,8 @@ double time_best(int reps, Fn&& fn) {
 std::uint64_t vec_checksum(const std::vector<double>& a,
                            const std::vector<double>& b) {
   BinaryWriter w;
-  w.put_f64_vec(a);
-  w.put_f64_vec(b);
+  w.f64s(a);
+  w.f64s(b);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }
 

@@ -51,8 +51,8 @@ double time_best(int reps, Fn&& fn) {
 std::uint64_t placement_checksum(const Design& d) {
   BinaryWriter w;
   for (const Cell& c : d.cells) {
-    w.put_f64(c.x);
-    w.put_f64(c.y);
+    w.f64(c.x);
+    w.f64(c.y);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }
@@ -61,7 +61,7 @@ std::uint64_t placement_checksum(const Design& d) {
 std::uint64_t features_checksum(const std::vector<FeatureVector>& fs) {
   BinaryWriter w;
   for (const FeatureVector& f : fs) {
-    for (int k = 0; k < FeatureVector::kCount; ++k) w.put_f64(f[k]);
+    for (int k = 0; k < FeatureVector::kCount; ++k) w.f64(f[k]);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }

@@ -53,8 +53,8 @@ double time_best(int reps, Fn&& fn) {
 std::uint64_t placement_checksum(const Design& d) {
   BinaryWriter w;
   for (const Cell& c : d.cells) {
-    w.put_f64(c.x);
-    w.put_f64(c.y);
+    w.f64(c.x);
+    w.f64(c.y);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }

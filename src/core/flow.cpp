@@ -21,21 +21,21 @@ FlowMetrics PufferFlow::run() { return run_internal(nullptr); }
 
 std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   BinaryWriter w;
-  w.put_u8(config_.init.keep_existing ? 1 : 0);
-  w.put_i32(config_.init.sweeps);
-  w.put_f64(config_.init.jitter_frac);
-  w.put_u64(config_.init.seed);
-  w.put_i32(config_.gp.bin_dim);
-  w.put_f64(config_.gp.target_density);
-  w.put_f64(config_.gp.stop_overflow);
-  w.put_i32(config_.gp.max_iters);
-  w.put_u8(config_.gp.use_fillers ? 1 : 0);
-  w.put_u64(config_.gp.seed);
-  w.put_f64(config_.gp.mu_max);
-  w.put_f64(config_.gp.mu_min);
-  w.put_f64(config_.gp.hpwl_ref_frac);
-  w.put_f64(config_.gp.lambda_freeze_overflow);
-  w.put_f64(fork_overflow);
+  w.u8(config_.init.keep_existing ? 1 : 0);
+  w.i32(config_.init.sweeps);
+  w.f64(config_.init.jitter_frac);
+  w.u64(config_.init.seed);
+  w.i32(config_.gp.bin_dim);
+  w.f64(config_.gp.target_density);
+  w.f64(config_.gp.stop_overflow);
+  w.i32(config_.gp.max_iters);
+  w.u8(config_.gp.use_fillers ? 1 : 0);
+  w.u64(config_.gp.seed);
+  w.f64(config_.gp.mu_max);
+  w.f64(config_.gp.mu_min);
+  w.f64(config_.gp.hpwl_ref_frac);
+  w.f64(config_.gp.lambda_freeze_overflow);
+  w.f64(fork_overflow);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }
 

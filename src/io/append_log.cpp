@@ -3,10 +3,10 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
-#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -83,18 +83,6 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-std::uint64_t bits_of(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double double_of(std::uint64_t bits) {
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 bool parse_u64(const std::string& raw, int base, std::uint64_t* out) {
   // strtoull would also take leading blanks and a sign.
   if (raw.empty() || !std::isxdigit(static_cast<unsigned char>(raw[0]))) {
@@ -134,7 +122,7 @@ LogLine& LogLine::hex(const char* key, std::uint64_t value) {
 }
 
 LogLine& LogLine::bits(const char* key, double value) {
-  return hex(key, bits_of(value));
+  return hex(key, std::bit_cast<std::uint64_t>(value));
 }
 
 LogLine& LogLine::approx(const char* key, double value) {
@@ -151,90 +139,98 @@ LogLine& LogLine::bits_array(const char* key,
   text_ += '[';
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i > 0) text_ += ',';
-    text_ += '"' + hex16(bits_of(values[i])) + '"';
+    text_ += '"' + hex16(std::bit_cast<std::uint64_t>(values[i])) + '"';
   }
   text_ += ']';
   return *this;
 }
 
-// The characters between the quotes of a string value, else everything
-// up to the next ',', '}' or ']'.
-bool log_str(const std::string& line, const char* key, std::string* out) {
+LogLineReader::LogLineReader(const std::string& line)
+    : line_(line),
+      ok_(!line.empty() && line.front() == '{' && line.back() == '}') {}
+
+bool LogLineReader::raw(const char* key, std::string* out) {
+  if (!ok_) return false;
   const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t p = at + needle.size();
-  if (p >= line.size()) return false;
-  if (line[p] == '"') {
-    const std::size_t end = line.find('"', p + 1);
-    if (end == std::string::npos) return false;
-    *out = line.substr(p + 1, end - p - 1);
-    return true;
-  }
+  const std::size_t at = line_.find(needle);
+  std::size_t p = at == std::string::npos ? line_.size() : at + needle.size();
   std::size_t end = p;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ']') {
-    ++end;
+  if (p < line_.size() && line_[p] == '"') {
+    end = line_.find('"', ++p);
+  } else {
+    while (end < line_.size() && line_[end] != ',' && line_[end] != '}' &&
+           line_[end] != ']') {
+      ++end;
+    }
   }
-  if (end == line.size()) return false;
-  *out = line.substr(p, end - p);
+  if (end == std::string::npos || end >= line_.size()) return ok_ = false;
+  *out = line_.substr(p, end - p);
   return true;
 }
 
-bool log_type(const std::string& line, std::string* out) {
-  return !line.empty() && line.front() == '{' && line.back() == '}' &&
-         log_str(line, "type", out);
+bool LogLineReader::parse_unsigned(const char* key, int base,
+                                   std::uint64_t* out) {
+  std::string text;
+  return raw(key, &text) && (ok_ = parse_u64(text, base, out));
 }
 
-bool log_int(const std::string& line, const char* key, int* out) {
-  std::string raw;
-  if (!log_str(line, key, &raw) || raw.empty()) return false;
+bool LogLineReader::parse_signed(const char* key, long long lo, long long hi,
+                                 long long* out) {
+  std::string text;
+  if (!raw(key, &text)) return false;
   char* end = nullptr;
   errno = 0;
-  const long v = std::strtol(raw.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
-  *out = static_cast<int>(v);
-  return true;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  ok_ = !text.empty() && errno == 0 && *end == '\0' && v >= lo && v <= hi;
+  if (ok_) *out = v;
+  return ok_;
 }
 
-bool log_u64(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string raw;
-  return log_str(line, key, &raw) && parse_u64(raw, 10, out);
+LogLineReader& LogLineReader::str(const char* key, std::string& value) {
+  raw(key, &value);
+  return *this;
 }
 
-bool log_hex(const std::string& line, const char* key, std::uint64_t* out) {
-  std::string raw;
-  return log_str(line, key, &raw) && parse_u64(raw, 16, out);
+LogLineReader& LogLineReader::flag(const char* key, bool& value) {
+  int v = 0;
+  if (num(key, v).ok()) value = v != 0;
+  return *this;
 }
 
-bool log_bits(const std::string& line, const char* key, double* out) {
-  std::uint64_t bits = 0;
-  if (!log_hex(line, key, &bits)) return false;
-  *out = double_of(bits);
-  return true;
+LogLineReader& LogLineReader::hex(const char* key, std::uint64_t& value) {
+  parse_unsigned(key, 16, &value);
+  return *this;
 }
 
-bool log_bits_array(const std::string& line, const char* key,
-                    std::vector<double>* out) {
+LogLineReader& LogLineReader::bits(const char* key, double& value) {
+  std::uint64_t v = 0;
+  if (parse_unsigned(key, 16, &v)) value = std::bit_cast<double>(v);
+  return *this;
+}
+
+LogLineReader& LogLineReader::bits_array(const char* key,
+                                         std::vector<double>& values) {
+  if (!ok_) return *this;
   const std::string needle = std::string("\"") + key + "\":[";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
+  const std::size_t at = line_.find(needle);
+  if (at == std::string::npos) return check(false);
   std::size_t p = at + needle.size();
-  out->clear();
-  while (p < line.size() && line[p] != ']') {
-    if (line[p] == ',') {
+  values.clear();
+  while (p < line_.size() && line_[p] != ']') {
+    if (line_[p] == ',') {
       ++p;
       continue;
     }
-    if (line[p] != '"') return false;
-    const std::size_t end = line.find('"', p + 1);
-    if (end == std::string::npos) return false;
-    std::uint64_t bits = 0;
-    if (!parse_u64(line.substr(p + 1, end - p - 1), 16, &bits)) return false;
-    out->push_back(double_of(bits));
+    const std::size_t end = line_.find('"', p + 1);
+    std::uint64_t v = 0;
+    if (line_[p] != '"' || end == std::string::npos ||
+        !parse_u64(line_.substr(p + 1, end - p - 1), 16, &v)) {
+      return check(false);
+    }
+    values.push_back(std::bit_cast<double>(v));
     p = end + 1;
   }
-  return p < line.size();  // must have hit the ']'
+  return check(p < line_.size());  // must have hit the ']'
 }
 
 }  // namespace puffer

@@ -1,7 +1,7 @@
 // Append-only, crash-safe line log: the storage under the exploration
 // trial journal (orchestrate/trial_journal.h) and the serve daemon's
 // request log (serve/request_log.h), plus the record format both write
-// (LogLine and the log_* field readers below).
+// and read (LogLine and its twin LogLineReader below).
 //
 // One record per '\n'-terminated line, flushed and fsync'd per append, so
 // a crash at any point leaves at worst a torn final line. The tolerant
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -59,10 +60,16 @@ class AppendLog {
 // Builds one record line: a flat JSON object whose first field is
 // "type". Keys are unique and values are never nested. Doubles that must
 // replay exactly are stored as their IEEE-754 bit patterns in hex.
+//
+// LogLineReader reads a line back with the same calls, so each log
+// states a record's layout once, as a walk that both run:
+//
+//   template <class Log, class Rec>
+//   void fields(Log& log, Rec& rec) {
+//     log.tag("type", rec.type, kTypes).num("sid", rec.session_id);
+//   }
 class LogLine {
  public:
-  explicit LogLine(const char* type) { str("type", type); }
-
   // A string value. '"', '\\', '\n' and '\r' are written as '_', so the
   // line needs no escapes and stays one line.
   LogLine& str(const char* key, const std::string& value);
@@ -73,10 +80,18 @@ class LogLine {
     text_ += std::to_string(value);
     return *this;
   }
+  LogLine& flag(const char* key, bool value) { return num(key, value ? 1 : 0); }
   LogLine& hex(const char* key, std::uint64_t value);  // "%016x" string
   LogLine& bits(const char* key, double value);  // hex of the bit pattern
-  LogLine& approx(const char* key, double value);  // %.6g, for readers
+  LogLine& approx(const char* key, double value);  // %.6g, not read back
   LogLine& bits_array(const char* key, const std::vector<double>& values);
+  // An enum written as its entry in `names`.
+  template <class E, std::size_t N>
+  LogLine& tag(const char* key, E value, const char* const (&names)[N]) {
+    return str(key, names[static_cast<std::size_t>(value)]);
+  }
+  // A condition the read fields must meet; nothing to write.
+  LogLine& check(bool /*ok*/) { return *this; }
 
   // The finished line, without a '\n'.
   std::string line() const { return text_ + "}"; }
@@ -87,19 +102,64 @@ class LogLine {
   std::string text_ = "{";
 };
 
-// Field readers for lines LogLine wrote. Each returns false when the key
-// is missing or its value does not parse, which log loaders treat as a
-// torn record.
-//
-// The "type" of a whole line (one that opens with '{' and closes with
-// '}').
-bool log_type(const std::string& line, std::string* out);
-bool log_str(const std::string& line, const char* key, std::string* out);
-bool log_int(const std::string& line, const char* key, int* out);
-bool log_u64(const std::string& line, const char* key, std::uint64_t* out);
-bool log_hex(const std::string& line, const char* key, std::uint64_t* out);
-bool log_bits(const std::string& line, const char* key, double* out);
-bool log_bits_array(const std::string& line, const char* key,
-                    std::vector<double>* out);
+// Reads the fields of one line LogLine wrote. A line that is not one
+// braced object, a missing key, a value that does not parse or fit, or a
+// failed check clears ok(), which log loaders treat as a torn record;
+// every later call then leaves its value alone.
+class LogLineReader {
+ public:
+  explicit LogLineReader(const std::string& line);
+
+  LogLineReader& str(const char* key, std::string& value);
+  template <typename Int>
+  LogLineReader& num(const char* key, Int& value) {
+    static_assert(std::is_integral_v<Int>);
+    if constexpr (std::is_unsigned_v<Int> && sizeof(Int) == 8) {
+      std::uint64_t v = 0;
+      if (parse_unsigned(key, 10, &v)) value = v;
+    } else {
+      long long v = 0;
+      if (parse_signed(key, std::numeric_limits<Int>::min(),
+                       std::numeric_limits<Int>::max(), &v)) {
+        value = static_cast<Int>(v);
+      }
+    }
+    return *this;
+  }
+  LogLineReader& flag(const char* key, bool& value);
+  LogLineReader& hex(const char* key, std::uint64_t& value);
+  LogLineReader& bits(const char* key, double& value);
+  LogLineReader& approx(const char* /*key*/, double /*value*/) {
+    return *this;
+  }
+  LogLineReader& bits_array(const char* key, std::vector<double>& values);
+  template <class E, std::size_t N>
+  LogLineReader& tag(const char* key, E& value,
+                     const char* const (&names)[N]) {
+    std::string name;
+    str(key, name);
+    std::size_t i = 0;
+    while (i < N && name != names[i]) ++i;
+    if (check(i < N).ok()) value = static_cast<E>(i);
+    return *this;
+  }
+  LogLineReader& check(bool ok) {
+    ok_ = ok_ && ok;
+    return *this;
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  // The characters between the quotes of a string value, else everything
+  // up to the next ',', '}' or ']'.
+  bool raw(const char* key, std::string* out);
+  bool parse_unsigned(const char* key, int base, std::uint64_t* out);
+  bool parse_signed(const char* key, long long lo, long long hi,
+                    long long* out);
+
+  const std::string& line_;
+  bool ok_;
+};
 
 }  // namespace puffer

@@ -21,113 +21,40 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
 }
 
 std::uint64_t fnv1a_f64(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return fnv1a_u64(h, bits);
+  return fnv1a_u64(h, std::bit_cast<std::uint64_t>(v));
 }
 
 }  // namespace
 
-// --- BinaryWriter --------------------------------------------------------
-
-void BinaryWriter::put_u32(std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  buf_.append(b, 4);
-}
-
-void BinaryWriter::put_u64(std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  buf_.append(b, 8);
-}
-
-void BinaryWriter::put_f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(bits);
-}
-
-void BinaryWriter::put_bytes(const void* data, std::size_t n) {
-  buf_.append(static_cast<const char*>(data), n);
-}
-
-void BinaryWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  buf_.append(s);
-}
-
-void BinaryWriter::put_f64_vec(const std::vector<double>& v) {
-  put_u64(v.size());
-  for (double d : v) put_f64(d);
-}
-
 // --- BinaryReader --------------------------------------------------------
 
-void BinaryReader::need(std::size_t n) const {
+std::uint64_t BinaryReader::le(std::size_t n) {
   if (buf_.size() - pos_ < n) {
-    throw CheckpointError("checkpoint: truncated buffer (need " +
-                          std::to_string(n) + " bytes at offset " +
-                          std::to_string(pos_) + ", have " +
-                          std::to_string(buf_.size() - pos_) + ")");
+    fail(("truncated (need " + std::to_string(n) + " bytes at offset " +
+          std::to_string(pos_) + ", have " +
+          std::to_string(buf_.size() - pos_) + ")")
+             .c_str());
   }
-}
-
-std::uint8_t BinaryReader::get_u8() {
-  need(1);
-  return static_cast<std::uint8_t>(buf_[pos_++]);
-}
-
-std::uint32_t BinaryReader::get_u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t BinaryReader::get_u64() {
-  need(8);
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf_[pos_ + i]))
          << (8 * i);
   }
-  pos_ += 8;
+  pos_ += n;
   return v;
 }
 
-double BinaryReader::get_f64() {
-  const std::uint64_t bits = get_u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string BinaryReader::get_string() {
-  const std::uint64_t n = get_u64();
-  if (n > buf_.size() - pos_) {
-    throw CheckpointError("checkpoint: string length " + std::to_string(n) +
-                          " exceeds buffer");
+std::size_t BinaryReader::count(std::size_t least) {
+  const std::uint64_t n = le(8);
+  if (n > (buf_.size() - pos_) / least) {
+    fail(("count " + std::to_string(n) + " exceeds the remaining bytes")
+             .c_str());
   }
-  std::string s = buf_.substr(pos_, static_cast<std::size_t>(n));
-  pos_ += static_cast<std::size_t>(n);
-  return s;
+  return static_cast<std::size_t>(n);
 }
 
-std::vector<double> BinaryReader::get_f64_vec() {
-  const std::uint64_t n = get_u64();
-  if (n > (buf_.size() - pos_) / 8) {
-    throw CheckpointError("checkpoint: vector length " + std::to_string(n) +
-                          " exceeds buffer");
-  }
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(get_f64());
-  return v;
+void BinaryReader::fail(const char* what) const {
+  throw CheckpointError(std::string(what_) + ": " + what);
 }
 
 // --- hashing -------------------------------------------------------------
@@ -264,12 +191,11 @@ void write_all(int fd, const char* src, std::size_t n) {
 
 std::string encode_frame(std::uint32_t type, const std::string& body) {
   BinaryWriter w;
-  w.put_u32(kFrameMagic);
-  w.put_u32(kWireVersion);
-  w.put_u32(type);
-  w.put_u64(body.size());
-  w.put_bytes(body.data(), body.size());
-  w.put_u64(fnv1a_bytes(body.data(), body.size()));
+  w.u32(kFrameMagic);
+  w.u32(kWireVersion);
+  w.u32(type);
+  w.str(body);  // u64 body size, body bytes
+  w.u64(fnv1a_bytes(body.data(), body.size()));
   return w.take();
 }
 
@@ -418,30 +344,22 @@ std::uint64_t position_checksum(const Design& design) {
 
 // --- snapshot encode/decode ----------------------------------------------
 
+template <class IO, FieldsOf<FlowSnapshot> S>
+void fields(IO& io, S& snap) {
+  io.u64(snap.design_key);
+  io.u64(snap.prefix_key);
+  io.f64s(snap.x);
+  io.f64s(snap.y);
+  io.check(snap.x.size() == snap.y.size(), "x/y position arrays disagree");
+}
+
 std::string encode_snapshot(const FlowSnapshot& snap) {
-  BinaryWriter w;
-  w.put_u64(snap.design_key);
-  w.put_u64(snap.prefix_key);
-  w.put_f64_vec(snap.x);
-  w.put_f64_vec(snap.y);
-  return encode_frame(kSnapshotFrame, w.buffer());
+  return encode_frame(kSnapshotFrame, encode_fields(snap));
 }
 
 FlowSnapshot decode_snapshot(const std::string& bytes) {
-  const std::string body = decode_frame(bytes, kSnapshotFrame, "snapshot");
-  BinaryReader r(body);
-  FlowSnapshot snap;
-  snap.design_key = r.get_u64();
-  snap.prefix_key = r.get_u64();
-  snap.x = r.get_f64_vec();
-  snap.y = r.get_f64_vec();
-  if (!r.at_end()) {
-    throw CheckpointError("snapshot: trailing bytes after payload");
-  }
-  if (snap.x.size() != snap.y.size()) {
-    throw CheckpointError("snapshot: x/y position arrays disagree");
-  }
-  return snap;
+  return decode_fields<FlowSnapshot>(
+      decode_frame(bytes, kSnapshotFrame, "snapshot"), "snapshot");
 }
 
 void save_snapshot(const std::string& path, const FlowSnapshot& snap) {

@@ -1,4 +1,7 @@
-// Binary checkpoint codec for trial orchestration (src/orchestrate/).
+// Binary codecs: the field interface every binary record's layout is
+// written in (wire messages, the design blob, prune thresholds, the flow
+// snapshot), the PUFM frame that envelops every message and stored
+// blob, crash-safe file helpers, and the flow snapshot itself.
 //
 // A FlowSnapshot captures the flow state at the fork point of a staged
 // run -- the end of the trial-invariant global-placement prefix -- so K
@@ -15,9 +18,11 @@
 // leaves a torn checkpoint. Decoding errors throw CheckpointError.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "netlist/design.h"
@@ -30,49 +35,160 @@ class CheckpointError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-// --- low-level byte codec ------------------------------------------------
-// Little-endian writer/reader over an in-memory buffer. Doubles are stored
-// as their IEEE-754 bit pattern so round-trips are bitwise-exact.
+// --- field codec -----------------------------------------------------------
+// Every binary record states its layout once, as a field walk that both
+// directions run:
+//
+//   template <class IO, FieldsOf<SessionRefMsg> M>
+//   void fields(IO& io, M& m) { io.u64(m.session_id); }
+//
+// BinaryWriter runs it over a const record to encode; BinaryReader runs
+// it over a mutable one to decode. Both take the same calls: fixed-width
+// little-endian integers, doubles as their IEEE-754 bit pattern (round
+// trips are bitwise-exact), enums and bools as one byte, strings and
+// double lists as a u64 count plus elements, record lists as a u64
+// count plus each element's own walk, and check() -- a condition the
+// decoded fields must meet, ignored when encoding. Walks live in
+// namespace puffer beside their record's codec, where list() finds them.
+//
+// The reader throws CheckpointError on truncation, on a count the
+// remaining bytes cannot hold (a garbled count must not trigger a huge
+// allocation), on a failed check and, in decode_fields, on bytes left
+// over; each message starts with the name the reader was given.
+
+// `M` is `T` when decoding and `const T` when encoding.
+template <class M, class T>
+concept FieldsOf = std::is_same_v<std::remove_const_t<M>, T>;
+
 class BinaryWriter {
  public:
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
-  void put_i64(std::int64_t v) { put_u64(static_cast<std::uint64_t>(v)); }
-  void put_f64(double v);
-  void put_bytes(const void* data, std::size_t n);
-  void put_string(const std::string& s);
-  void put_f64_vec(const std::vector<double>& v);
+  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void u64(std::uint64_t v) { le(v, 8); }
+  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  template <class E>
+  void byte(E v, E /*last*/) { u8(static_cast<std::uint8_t>(v)); }
+  void str(const std::string& s) {
+    u64(s.size());
+    buf_ += s;
+  }
+  void f64s(const std::vector<double>& v) {
+    u64(v.size());
+    for (const double d : v) f64(d);
+  }
+  template <class T>
+  void list(const std::vector<T>& v) {
+    u64(v.size());
+    for (const T& e : v) fields(*this, e);
+  }
+  void check(bool /*ok*/, const char* /*what*/) {}
 
   const std::string& buffer() const { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
+  void le(std::uint64_t v, int n) {
+    char b[8];
+    for (int i = 0; i < n; ++i) b[i] = static_cast<char>(v >> (8 * i));
+    buf_.append(b, static_cast<std::size_t>(n));
+  }
+
   std::string buf_;
 };
 
 class BinaryReader {
  public:
-  explicit BinaryReader(const std::string& buf) : buf_(buf) {}
+  // `what` names the record in error messages.
+  BinaryReader(const std::string& buf, const char* what)
+      : buf_(buf), what_(what) {}
 
-  std::uint8_t get_u8();
-  std::uint32_t get_u32();
-  std::uint64_t get_u64();
-  std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_f64();
-  std::string get_string();
-  std::vector<double> get_f64_vec();
-
-  std::size_t remaining() const { return buf_.size() - pos_; }
-  bool at_end() const { return pos_ == buf_.size(); }
+  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(le(1)); }
+  void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(le(4)); }
+  void u64(std::uint64_t& v) { v = le(8); }
+  void i32(std::int32_t& v) { v = static_cast<std::int32_t>(le(4)); }
+  void f64(double& v) { v = std::bit_cast<double>(le(8)); }
+  // An enum or bool no greater than `last`.
+  template <class E>
+  void byte(E& v, E last) {
+    const std::uint64_t b = le(1);
+    check(b <= static_cast<std::uint64_t>(last), "byte value out of range");
+    v = static_cast<E>(b);
+  }
+  void str(std::string& s) {
+    const std::size_t n = count(1);
+    s.assign(buf_, pos_, n);
+    pos_ += n;
+  }
+  void f64s(std::vector<double>& v) {
+    v.resize(count(8));
+    for (double& d : v) f64(d);
+  }
+  template <class T>
+  void list(std::vector<T>& v) {
+    v.resize(count(least_size<T>()));
+    for (T& e : v) fields(*this, e);
+  }
+  void check(bool ok, const char* what) const {
+    if (!ok) fail(what);
+  }
+  // Throws unless every byte was read.
+  void finish() const { check(pos_ == buf_.size(), "trailing bytes"); }
 
  private:
-  void need(std::size_t n) const;
+  // Bytes a default-constructed T encodes to: the least any T takes, as
+  // its strings and lists are empty.
+  template <class T>
+  static std::size_t least_size() {
+    static const std::size_t n = [] {
+      BinaryWriter w;
+      fields(w, static_cast<const T&>(T{}));
+      return w.buffer().size();
+    }();
+    return n;
+  }
+  // Reads a u64 count of elements that take at least `least` bytes each.
+  std::size_t count(std::size_t least);
+  // Reads an `n`-byte little-endian unsigned integer.
+  std::uint64_t le(std::size_t n);
+  [[noreturn]] void fail(const char* what) const;
+
   const std::string& buf_;
+  const char* what_;
   std::size_t pos_ = 0;
 };
+
+// A list of double lists walks each element as f64s.
+template <class IO, FieldsOf<std::vector<double>> V>
+void fields(IO& io, V& v) {
+  io.f64s(v);
+}
+
+// Encodes a record through its field walk.
+template <class T>
+std::string encode_fields(const T& record) {
+  BinaryWriter w;
+  fields(w, record);
+  return w.take();
+}
+
+// Decodes a record that spans all of `body`; `what` names it in errors.
+template <class T>
+T decode_fields(const std::string& body, const char* what) {
+  BinaryReader r(body, what);
+  T record;
+  fields(r, record);
+  r.finish();
+  return record;
+}
+
+// Defines the named body codecs encode_NAME / decode_NAME of record type
+// T from its field walk.
+#define PUFFER_FIELD_CODEC(T, name)                                   \
+  std::string encode_##name(const T& m) { return encode_fields(m); } \
+  T decode_##name(const std::string& body) {                         \
+    return decode_fields<T>(body, #name);                            \
+  }
 
 // FNV-1a over a byte range (shared by the frame trailer and the
 // journal's record hashes).

@@ -64,26 +64,26 @@ TrialOrchestrator::TrialOrchestrator(Design& design,
 
 std::uint64_t TrialOrchestrator::space_key() const {
   BinaryWriter w;
-  w.put_u64(static_cast<std::uint64_t>(specs_.size()));
+  w.u64(static_cast<std::uint64_t>(specs_.size()));
   for (const ParamSpec& s : specs_) {
-    w.put_string(s.name);
-    w.put_i32(static_cast<std::int32_t>(s.kind));
-    w.put_f64(s.lo);
-    w.put_f64(s.hi);
+    w.str(s.name);
+    w.i32(static_cast<std::int32_t>(s.kind));
+    w.f64(s.lo);
+    w.f64(s.hi);
   }
-  w.put_u64(config_.seed);
-  w.put_i32(config_.trials);
-  w.put_i32(config_.batch_size);
-  w.put_i32(config_.early_stop);
-  w.put_f64(config_.fork_overflow);
-  w.put_f64(config_.tpe.gamma);
-  w.put_i32(config_.tpe.n_candidates);
-  w.put_i32(config_.tpe.n_startup);
-  w.put_u8(config_.prune.enabled ? 1 : 0);
-  w.put_i32(config_.prune.grace_rounds);
-  w.put_i32(config_.prune.min_history);
-  w.put_f64(config_.prune.quantile);
-  w.put_f64(config_.prune.penalty);
+  w.u64(config_.seed);
+  w.i32(config_.trials);
+  w.i32(config_.batch_size);
+  w.i32(config_.early_stop);
+  w.f64(config_.fork_overflow);
+  w.f64(config_.tpe.gamma);
+  w.i32(config_.tpe.n_candidates);
+  w.i32(config_.tpe.n_startup);
+  w.u8(config_.prune.enabled ? 1 : 0);
+  w.i32(config_.prune.grace_rounds);
+  w.i32(config_.prune.min_history);
+  w.f64(config_.prune.quantile);
+  w.f64(config_.prune.penalty);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }
 

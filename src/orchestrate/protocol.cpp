@@ -2,116 +2,53 @@
 
 namespace puffer {
 
-namespace {
+// --- field walks: the one layout of each message body ---------------------
 
-void finish_decode(const BinaryReader& r, const char* what) {
-  if (!r.at_end()) {
-    throw CheckpointError(std::string("protocol: trailing bytes after ") +
-                          what);
-  }
+template <class IO, FieldsOf<HelloMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.protocol_version);
+  io.u64(m.design_key);
+  io.str(m.worker_name);
 }
 
-}  // namespace
-
-std::string encode_hello(const HelloMsg& m) {
-  BinaryWriter w;
-  w.put_u32(m.protocol_version);
-  w.put_u64(m.design_key);
-  w.put_string(m.worker_name);
-  return w.take();
+template <class IO, FieldsOf<HelloAckMsg> M>
+void fields(IO& io, M& m) {
+  io.u32(m.protocol_version);
+  io.u64(m.design_key);
+  io.u64(m.prefix_key);
+  io.str(m.base_config_text);
 }
 
-HelloMsg decode_hello(const std::string& body) {
-  BinaryReader r(body);
-  HelloMsg m;
-  m.protocol_version = r.get_u32();
-  m.design_key = r.get_u64();
-  m.worker_name = r.get_string();
-  finish_decode(r, "hello");
-  return m;
+template <class IO, FieldsOf<TrialAssignMsg> M>
+void fields(IO& io, M& m) {
+  io.i32(m.trial_id);
+  io.u64(m.akey);
+  io.f64s(m.assignment);
+  io.str(m.pruner_blob);
 }
 
-std::string encode_hello_ack(const HelloAckMsg& m) {
-  BinaryWriter w;
-  w.put_u32(m.protocol_version);
-  w.put_u64(m.design_key);
-  w.put_u64(m.prefix_key);
-  w.put_string(m.base_config_text);
-  return w.take();
+template <class IO, FieldsOf<TrialResultMsg> M>
+void fields(IO& io, M& m) {
+  io.i32(m.trial_id);
+  io.u64(m.akey);
+  io.f64(m.loss);
+  io.u8(m.pruned);
+  io.i32(m.prune_round);
+  io.u64(m.checksum);
+  io.f64s(m.rounds);
+  io.f64(m.wall_s);
 }
 
-HelloAckMsg decode_hello_ack(const std::string& body) {
-  BinaryReader r(body);
-  HelloAckMsg m;
-  m.protocol_version = r.get_u32();
-  m.design_key = r.get_u64();
-  m.prefix_key = r.get_u64();
-  m.base_config_text = r.get_string();
-  finish_decode(r, "hello_ack");
-  return m;
+template <class IO, FieldsOf<ErrorMsg> M>
+void fields(IO& io, M& m) {
+  io.str(m.message);
 }
 
-std::string encode_trial_assign(const TrialAssignMsg& m) {
-  BinaryWriter w;
-  w.put_i32(m.trial_id);
-  w.put_u64(m.akey);
-  w.put_f64_vec(m.assignment);
-  w.put_string(m.pruner_blob);
-  return w.take();
-}
-
-TrialAssignMsg decode_trial_assign(const std::string& body) {
-  BinaryReader r(body);
-  TrialAssignMsg m;
-  m.trial_id = r.get_i32();
-  m.akey = r.get_u64();
-  m.assignment = r.get_f64_vec();
-  m.pruner_blob = r.get_string();
-  finish_decode(r, "trial_assign");
-  return m;
-}
-
-std::string encode_trial_result(const TrialResultMsg& m) {
-  BinaryWriter w;
-  w.put_i32(m.trial_id);
-  w.put_u64(m.akey);
-  w.put_f64(m.loss);
-  w.put_u8(m.pruned);
-  w.put_i32(m.prune_round);
-  w.put_u64(m.checksum);
-  w.put_f64_vec(m.rounds);
-  w.put_f64(m.wall_s);
-  return w.take();
-}
-
-TrialResultMsg decode_trial_result(const std::string& body) {
-  BinaryReader r(body);
-  TrialResultMsg m;
-  m.trial_id = r.get_i32();
-  m.akey = r.get_u64();
-  m.loss = r.get_f64();
-  m.pruned = r.get_u8();
-  m.prune_round = r.get_i32();
-  m.checksum = r.get_u64();
-  m.rounds = r.get_f64_vec();
-  m.wall_s = r.get_f64();
-  finish_decode(r, "trial_result");
-  return m;
-}
-
-std::string encode_error(const ErrorMsg& m) {
-  BinaryWriter w;
-  w.put_string(m.message);
-  return w.take();
-}
-
-ErrorMsg decode_error(const std::string& body) {
-  BinaryReader r(body);
-  ErrorMsg m;
-  m.message = r.get_string();
-  finish_decode(r, "error");
-  return m;
-}
+PUFFER_FIELD_CODEC(HelloMsg, hello)
+PUFFER_FIELD_CODEC(HelloAckMsg, hello_ack)
+PUFFER_FIELD_CODEC(TrialAssignMsg, trial_assign)
+PUFFER_FIELD_CODEC(TrialResultMsg, trial_result)
+PUFFER_FIELD_CODEC(ErrorMsg, error)
 
 void send_msg(int fd, MsgType type, const std::string& body) {
   write_frame_fd(fd, static_cast<std::uint32_t>(type), body);

@@ -94,8 +94,9 @@ struct ErrorMsg {
   std::string message;
 };
 
-// Body codecs. decode_* throw CheckpointError on malformed input
-// (truncation, trailing bytes).
+// Body codecs, each pair generated from the message's one field walk in
+// protocol.cpp (io/checkpoint.h field interface). decode_* throw
+// CheckpointError on malformed input (truncation, trailing bytes).
 std::string encode_hello(const HelloMsg& m);
 HelloMsg decode_hello(const std::string& body);
 std::string encode_hello_ack(const HelloAckMsg& m);

@@ -55,40 +55,29 @@ bool PruneThresholds::should_prune(int round, double value) const {
   return value > sorted[idx];
 }
 
+template <class IO, class T>
+void PruneThresholds::fields(IO& io, T& t) {
+  io.byte(t.config_.enabled, true);
+  io.i32(t.config_.grace_rounds);
+  io.i32(t.config_.min_history);
+  io.f64(t.config_.quantile);
+  io.f64(t.config_.penalty);
+  io.i32(t.trails_);
+  io.list(t.rungs_);
+}
+
 std::string encode_prune_thresholds(const PruneThresholds& t) {
   BinaryWriter w;
-  w.put_u8(t.config_.enabled ? 1 : 0);
-  w.put_i32(t.config_.grace_rounds);
-  w.put_i32(t.config_.min_history);
-  w.put_f64(t.config_.quantile);
-  w.put_f64(t.config_.penalty);
-  w.put_i32(t.trails_);
-  w.put_u64(t.rungs_.size());
-  for (const std::vector<double>& rung : t.rungs_) w.put_f64_vec(rung);
+  PruneThresholds::fields(w, t);
   return w.take();
 }
 
 PruneThresholds decode_prune_thresholds(const std::string& blob) {
-  BinaryReader r(blob);
-  PruneConfig config;
-  config.enabled = r.get_u8() != 0;
-  config.grace_rounds = r.get_i32();
-  config.min_history = r.get_i32();
-  config.quantile = r.get_f64();
-  config.penalty = r.get_f64();
-  PruneThresholds t(config);
-  t.trails_ = r.get_i32();
-  const std::uint64_t nrungs = r.get_u64();
-  if (nrungs > blob.size()) {
-    throw CheckpointError("pruner: rung count exceeds buffer");
-  }
-  t.rungs_.reserve(static_cast<std::size_t>(nrungs));
-  for (std::uint64_t i = 0; i < nrungs; ++i) {
-    t.rungs_.push_back(r.get_f64_vec());
-  }
-  if (!r.at_end()) {
-    throw CheckpointError("pruner: trailing bytes after thresholds");
-  }
+  PruneThresholds t{PruneConfig{}};
+  BinaryReader r(blob, "pruner");
+  PruneThresholds::fields(r, t);
+  r.finish();
+  t.config_ = validate_prune_config(t.config_);
   return t;
 }
 

@@ -62,6 +62,9 @@ class PruneThresholds {
  private:
   friend std::string encode_prune_thresholds(const PruneThresholds& t);
   friend PruneThresholds decode_prune_thresholds(const std::string& blob);
+  // The wire layout (io/checkpoint.h field walk), in pruner.cpp.
+  template <class IO, class T>
+  static void fields(IO& io, T& t);
 
   PruneConfig config_;
   std::vector<std::vector<double>> rungs_;  // per round: folded values

@@ -23,6 +23,10 @@
 //    "checksum":"..hex..","rounds":["..hex..",...]}
 //   {"type":"explore_complete","best_trial":N,"best_loss_bits":"..hex..",
 //    "best_checksum":"..hex.."}
+//
+// Each record's fields are listed once, in the fields() walk of
+// trial_journal.cpp that both encode and decode run; a new field is one
+// line there (plus its member below).
 #pragma once
 
 #include <cstdint>

@@ -99,6 +99,14 @@ bool serve_coordinator(int fd, const Design& design,
     switch (static_cast<MsgType>(frame.type)) {
       case MsgType::kTrialAssign: {
         const TrialAssignMsg assign = decode_trial_assign(frame.body);
+        const std::size_t want = puffer_param_specs().size();
+        if (assign.assignment.size() != want) {
+          send_error(fd, "assignment of trial " +
+                             std::to_string(assign.trial_id) + " holds " +
+                             std::to_string(assign.assignment.size()) +
+                             " values, expected " + std::to_string(want));
+          return false;
+        }
         if (assignment_key(assign.assignment) != assign.akey) {
           send_error(fd, "assignment key mismatch on trial " +
                              std::to_string(assign.trial_id));

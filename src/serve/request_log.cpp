@@ -7,6 +7,37 @@ namespace {
 
 constexpr int kLogVersion = 1;
 
+// Indexed by RequestLogRecord::Type.
+constexpr const char* kTypes[] = {"header", "submit", "start", "cancel",
+                                  "finish"};
+
+// The one layout of every record type: LogLine runs it to encode,
+// LogLineReader to decode.
+template <class Log, class Rec>
+void fields(Log& log, Rec& rec) {
+  using Type = RequestLogRecord::Type;
+  log.tag("type", rec.type, kTypes);
+  if (rec.type == Type::kHeader) {
+    int version = kLogVersion;
+    log.num("version", version);
+    log.check(version == kLogVersion);
+    return;
+  }
+  log.num("sid", rec.session_id);
+  if (rec.type == Type::kSubmit) {
+    log.str("job", rec.job_file).str("name", rec.job_name);
+  } else if (rec.type == Type::kFinish) {
+    log.num("state", rec.state);
+    log.check(rec.state <= static_cast<std::uint8_t>(SessionState::kFailed))
+        .hex("checksum", rec.checksum)
+        .bits("hpwl_bits", rec.hpwl_legal)
+        .bits("runtime_bits", rec.runtime_s)
+        .num("rounds", rec.rounds)
+        .str("result", rec.result_file)
+        .str("msg", rec.message);
+  }
+}
+
 }  // namespace
 
 RequestLog::RequestLog(const std::string& path)
@@ -26,74 +57,17 @@ void RequestLog::append(const RequestLogRecord& rec) {
 }
 
 std::string RequestLog::encode(const RequestLogRecord& rec) {
-  switch (rec.type) {
-    case RequestLogRecord::Type::kHeader:
-      return LogLine("header").num("version", kLogVersion).line();
-    case RequestLogRecord::Type::kSubmit:
-      return LogLine("submit")
-          .num("sid", rec.session_id)
-          .str("job", rec.job_file)
-          .str("name", rec.job_name)
-          .line();
-    case RequestLogRecord::Type::kStart:
-      return LogLine("start").num("sid", rec.session_id).line();
-    case RequestLogRecord::Type::kCancel:
-      return LogLine("cancel").num("sid", rec.session_id).line();
-    case RequestLogRecord::Type::kFinish:
-      return LogLine("finish")
-          .num("sid", rec.session_id)
-          .num("state", static_cast<int>(rec.state))
-          .hex("checksum", rec.checksum)
-          .bits("hpwl_bits", rec.hpwl_legal)
-          .bits("runtime_bits", rec.runtime_s)
-          .num("rounds", rec.rounds)
-          .str("result", rec.result_file)
-          .str("msg", rec.message)
-          .line();
-  }
-  return std::string();
+  LogLine line;
+  fields(line, rec);
+  return line.line();
 }
 
 bool RequestLog::decode(const std::string& line, RequestLogRecord* out) {
-  std::string type;
-  if (!log_type(line, &type)) return false;
+  LogLineReader in(line);
   RequestLogRecord rec;
-  if (type == "header") {
-    rec.type = RequestLogRecord::Type::kHeader;
-    int version = 0;
-    if (!log_int(line, "version", &version) || version != kLogVersion) {
-      return false;
-    }
-  } else {
-    if (!log_u64(line, "sid", &rec.session_id)) return false;
-    if (type == "submit") {
-      rec.type = RequestLogRecord::Type::kSubmit;
-      if (!log_str(line, "job", &rec.job_file)) return false;
-      if (!log_str(line, "name", &rec.job_name)) return false;
-    } else if (type == "start") {
-      rec.type = RequestLogRecord::Type::kStart;
-    } else if (type == "cancel") {
-      rec.type = RequestLogRecord::Type::kCancel;
-    } else if (type == "finish") {
-      rec.type = RequestLogRecord::Type::kFinish;
-      int state = 0;
-      if (!log_int(line, "state", &state) || state < 0 ||
-          state > static_cast<int>(SessionState::kFailed)) {
-        return false;
-      }
-      rec.state = static_cast<std::uint8_t>(state);
-      if (!log_hex(line, "checksum", &rec.checksum)) return false;
-      if (!log_bits(line, "hpwl_bits", &rec.hpwl_legal)) return false;
-      if (!log_bits(line, "runtime_bits", &rec.runtime_s)) return false;
-      if (!log_int(line, "rounds", &rec.rounds)) return false;
-      if (!log_str(line, "result", &rec.result_file)) return false;
-      if (!log_str(line, "msg", &rec.message)) return false;
-    } else {
-      return false;
-    }
-  }
-  *out = rec;
-  return true;
+  fields(in, rec);
+  if (in.ok()) *out = std::move(rec);
+  return in.ok();
 }
 
 std::vector<RequestLogRecord> RequestLog::load(const std::string& path) {
@@ -127,9 +101,6 @@ std::vector<RecoveredSession> replay_request_log(
     if (it == index.end()) continue;  // record without a submit: ignore
     RecoveredSession& s = sessions[it->second];
     switch (rec.type) {
-      case RequestLogRecord::Type::kStart:
-        s.started = true;
-        break;
       case RequestLogRecord::Type::kCancel:
         s.cancelled = true;
         break;

@@ -4,18 +4,17 @@
 // trial_journal.h), on the same io/append_log.h storage and record
 // format: one flat JSONL record per line, fsync per append, a tolerant
 // loader that drops at most one torn final line, which reopening cuts
-// off. Together with
-// the spool directory -- which keeps every session's raw submit body and
-// final result blob as atomically-written files -- the log makes the
-// daemon restartable: replaying it reconstructs each session's last
-// known state, finished sessions reload their results from the spool,
-// and sessions that were queued or running at the crash are re-admitted
-// (the deterministic flow re-runs them to bit-identical results).
+// off. Together with the spool directory -- which keeps every session's
+// raw submit body and final result blob as atomically-written files --
+// the log makes the daemon restartable: replaying it reconstructs each
+// session's last known state, finished sessions reload their results
+// from the spool, and sessions that were queued or running at the crash
+// are re-admitted (the deterministic flow re-runs them to bit-identical
+// results).
 //
 // Record schema:
 //   {"type":"header","version":1}
 //   {"type":"submit","sid":N,"job":"job_N.bin","name":"..."}
-//   {"type":"start","sid":N}
 //   {"type":"cancel","sid":N}
 //   {"type":"finish","sid":N,"state":S,"checksum":"..hex..",
 //    "hpwl_bits":"..hex..","runtime_bits":"..hex..","rounds":R,
@@ -23,7 +22,11 @@
 //
 // state is the numeric SessionState; checksum/hpwl/runtime are IEEE-754
 // / integer bit patterns in hex so a recovered summary is bit-identical
-// to the one streamed before the restart.
+// to the one streamed before the restart. Each record's fields are
+// listed once, in the fields() walk of request_log.cpp that both encode
+// and decode run; a new field is one line there (plus its member here).
+// Logs of older builds also hold {"type":"start","sid":N} lines: they
+// load, and replay ignores them.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +42,7 @@ struct RequestLogRecord {
   enum class Type {
     kHeader,
     kSubmit,
-    kStart,
+    kStart,  // written by older builds only; replay ignores it
     kCancel,
     kFinish,
   };
@@ -87,7 +90,6 @@ struct RecoveredSession {
   std::uint64_t session_id = 0;
   std::string job_file;
   std::string job_name;
-  bool started = false;
   bool cancelled = false;
   bool finished = false;
   // Valid when finished:

@@ -206,8 +206,10 @@ struct ServeErrorMsg {
   std::string message;
 };
 
-// Body codecs. decode_* throw CheckpointError on malformed input
-// (truncation, trailing bytes, out-of-range enums).
+// Body codecs, each pair generated from the message's one field walk in
+// serve_protocol.cpp (io/checkpoint.h field interface). decode_* throw
+// CheckpointError on malformed input (truncation, trailing bytes,
+// out-of-range enums, a tile or x/y size mismatch).
 std::string encode_client_hello(const ClientHelloMsg& m);
 ClientHelloMsg decode_client_hello(const std::string& body);
 std::string encode_server_hello(const ServerHelloMsg& m);

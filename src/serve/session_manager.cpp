@@ -226,21 +226,13 @@ void ServeSessionManager::pump() {
         it->second->pub.state != SessionState::kQueued) {
       continue;  // cancelled while queued
     }
-    start_session(*it->second);
+    // A start logs nothing: recovery re-admits queued and running
+    // sessions alike, so no failed write can strand the session here.
+    Impl& impl = *it->second;
+    impl.pub.state = SessionState::kRunning;
+    ++running_;
+    impl.thread = std::thread(&ServeSessionManager::run_session, this, &impl);
   }
-}
-
-void ServeSessionManager::start_session(Impl& impl) {
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    RequestLogRecord rec;
-    rec.type = RequestLogRecord::Type::kStart;
-    rec.session_id = impl.pub.id;
-    log_->append(rec);
-  }
-  impl.pub.state = SessionState::kRunning;
-  ++running_;
-  impl.thread = std::thread(&ServeSessionManager::run_session, this, &impl);
 }
 
 void ServeSessionManager::run_session(Impl* impl) {

@@ -141,7 +141,6 @@ class ServeSessionManager {
 
   std::uint64_t next_id_ = 1;
   void admit_recovered(const RecoveredSession& rec);
-  void start_session(Impl& impl);
   void run_session(Impl* impl);  // runner-thread body
   void push_event(SessionEvent event);
   std::string spool_path(const std::string& file) const;

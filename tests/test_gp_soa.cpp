@@ -63,8 +63,8 @@ PufferConfig small_flow_config() {
 std::uint64_t placement_checksum(const Design& d) {
   BinaryWriter w;
   for (const Cell& c : d.cells) {
-    w.put_f64(c.x);
-    w.put_f64(c.y);
+    w.f64(c.x);
+    w.f64(c.y);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }

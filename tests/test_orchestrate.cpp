@@ -58,26 +58,53 @@ std::filesystem::path temp_dir(const char* leaf) {
 
 TEST(Checkpoint, BinaryCodecRoundTrip) {
   BinaryWriter w;
-  w.put_u8(7);
-  w.put_u32(0xdeadbeef);
-  w.put_u64(0x0123456789abcdefULL);
-  w.put_i32(-42);
-  w.put_i64(-1234567890123LL);
-  w.put_f64(-0.1);
-  w.put_string("hello");
-  w.put_f64_vec({1.5, -2.5, 3.25});
+  w.u8(7);
+  w.u32(0xdeadbeef);
+  w.u64(0x0123456789abcdefULL);
+  w.i32(-42);
+  w.f64(-0.1);
+  w.byte(CellKind::kTerminal, CellKind::kTerminal);
+  w.str("hello");
+  w.f64s({1.5, -2.5, 3.25});
 
-  BinaryReader r(w.buffer());
-  EXPECT_EQ(r.get_u8(), 7);
-  EXPECT_EQ(r.get_u32(), 0xdeadbeefu);
-  EXPECT_EQ(r.get_u64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.get_i32(), -42);
-  EXPECT_EQ(r.get_i64(), -1234567890123LL);
-  EXPECT_EQ(r.get_f64(), -0.1);
-  EXPECT_EQ(r.get_string(), "hello");
-  EXPECT_EQ(r.get_f64_vec(), (std::vector<double>{1.5, -2.5, 3.25}));
-  EXPECT_TRUE(r.at_end());
-  EXPECT_THROW(r.get_u8(), CheckpointError);
+  BinaryReader r(w.buffer(), "test");
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int32_t i32 = 0;
+  double f64 = 0.0;
+  CellKind kind = CellKind::kMovable;
+  std::string str;
+  std::vector<double> f64s;
+  r.u8(u8);
+  r.u32(u32);
+  r.u64(u64);
+  r.i32(i32);
+  r.f64(f64);
+  r.byte(kind, CellKind::kTerminal);
+  r.str(str);
+  r.f64s(f64s);
+  EXPECT_EQ(u8, 7);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0123456789abcdefULL);
+  EXPECT_EQ(i32, -42);
+  EXPECT_EQ(f64, -0.1);
+  EXPECT_EQ(kind, CellKind::kTerminal);
+  EXPECT_EQ(str, "hello");
+  EXPECT_EQ(f64s, (std::vector<double>{1.5, -2.5, 3.25}));
+  EXPECT_NO_THROW(r.finish());
+  EXPECT_THROW(r.u8(u8), CheckpointError);
+
+  // A byte above its enum's last value, a count the remaining bytes
+  // cannot hold and bytes left over are all rejected.
+  BinaryWriter bad;
+  bad.u8(3);
+  bad.u64(2);
+  bad.f64(1.0);
+  BinaryReader in(bad.buffer(), "test");
+  EXPECT_THROW(in.byte(kind, CellKind::kTerminal), CheckpointError);
+  EXPECT_THROW(in.f64s(f64s), CheckpointError);
+  EXPECT_THROW(in.finish(), CheckpointError);
 }
 
 TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
@@ -510,21 +537,21 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
     const std::string ckpt = cfg.checkpoint_dir + "/prefix.ckpt";
     const FlowSnapshot snap = load_snapshot(ckpt);
     BinaryWriter body;
-    body.put_u64(snap.design_key);
-    body.put_u64(snap.prefix_key);
-    body.put_f64(cfg.fork_overflow);
-    body.put_f64_vec(snap.x);
-    body.put_f64_vec(snap.y);
-    body.put_f64_vec({});  // padding
-    body.put_u64(0);       // RNG key
-    body.put_u64(0);       // RNG counter
-    BinaryWriter old;
-    old.put_u32(0x50554653);  // "PUFS"
-    old.put_u32(2);
-    old.put_u64(body.buffer().size());
-    old.put_bytes(body.buffer().data(), body.buffer().size());
-    old.put_u64(fnv1a_bytes(body.buffer().data(), body.buffer().size()));
-    atomic_write_file(ckpt, old.buffer());
+    body.u64(snap.design_key);
+    body.u64(snap.prefix_key);
+    body.f64(cfg.fork_overflow);
+    body.f64s(snap.x);
+    body.f64s(snap.y);
+    body.f64s({});  // padding
+    body.u64(0);    // RNG key
+    body.u64(0);    // RNG counter
+    BinaryWriter head;
+    head.u32(0x50554653);  // "PUFS"
+    head.u32(2);
+    head.u64(body.buffer().size());
+    BinaryWriter trailer;
+    trailer.u64(fnv1a_bytes(body.buffer().data(), body.buffer().size()));
+    atomic_write_file(ckpt, head.buffer() + body.buffer() + trailer.buffer());
     keep_two_completed_trials();
 
     OrchestratorConfig rcfg = cfg;

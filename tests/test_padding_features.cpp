@@ -71,8 +71,8 @@ void expect_features_identical(const std::vector<FeatureVector>& got,
 std::uint64_t placement_checksum(const Design& d) {
   BinaryWriter w;
   for (const Cell& c : d.cells) {
-    w.put_f64(c.x);
-    w.put_f64(c.y);
+    w.f64(c.x);
+    w.f64(c.y);
   }
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
 }

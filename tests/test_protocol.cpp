@@ -1,11 +1,12 @@
 // Distributed-orchestration wire tests: stream-backed checkpoint frames
 // (round-trip over socketpair/pipe, truncation and corrupted-FNV
 // rejection), the non-blocking FrameServer, message codecs, the
-// prune-thresholds wire codec, the worker's snapshot-key mismatch
-// rejection, and coordinator/worker end-to-end runs (bit-identity with
-// the in-process scheduler, trial reassignment after a worker dies
-// mid-trial, a worker re-attaching after its coordinator is lost, peers
-// that connect and stall or never read).
+// prune-thresholds wire codec, the worker's rejection of a snapshot-key
+// mismatch and of an assignment of the wrong length, and
+// coordinator/worker end-to-end runs (bit-identity with the in-process
+// scheduler, trial reassignment after a worker dies mid-trial, a worker
+// re-attaching after its coordinator is lost, peers that connect and
+// stall or never read).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -338,9 +339,30 @@ TEST_F(ProtocolTest, PruneThresholdsRoundTrip) {
 
 // --- worker handshake -----------------------------------------------------
 
+// Plays the coordinator's side of an attach over `fd` for a worker
+// holding `design`: checks its hello, announces prefix key 777 and sends
+// a snapshot whose own prefix key is `snapshot_prefix`.
+void attach_worker(int fd, const Design& design,
+                   std::uint64_t snapshot_prefix) {
+  const std::uint64_t dkey = design_structure_key(design);
+  WireFrame f;
+  ASSERT_TRUE(read_frame_fd(fd, &f));
+  EXPECT_EQ(decode_hello(f.body).design_key, dkey);
+
+  HelloAckMsg ack;
+  ack.design_key = dkey;
+  ack.prefix_key = 777;
+  send_msg(fd, MsgType::kHelloAck, encode_hello_ack(ack));
+  FlowSnapshot snap;
+  snap.design_key = dkey;
+  snap.prefix_key = snapshot_prefix;
+  snap.x.assign(design.cells.size(), 0.0);
+  snap.y.assign(design.cells.size(), 0.0);
+  send_msg(fd, MsgType::kSnapshot, encode_snapshot(snap));
+}
+
 TEST_F(ProtocolTest, WorkerRejectsSnapshotKeyMismatch) {
   const Design design = generate_synthetic(tiny_spec());
-  const std::uint64_t dkey = design_structure_key(design);
   const ExperimentConfig base = tiny_experiment_config();
 
   FdPair fds;
@@ -348,31 +370,48 @@ TEST_F(ProtocolTest, WorkerRejectsSnapshotKeyMismatch) {
   std::thread worker([&] {
     served = serve_coordinator(fds.b, design, base, "t");
   });
-
-  WireFrame f;
-  ASSERT_TRUE(read_frame_fd(fds.a, &f));
-  const HelloMsg hello = decode_hello(f.body);
-  EXPECT_EQ(hello.design_key, dkey);
-
-  HelloAckMsg ack;
-  ack.design_key = dkey;
-  ack.prefix_key = 777;
-  send_msg(fds.a, MsgType::kHelloAck, encode_hello_ack(ack));
   // The snapshot's own keys disagree with the announced prefix: the
   // worker must refuse to fork trials from it.
-  FlowSnapshot snap;
-  snap.design_key = dkey;
-  snap.prefix_key = 778;
-  snap.x.assign(design.cells.size(), 0.0);
-  snap.y.assign(design.cells.size(), 0.0);
-  send_msg(fds.a, MsgType::kSnapshot, encode_snapshot(snap));
+  attach_worker(fds.a, design, 778);
 
+  WireFrame f;
   ASSERT_TRUE(read_frame_fd(fds.a, &f));
   EXPECT_EQ(f.type, static_cast<std::uint32_t>(MsgType::kError));
   EXPECT_NE(decode_error(f.body).message.find("snapshot key mismatch"),
             std::string::npos);
   worker.join();
   EXPECT_FALSE(served);
+}
+
+TEST_F(ProtocolTest, WorkerRejectsAssignmentOfWrongLength) {
+  const Design design = generate_synthetic(tiny_spec());
+  const ExperimentConfig base = tiny_experiment_config();
+
+  FdPair fds;
+  bool served = true;
+  std::thread worker([&] {
+    served = serve_coordinator(fds.b, design, base, "t");
+  });
+  attach_worker(fds.a, design, 777);
+  WireFrame f;
+  ASSERT_TRUE(read_frame_fd(fds.a, &f));
+  EXPECT_EQ(f.type, static_cast<std::uint32_t>(MsgType::kReady));
+
+  // Three values where the worker applies 17, under their own correct
+  // key: refused before any value is applied.
+  TrialAssignMsg assign;
+  assign.trial_id = 0;
+  assign.assignment = {0.5, 0.5, 0.5};
+  assign.akey = assignment_key(assign.assignment);
+  send_msg(fds.a, MsgType::kTrialAssign, encode_trial_assign(assign));
+
+  EXPECT_TRUE(read_frame_fd(fds.a, &f));
+  fds.close_a();
+  worker.join();
+  EXPECT_FALSE(served);
+  ASSERT_EQ(f.type, static_cast<std::uint32_t>(MsgType::kError));
+  EXPECT_NE(decode_error(f.body).message.find("holds 3 values, expected 17"),
+            std::string::npos);
 }
 
 // --- end-to-end -----------------------------------------------------------
