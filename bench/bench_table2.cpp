@@ -8,15 +8,22 @@
 //   * WL and RT averages are geometric-mean ratios normalized to PUFFER;
 //   * pass counts use the 1% criterion per direction.
 //
+// Besides the console tables and bench_results/table2.csv, the run is
+// recorded in bench_results/BENCH_table2.json: per design and placer the
+// HOF, VOF, routed WL, runtime and the global placer's gradient
+// evaluations and iterations, then the averages and 1% pass counts.
+//
 // Usage: bench_table2 [benchmark-name ...]   (default: all ten)
-// Environment: PUFFER_SCALE (see bench_util.h).
+// Environment: PUFFER_SCALE (see bench_util.h), PUFFER_THREADS.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/parallel.h"
 #include "common/table.h"
 #include "core/experiment.h"
 
@@ -35,6 +42,12 @@ int main(int argc, char** argv) {
   const PlacerKind order[] = {PlacerKind::kCommercialProxy,
                               PlacerKind::kReplaceRc, PlacerKind::kPuffer};
   ExperimentConfig config;
+  bench::BenchReport rec("table2");
+  rec.config("scale", scale);
+  rec.config("threads", par::num_threads());
+  rec.config("hardware_cores",
+             static_cast<int>(std::thread::hardware_concurrency()));
+  rec.config("designs", static_cast<int>(specs.size()));
 
   TextTable table({"Benchmark", "Placer", "HOF(%)", "VOF(%)", "WL", "RT(s)",
                    "RouteRT(s)", "Segs", "Rerouted", "RRRounds", "PassH",
@@ -62,6 +75,13 @@ int main(int argc, char** argv) {
                      TextTable::fmt_int(r.route.rerouted),
                      TextTable::fmt_int(r.route.rounds_used),
                      r.pass_h() ? "yes" : "NO", r.pass_v() ? "yes" : "NO"});
+      const std::string key = r.benchmark + "_" + placer_name(order[p]);
+      rec.result(key + "_hof_pct", r.hof_pct());
+      rec.result(key + "_vof_pct", r.vof_pct());
+      rec.result(key + "_routed_wl", r.routed_wl());
+      rec.result(key + "_rt_s", r.runtime_s());
+      rec.result(key + "_gradient_evals", r.flow.gp_kernels.gradient_evals);
+      rec.result(key + "_iterations", r.flow.gp_kernels.iterations);
       acc[p].hof += r.hof_pct();
       acc[p].vof += r.vof_pct();
       acc[p].log_wl += std::log(std::max(r.routed_wl(), 1.0));
@@ -79,6 +99,13 @@ int main(int argc, char** argv) {
   const double wl_ref = acc[2].log_wl / n;  // PUFFER = 1.000
   const double rt_ref = acc[2].log_rt / n;
   for (int p = 0; p < 3; ++p) {
+    const std::string key = std::string("avg_") + placer_name(order[p]);
+    rec.result(key + "_hof_pct", acc[p].hof / n);
+    rec.result(key + "_vof_pct", acc[p].vof / n);
+    rec.result(key + "_wl_ratio", std::exp(acc[p].log_wl / n - wl_ref));
+    rec.result(key + "_rt_ratio", std::exp(acc[p].log_rt / n - rt_ref));
+    rec.result(key + "_pass_h", acc[p].pass_h);
+    rec.result(key + "_pass_v", acc[p].pass_v);
     avg.add_row({placer_name(order[p]), TextTable::fmt(acc[p].hof / n, 3),
                  TextTable::fmt(acc[p].vof / n, 3),
                  TextTable::fmt(std::exp(acc[p].log_wl / n - wl_ref), 3),
@@ -91,8 +118,8 @@ int main(int argc, char** argv) {
 
   std::ofstream csv(bench::results_dir() + "/table2.csv");
   csv << table.to_csv();
-  std::printf("Per-run rows written to %s/table2.csv\n",
-              bench::results_dir().c_str());
+  std::printf("Per-run rows written to %s/table2.csv, record to %s\n",
+              bench::results_dir().c_str(), rec.write().c_str());
 
   std::printf(
       "\nPaper reference (Table II averages): Commercial_Inn "

@@ -81,6 +81,7 @@ FlowMetrics run_replace_rc(Design& design, const ReplaceRcConfig& config) {
     engine.run_to_overflow(config.final_overflow);
   }
   metrics.hpwl_gp = design.total_hpwl();
+  metrics.gp_kernels.add(engine.kernel_times());
 
   {
     ScopedStageTimer t(metrics.stages, "legalize");
@@ -152,6 +153,7 @@ FlowMetrics run_commercial_proxy(Design& design,
     engine.run_to_overflow(config.final_overflow);
   }
   metrics.hpwl_gp = design.total_hpwl();
+  metrics.gp_kernels.add(engine.kernel_times());
   metrics.padding_rounds = padder.rounds();
 
   {

@@ -21,6 +21,7 @@ FlowMetrics PufferFlow::run() { return run_internal(nullptr); }
 
 std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   BinaryWriter w;
+  w.u32(kGpRevision);
   w.u8(config_.init.keep_existing ? 1 : 0);
   w.i32(config_.init.sweeps);
   w.f64(config_.init.jitter_frac);
@@ -32,7 +33,6 @@ std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   w.u8(config_.gp.use_fillers ? 1 : 0);
   w.u64(config_.gp.seed);
   w.f64(config_.gp.mu_max);
-  w.f64(config_.gp.mu_min);
   w.f64(config_.gp.hpwl_ref_frac);
   w.f64(config_.gp.lambda_freeze_overflow);
   w.f64(fork_overflow);

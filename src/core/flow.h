@@ -148,8 +148,9 @@ class PufferFlow {
   FlowMetrics run_from(const FlowSnapshot& snapshot);
 
   // Hash of the prefix-relevant configuration (initial placement, GP,
-  // fork point). Trials may only fork from a snapshot whose prefix_key
-  // matches their own flow config.
+  // fork point) and of the engine revision kGpRevision. Trials may only
+  // fork from a snapshot whose prefix_key matches their own flow config
+  // and engine.
   std::uint64_t prefix_key(double fork_overflow) const;
 
   // The flow's congestion estimator (valid after run() or run_from();

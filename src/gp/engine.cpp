@@ -21,6 +21,8 @@ constexpr std::int64_t kElemGrain = 1024;
 constexpr int kMaxElemChunks = 64;
 // Row bands of the density scatter (any count gives the same bits).
 constexpr int kMaxBands = 8;
+// Steplength-prediction trials per Nesterov iteration.
+constexpr int kMaxStepTrials = 10;
 
 std::shared_ptr<GpSoA> make_soa(const Design& design) {
   auto soa = std::make_shared<GpSoA>();
@@ -116,6 +118,14 @@ void EPlaceEngine::set_padding(const std::vector<double>& pad_width) {
     elem_pad_[i] = std::max(0.0, pad_width[i]);
   }
   update_raster_params();
+  // New areas change the objective: restart the momentum at v and drop
+  // g(v), whose secant against the new objective would mispredict the
+  // step. The next step() evaluates g(v) again.
+  ak_ = 1.0;
+  xu_ = xv_;
+  yu_ = yv_;
+  gxv_.clear();
+  gyv_.clear();
   // New areas change the equilibrium; resume optimizing.
   converged_ = false;
   best_overflow_ = 2.0;
@@ -416,6 +426,39 @@ double EPlaceEngine::gamma() const {
   return bin_w_ * (0.5 + 7.5 * t);
 }
 
+void EPlaceEngine::element_field(std::size_t i, double x, double y,
+                                 double& fx, double& fy) const {
+  // Average of the bin fields over the element's smoothed extent, each
+  // bin weighted by its overlap (the transpose of the density scatter):
+  // the force moves continuously with the element instead of jumping
+  // when its center crosses a bin edge.
+  const double die_x = design_.die.xlo;
+  const double die_y = design_.die.ylo;
+  const double xlo = x - ras_hw_[i], xhi = x + ras_hw_[i];
+  const double ylo = y - ras_hh_[i], yhi = y + ras_hh_[i];
+  const int bx0 = std::clamp(static_cast<int>((xlo - die_x) / bin_w_), 0, bins_ - 1);
+  const int bx1 = std::clamp(static_cast<int>((xhi - die_x) / bin_w_), 0, bins_ - 1);
+  const int by0 = std::clamp(static_cast<int>((ylo - die_y) / bin_h_), 0, bins_ - 1);
+  const int by1 = std::clamp(static_cast<int>((yhi - die_y) / bin_h_), 0, bins_ - 1);
+  double sx = 0.0, sy = 0.0, sw = 0.0;
+  for (int by = by0; by <= by1; ++by) {
+    const double b_ylo = die_y + by * bin_h_;
+    const double oy = std::min(yhi, b_ylo + bin_h_) - std::max(ylo, b_ylo);
+    if (oy <= 0.0) continue;
+    for (int bx = bx0; bx <= bx1; ++bx) {
+      const double b_xlo = die_x + bx * bin_w_;
+      const double ox = std::min(xhi, b_xlo + bin_w_) - std::max(xlo, b_xlo);
+      if (ox <= 0.0) continue;
+      const double w = ox * oy;
+      sx += w * es_->field_x().at(bx, by);
+      sy += w * es_->field_y().at(bx, by);
+      sw += w;
+    }
+  }
+  fx = sw > 0.0 ? sx / sw : 0.0;
+  fy = sw > 0.0 ? sy / sw : 0.0;
+}
+
 void EPlaceEngine::gradient(const std::vector<double>& x,
                             const std::vector<double>& y,
                             std::vector<double>& gx, std::vector<double>& gy) {
@@ -458,17 +501,24 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
       wl_l1 += std::abs(gwx_[i]) + std::abs(gwy_[i]);
     }
     for (std::size_t i = 0; i < elem_w_.size(); ++i) {
-      const int bx = std::clamp(static_cast<int>((x[i] - design_.die.xlo) / bin_w_), 0, bins_ - 1);
-      const int by = std::clamp(static_cast<int>((y[i] - design_.die.ylo) / bin_h_), 0, bins_ - 1);
-      const double q = elem_area(i);
-      d_l1 += q * (std::abs(es_->field_x().at(bx, by)) +
-                   std::abs(es_->field_y().at(bx, by)));
+      double fx = 0.0, fy = 0.0;
+      element_field(i, x[i], y[i], fx, fy);
+      d_l1 += elem_area(i) * (std::abs(fx) + std::abs(fy));
     }
     lambda_ = d_l1 > 0.0 ? wl_l1 / d_l1 : 1.0;
     initialized_ = true;
     PUFFER_LOG_DEBUG(kTag, "lambda0 = %.4g", lambda_);
   }
 
+  assemble(x, y, gx, gy);
+  times_.assemble_s += t.elapsed_seconds();
+  ++times_.gradient_evals;
+}
+
+void EPlaceEngine::assemble(const std::vector<double>& x,
+                            const std::vector<double>& y,
+                            std::vector<double>& gx,
+                            std::vector<double>& gy) const {
   const std::size_t n_elems = elem_w_.size();
   gx.resize(n_elems);
   gy.resize(n_elems);
@@ -478,13 +528,13 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
       [&](std::int64_t b, std::int64_t e, int) {
         for (std::int64_t ii = b; ii < e; ++ii) {
           const std::size_t i = static_cast<std::size_t>(ii);
-          const int bx = std::clamp(static_cast<int>((x[i] - design_.die.xlo) / bin_w_), 0, bins_ - 1);
-          const int by = std::clamp(static_cast<int>((y[i] - design_.die.ylo) / bin_h_), 0, bins_ - 1);
+          double fx = 0.0, fy = 0.0;
+          element_field(i, x[i], y[i], fx, fy);
           const double q = elem_area(i);
           // dD/dx = -q * xi_x (field points away from charge
           // accumulations).
-          double dx = -lambda_ * q * es_->field_x().at(bx, by);
-          double dy = -lambda_ * q * es_->field_y().at(bx, by);
+          double dx = -lambda_ * q * fx;
+          double dy = -lambda_ * q * fy;
           double pins = 0.0;
           if (i < num_movable_) {
             dx += gwx_[i];
@@ -497,8 +547,6 @@ void EPlaceEngine::gradient(const std::vector<double>& x,
         }
       },
       kMaxElemChunks);
-  times_.assemble_s += t.elapsed_seconds();
-  ++times_.gradient_evals;
 }
 
 void EPlaceEngine::clamp_positions(std::vector<double>& x,
@@ -528,38 +576,55 @@ bool EPlaceEngine::step() {
   const double grad_before = grad_time();
   const std::size_t n = elem_w_.size();
 
-  if (iter_ == 0 && gxv_.empty()) {
+  if (gxv_.empty()) {
+    // First step, or the first after set_padding() dropped g(v).
     gradient(xv_, yv_, gxv_, gyv_);
-    // Initial step: largest preconditioned gradient moves one bin.
-    double gmax = 1e-12;
-    for (std::size_t i = 0; i < n; ++i) {
-      gmax = std::max(gmax, std::max(std::abs(gxv_[i]), std::abs(gyv_[i])));
+    if (step_ <= 0.0) {
+      // Initial step: largest preconditioned gradient moves one bin.
+      double gmax = 1e-12;
+      for (std::size_t i = 0; i < n; ++i) {
+        gmax = std::max(gmax, std::max(std::abs(gxv_[i]), std::abs(gyv_[i])));
+      }
+      step_ = bin_w_ / gmax;
     }
-    step_ = bin_w_ / gmax;
   }
 
   const double hpwl_prev = hpwl_;
+  const double a_next = (1.0 + std::sqrt(4.0 * ak_ * ak_ + 1.0)) * 0.5;
+  const double coef = (ak_ - 1.0) / a_next;
 
-  // Backtracking on the Lipschitz estimate.
+  // Steplength prediction: a trial takes the gradient step
+  // u' = v - alpha g(v) and the extrapolation v' = u' + coef (u' - u),
+  // evaluates g(v') only, and predicts the step from the secant
+  // |v' - v| / |g(v') - g(v)|. A prediction above 0.95 alpha accepts the
+  // trial; a smaller one retries with the predicted step.
   xu_new_.resize(n);
   yu_new_.resize(n);
-  double alpha = step_ * 1.1;  // allow mild growth between iterations
+  xv_new_.resize(n);
+  yv_new_.resize(n);
   dp_term_.resize(n);
   dg_term_.resize(n);
-  for (int bt = 0; bt < 2; ++bt) {
+  double alpha = step_;
+  double predicted = alpha;
+  for (int trial = 0; trial < kMaxStepTrials; ++trial) {
     for_elements([&](std::size_t b, std::size_t m) {
       simd::sub_scaled(xv_.data() + b, gxv_.data() + b, alpha,
                        xu_new_.data() + b, m);
       simd::sub_scaled(yv_.data() + b, gyv_.data() + b, alpha,
                        yu_new_.data() + b, m);
       clamp_positions(xu_new_, yu_new_, b, m);
+      simd::extrapolate(xu_new_.data() + b, xu_.data() + b, coef,
+                        xv_new_.data() + b, m);
+      simd::extrapolate(yu_new_.data() + b, yu_.data() + b, coef,
+                        yv_new_.data() + b, m);
+      clamp_positions(xv_new_, yv_new_, b, m);
     });
-    gradient(xu_new_, yu_new_, gxu_, gyu_);
+    gradient(xv_new_, yv_new_, gxu_, gyu_);
     // Squared step and gradient-change terms in parallel; the sums fold
     // them serially in element order, the association of a serial loop.
     for_elements([&](std::size_t b, std::size_t m) {
       for (std::size_t i = b; i < b + m; ++i) {
-        const double px = xu_new_[i] - xv_[i], py = yu_new_[i] - yv_[i];
+        const double px = xv_new_[i] - xv_[i], py = yv_new_[i] - yv_[i];
         const double qx = gxu_[i] - gxv_[i], qy = gyu_[i] - gyv_[i];
         dp_term_[i] = px * px + py * py;
         dg_term_[i] = qx * qx + qy * qy;
@@ -570,34 +635,23 @@ bool EPlaceEngine::step() {
       dp += dp_term_[i];
       dg += dg_term_[i];
     }
-    const double lip = std::sqrt(dp / std::max(dg, 1e-30));
-    if (alpha <= lip * 0.98 || bt == 1) {
-      if (alpha > lip) alpha = lip;
-      break;
-    }
-    alpha = lip;
+    predicted = std::sqrt(dp / std::max(dg, 1e-30));
+    // A trial that moved nothing predicts nothing: keep the step.
+    if (!(predicted > 0.0 && std::isfinite(predicted))) predicted = alpha;
+    if (predicted > 0.95 * alpha) break;
+    alpha = predicted;
   }
-  step_ = alpha;
+  step_ = predicted;
 
-  // Nesterov extrapolation.
-  const double a_next = (1.0 + std::sqrt(4.0 * ak_ * ak_ + 1.0)) * 0.5;
-  const double coef = (ak_ - 1.0) / a_next;
-  xv_new_.resize(n);
-  yv_new_.resize(n);
-  for_elements([&](std::size_t b, std::size_t m) {
-    simd::extrapolate(xu_new_.data() + b, xu_.data() + b, coef,
-                      xv_new_.data() + b, m);
-    simd::extrapolate(yu_new_.data() + b, yu_.data() + b, coef,
-                      yv_new_.data() + b, m);
-    clamp_positions(xv_new_, yv_new_, b, m);
-  });
-
+  // The accepted trial's v' and g(v') are the next iteration's v and
+  // g(v); overflow_ and hpwl_ were measured at v'.
   xu_.swap(xu_new_);
   yu_.swap(yu_new_);
   xv_.swap(xv_new_);
   yv_.swap(yv_new_);
+  gxv_.swap(gxu_);
+  gyv_.swap(gyu_);
   ak_ = a_next;
-  gradient(xv_, yv_, gxv_, gyv_);
 
   // Lambda schedule, steered by the HPWL delta over this iteration.
   // Monotone non-decreasing: a large HPWL jump pauses the growth (mu -> 1)
@@ -616,6 +670,14 @@ bool EPlaceEngine::step() {
   if (overflow_ < config_.lambda_freeze_overflow) lambda_frozen_ = true;
   if (lambda_frozen_) mu = 1.0;
   lambda_ *= mu;
+  if (mu != 1.0) {
+    // Re-assemble g(v) under the new lambda from the WA gradient and
+    // fields of its evaluation (still current), so the next secant
+    // compares gradients of one objective.
+    Timer ta;
+    assemble(xv_, yv_, gxv_, gyv_);
+    times_.assemble_s += ta.elapsed_seconds();
+  }
 
   ++iter_;
   if (overflow_ < best_overflow_ - 1e-3) {

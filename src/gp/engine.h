@@ -9,14 +9,24 @@
 //   * fixed macros inject (target-scaled) static charge so cells flow
 //     around them;
 //   * per-cell preconditioning by (pin count + lambda * charge);
-//   * Lipschitz backtracking step size; lambda grows each iteration by a
-//     factor steered by the HPWL delta;
+//   * the force on an element is its charge times the bin fields averaged
+//     over its smoothed extent, so the gradient moves continuously with
+//     the element;
+//   * steplength prediction: each Nesterov iteration evaluates the
+//     gradient once, at the extrapolated point, and predicts the next
+//     step from the secant between consecutive extrapolated points
+//     (retrying with the prediction when it falls below 0.95 of the
+//     step); lambda grows each iteration by a factor steered by the HPWL
+//     delta;
 //   * the WA smoothing gamma anneals with the density overflow.
 //
 // Cell *padding* (the PUFFER routability mechanism) enters here: the
 // engine's charge of a movable cell is its padded area, so padded cells
 // claim more room and their neighbourhood spreads in subsequent
-// iterations. Padding is supplied per movable ordinal via set_padding().
+// iterations. Padding is supplied per movable ordinal via set_padding(),
+// which also restarts the momentum: the objective has changed, so the
+// stored gradient is dropped and the next step starts without
+// extrapolation.
 //
 // Hot state lives in flat arrays: the engine owns the GpSoA netlist
 // mirror (shared with WaWirelength) plus element arrays (movables first,
@@ -53,7 +63,6 @@ struct GpConfig {
 
   // Lambda schedule (ePlace-style multiplicative update).
   double mu_max = 1.10;
-  double mu_min = 0.80;
   double hpwl_ref_frac = 0.008;  // reference HPWL delta as fraction of HPWL0
   // Lambda latches (stops growing) once overflow first drops below this.
   double lambda_freeze_overflow = 0.15;
@@ -64,6 +73,13 @@ struct GpConfig {
   // as the benchmark baseline replica.
   bool legacy_kernels = false;
 };
+
+// Revision of the engine's numerics. PufferFlow::prefix_key hashes it
+// with the GpConfig values, so a prefix checkpoint or trial journal
+// written by an engine that placed differently fails the key check
+// instead of being replayed. Bump it whenever a change moves placement
+// results (tests/test_golden.cpp's constants are then re-recorded).
+inline constexpr std::uint32_t kGpRevision = 2;
 
 // Largest accepted GpConfig::bin_dim: the engine and its Poisson solver
 // allocate about fifteen bin_dim x bin_dim maps of doubles, some 120 MiB
@@ -108,7 +124,9 @@ class EPlaceEngine {
   EPlaceEngine& operator=(const EPlaceEngine&) = delete;
 
   // Extra width per movable ordinal (indexing follows movable_cells()).
-  // Takes effect on the next gradient evaluation.
+  // Takes effect on the next gradient evaluation. Restarts the momentum
+  // (u = v, a_k = 1) and drops the stored gradient, so the next step()
+  // evaluates the gradient at v once more.
   void set_padding(const std::vector<double>& pad_width);
 
   // Runs Nesterov iterations until density overflow <= `overflow_target`
@@ -130,6 +148,9 @@ class EPlaceEngine {
   double last_hpwl() const { return hpwl_; }
   double lambda() const { return lambda_; }
   double step_size() const { return step_; }
+  // Nesterov momentum parameter a_k: 1 after construction and after
+  // set_padding(), growing by one half per iteration.
+  double momentum() const { return ak_; }
   int iteration() const { return iter_; }
   int bin_dim() const { return bins_; }
   double bin_w() const { return bin_w_; }
@@ -166,10 +187,18 @@ class EPlaceEngine {
                      const std::vector<double>& y);
   void rasterize_legacy(const std::vector<double>& x,
                         const std::vector<double>& y);
+  // Field acting on element i centered at (x, y): the bin fields of the
+  // last solve averaged over the element's smoothed extent by overlap.
+  void element_field(std::size_t i, double x, double y, double& fx,
+                     double& fy) const;
   // Evaluates the preconditioned gradient at (x, y); updates overflow_,
   // hpwl_ and, on the first call, lambda_.
   void gradient(const std::vector<double>& x, const std::vector<double>& y,
                 std::vector<double>& gx, std::vector<double>& gy);
+  // Preconditioned gradient at (x, y) from the last evaluation's WA
+  // gradient and fields under the current lambda.
+  void assemble(const std::vector<double>& x, const std::vector<double>& y,
+                std::vector<double>& gx, std::vector<double>& gy) const;
   // Clamps elements [b, b + m) into the die.
   void clamp_positions(std::vector<double>& x, std::vector<double>& y,
                        std::size_t b, std::size_t m) const;
@@ -218,8 +247,9 @@ class EPlaceEngine {
   // Nesterov state and preallocated step scratch.
   std::vector<double> xu_, yu_, xv_, yv_, gxv_, gyv_;
   std::vector<double> gwx_, gwy_;  // WA gradient (movables)
+  // Trial points u', v' and the trial gradient g(v') (gxu_/gyu_).
   std::vector<double> xu_new_, yu_new_, gxu_, gyu_, xv_new_, yv_new_;
-  std::vector<double> dp_term_, dg_term_;  // backtracking sum terms
+  std::vector<double> dp_term_, dg_term_;  // secant sum terms
   double ak_ = 1.0;
   double step_ = 0.0;
   int iter_ = 0;

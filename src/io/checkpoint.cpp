@@ -72,13 +72,13 @@ std::uint64_t fnv1a_bytes(const void* data, std::size_t n, std::uint64_t h) {
 
 namespace {
 
-void fsync_fd_or_throw(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw CheckpointError("checkpoint: fsync " + what + " failed: " +
-                          std::strerror(err));
-  }
+// Removes the temporary of a failed atomic_write_file, so a full disk
+// leaves no torn file behind, and reports the failure.
+[[noreturn]] void fail_atomic_write(const std::string& tmp,
+                                    const std::string& what, int err) {
+  ::unlink(tmp.c_str());
+  throw CheckpointError("checkpoint: " + what + " failed: " +
+                        std::strerror(err));
 }
 
 void fsync_parent_dir(const std::string& path) {
@@ -100,8 +100,8 @@ void atomic_write_file(const std::string& path, const std::string& data) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
-    throw CheckpointError("checkpoint: cannot open " + tmp + ": " +
-                          std::strerror(errno));
+    const int err = errno;
+    fail_atomic_write(tmp, "open " + tmp, err);
   }
   std::size_t off = 0;
   while (off < data.size()) {
@@ -110,16 +110,19 @@ void atomic_write_file(const std::string& path, const std::string& data) {
       if (errno == EINTR) continue;
       const int err = errno;
       ::close(fd);
-      throw CheckpointError("checkpoint: write " + tmp + " failed: " +
-                            std::strerror(err));
+      fail_atomic_write(tmp, "write " + tmp, err);
     }
     off += static_cast<std::size_t>(w);
   }
-  fsync_fd_or_throw(fd, tmp);
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    fail_atomic_write(tmp, "fsync " + tmp, err);
+  }
   ::close(fd);
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw CheckpointError("checkpoint: rename " + tmp + " -> " + path +
-                          " failed: " + std::strerror(errno));
+    const int err = errno;
+    fail_atomic_write(tmp, "rename " + tmp + " -> " + path, err);
   }
   fsync_parent_dir(path);
 }

@@ -7,7 +7,9 @@
 // bench_results/REFERENCE_perf_smoke_checksums.txt, the values are tied
 // to x86-64 with gcc/glibc: a different libm or compiler may move the
 // bits legitimately. After an intentional numeric change, re-record them
-// from the failure messages of this test.
+// from the failure messages of this test, and bump kGpRevision
+// (gp/engine.h) so prefix checkpoints and trial journals of the older
+// engine fail their key check instead of being replayed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,10 +58,10 @@ PufferConfig golden_config() {
 }
 
 constexpr int kThreads[2] = {1, 8};
-constexpr std::uint64_t kRunChecksum[2] = {5335562877582582171ull,
-                                           17940895420372392108ull};
-constexpr std::uint64_t kPrefixChecksum = 2599164385732625827ull;
-constexpr std::uint64_t kRunFromChecksum = 12581770096606996840ull;
+constexpr std::uint64_t kRunChecksum[2] = {3837529392074855733ull,
+                                           7103642050777773656ull};
+constexpr std::uint64_t kPrefixChecksum = 525497003713599736ull;
+constexpr std::uint64_t kRunFromChecksum = 5584417106656912857ull;
 
 TEST_F(GoldenTest, RunMatchesRecordedChecksums) {
   for (int which = 0; which < 2; ++which) {
@@ -72,6 +74,22 @@ TEST_F(GoldenTest, RunMatchesRecordedChecksums) {
       EXPECT_EQ(position_checksum(d), kRunChecksum[which])
           << "design " << which << " threads " << threads;
     }
+  }
+}
+
+// Steplength prediction evaluates the gradient once per iteration plus
+// its retries, once more after each padding round drops the stored
+// gradient, and once before the first step.
+TEST_F(GoldenTest, GradientEvaluationsStayWithinBudget) {
+  for (int which = 0; which < 2; ++which) {
+    Design d = generate_synthetic(golden_spec(which));
+    PufferFlow flow(d, golden_config());
+    const FlowMetrics m = flow.run();
+    const GpKernelTimes& k = m.gp_kernels;
+    EXPECT_GT(k.iterations, 0);
+    EXPECT_LE(k.gradient_evals, 1.5 * k.iterations + m.padding_rounds + 1)
+        << "design " << which << ": " << k.gradient_evals << " evaluations, "
+        << k.iterations << " iterations";
   }
 }
 

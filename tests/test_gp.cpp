@@ -7,6 +7,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/flow.h"
 #include "gp/engine.h"
@@ -235,6 +236,42 @@ TEST(Engine, PaddingIncreasesLocalSpreading) {
   e1.run_to_overflow(0.12);
   e2.run_to_overflow(0.12);
   EXPECT_GT(e2.last_hpwl(), e1.last_hpwl() * 1.01);
+}
+
+// set_padding() changes the objective, so the next step starts from a
+// fresh momentum at v, re-evaluates the dropped gradient there, and
+// stays bit-identical across thread counts like every other step.
+TEST(Engine, StepAfterSetPaddingRestartsMomentum) {
+  std::vector<double> ref_x, ref_y;
+  for (const int threads : {1, 8}) {
+    par::set_num_threads(threads);
+    Design d = generate_synthetic(engine_spec());
+    initial_place(d);
+    GpConfig cfg;
+    cfg.max_iters = 100;
+    EPlaceEngine engine(d, cfg);
+    for (int i = 0; i < 40; ++i) ASSERT_TRUE(engine.step());
+    EXPECT_GT(engine.momentum(), 10.0);
+    const std::vector<double> u_before = engine.solver_x();
+    std::vector<double> pad(engine.movable_cells().size(), 1.0);
+    engine.set_padding(pad);
+    EXPECT_EQ(engine.momentum(), 1.0);
+    // u jumps to the extrapolated point v.
+    EXPECT_NE(engine.solver_x(), u_before);
+    const int evals = engine.kernel_times().gradient_evals;
+    ASSERT_TRUE(engine.step());
+    EXPECT_DOUBLE_EQ(engine.momentum(), (1.0 + std::sqrt(5.0)) / 2.0);
+    EXPECT_GE(engine.kernel_times().gradient_evals - evals, 2);
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(engine.step());
+    if (ref_x.empty()) {
+      ref_x = engine.solver_x();
+      ref_y = engine.solver_y();
+    } else {
+      EXPECT_EQ(engine.solver_x(), ref_x);
+      EXPECT_EQ(engine.solver_y(), ref_y);
+    }
+  }
+  par::set_num_threads(0);
 }
 
 TEST(Engine, BinDimIsPowerOfTwo) {

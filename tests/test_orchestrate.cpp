@@ -143,6 +143,19 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   EXPECT_THROW(load_snapshot("/nonexistent/dir/prefix.ckpt"), CheckpointError);
 }
 
+// A write that fails after the temporary was written (here the rename:
+// the target is a non-empty directory) removes the temporary.
+TEST(Checkpoint, FailedAtomicWriteLeavesNoTemporary) {
+  const auto dir = temp_dir("puffer_atomic_write_fail");
+  const std::filesystem::path target = dir / "prefix.ckpt";
+  std::filesystem::create_directories(target / "occupied");
+  EXPECT_THROW(atomic_write_file(target.string(), "payload"),
+               CheckpointError);
+  EXPECT_FALSE(std::filesystem::exists(target.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(target));
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(OrchestrateTest, CheckpointRoundTripBitIdentical) {
   // Satellite contract: fork -> save -> restore -> continue is bitwise
   // identical to the uninterrupted staged run, for PUFFER_THREADS 1/2/8,
@@ -583,6 +596,124 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
     TrialOrchestrator orch(d, puffer_param_specs(), small_experiment_config(),
                            rcfg);
     EXPECT_THROW(orch.run(), CheckpointError);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The prefix key of an engine older than kGpRevision: the same config
+// values without the revision word, plus the since-deleted
+// GpConfig::mu_min (0.80).
+std::uint64_t pre_revision_prefix_key(const PufferConfig& c,
+                                      double fork_overflow) {
+  BinaryWriter w;
+  w.u8(c.init.keep_existing ? 1 : 0);
+  w.i32(c.init.sweeps);
+  w.f64(c.init.jitter_frac);
+  w.u64(c.init.seed);
+  w.i32(c.gp.bin_dim);
+  w.f64(c.gp.target_density);
+  w.f64(c.gp.stop_overflow);
+  w.i32(c.gp.max_iters);
+  w.u8(c.gp.use_fillers ? 1 : 0);
+  w.u64(c.gp.seed);
+  w.f64(c.gp.mu_max);
+  w.f64(0.80);
+  w.f64(c.gp.hpwl_ref_frac);
+  w.f64(c.gp.lambda_freeze_overflow);
+  w.f64(fork_overflow);
+  return fnv1a_bytes(w.buffer().data(), w.buffer().size());
+}
+
+// A prefix checkpoint and a trial journal written by an engine that
+// placed differently carry its prefix key: the journal is refused, the
+// checkpoint is rebuilt, and the resumed exploration equals a fresh one.
+TEST_F(OrchestrateTest, StaleEngineCheckpointAndJournalAreNotReplayed) {
+  par::set_num_threads(2);
+  const auto dir = temp_dir("puffer_orch_stale_engine");
+  OrchestratorConfig cfg = small_orch_config();
+  cfg.checkpoint_dir = (dir / "ckpt").string();
+  cfg.journal_path = (dir / "trials.jsonl").string();
+  const std::string ckpt = cfg.checkpoint_dir + "/prefix.ckpt";
+  const ExperimentConfig exp = small_experiment_config();
+
+  OrchestrationResult fresh;
+  std::uint64_t key = 0;
+  {
+    Design d = generate_synthetic(small_spec());
+    key = PufferFlow(d, exp.puffer).prefix_key(cfg.fork_overflow);
+    TrialOrchestrator orch(d, puffer_param_specs(), exp, cfg);
+    fresh = orch.run();
+  }
+  const std::uint64_t old_key =
+      pre_revision_prefix_key(exp.puffer, cfg.fork_overflow);
+  ASSERT_NE(old_key, key);
+  const std::vector<JournalRecord> records =
+      TrialJournal::load(cfg.journal_path);
+  const FlowSnapshot snap = load_snapshot(ckpt);
+
+  // Rewrites the journal with its first two completed trials, keyed
+  // `header_key` and with losses the current engine never produced when
+  // `stale`.
+  const auto write_journal = [&](std::uint64_t header_key, bool stale) {
+    std::string kept;
+    int completes = 0;
+    for (JournalRecord rec : records) {
+      if (rec.type == JournalRecord::Type::kExploreComplete) continue;
+      if (rec.type == JournalRecord::Type::kTrialComplete) {
+        if (completes++ >= 2) continue;
+        if (stale) rec.loss += 1.0;
+      }
+      if (rec.type == JournalRecord::Type::kHeader ||
+          rec.type == JournalRecord::Type::kCheckpoint) {
+        rec.prefix_key = header_key;
+      }
+      kept += TrialJournal::encode(rec) + "\n";
+    }
+    std::ofstream f(cfg.journal_path, std::ios::trunc);
+    f << kept;
+  };
+  // A checkpoint of the older engine: its key and other positions.
+  const auto write_stale_checkpoint = [&] {
+    FlowSnapshot stale = snap;
+    stale.prefix_key = old_key;
+    for (double& x : stale.x) x += 1.0;
+    save_snapshot(ckpt, stale);
+  };
+  OrchestratorConfig rcfg = cfg;
+  rcfg.resume = true;
+
+  // The older engine's journal is refused rather than mixed with new
+  // trials.
+  write_journal(old_key, true);
+  write_stale_checkpoint();
+  {
+    Design d = generate_synthetic(small_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), exp, rcfg);
+    EXPECT_THROW(orch.run(), CheckpointError);
+  }
+
+  // With this engine's journal, the older checkpoint is rebuilt and the
+  // trials that still have to run fork from the new prefix.
+  write_journal(key, false);
+  write_stale_checkpoint();
+  {
+    Design d = generate_synthetic(small_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), exp, rcfg);
+    const OrchestrationResult resumed = orch.run();
+    EXPECT_EQ(resumed.stats.checkpoint_restore_s, 0.0);
+    EXPECT_GT(resumed.stats.checkpoint_save_s, 0.0);
+    EXPECT_EQ(resumed.stats.trials_resumed, 2);
+    EXPECT_EQ(resumed.best_loss, fresh.best_loss);
+    EXPECT_EQ(resumed.best, fresh.best);
+    EXPECT_EQ(resumed.best_checksum, fresh.best_checksum);
+    ASSERT_EQ(resumed.observations.size(), fresh.observations.size());
+    for (std::size_t i = 0; i < fresh.observations.size(); ++i) {
+      EXPECT_EQ(resumed.observations[i].loss, fresh.observations[i].loss)
+          << i;
+    }
+    const FlowSnapshot rebuilt = load_snapshot(ckpt);
+    EXPECT_EQ(rebuilt.prefix_key, key);
+    EXPECT_EQ(rebuilt.x, snap.x);
   }
   std::filesystem::remove_all(dir);
 }

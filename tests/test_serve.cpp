@@ -903,6 +903,11 @@ TEST(ServeSessionManager, FullDiskAfterSubmitDoesNotFailTheStart) {
     EXPECT_EQ(s->state, SessionState::kFailed);
   }
   EXPECT_TRUE(h.mgr().idle());
+  // The result file cut short by the cap left no temporary behind.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(cfg.spool_dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
 }
 
 TEST(ServeSessionManager, RestartRecoversFinishedAndRerunsUnfinished) {
