@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/parallel.h"
-#include "congestion/demand_quantum.h"
+#include "grid/demand_quantum.h"
 
 namespace puffer {
 
@@ -200,41 +200,6 @@ int expand_all(const CongestionConfig& config, const GcellGrid& grid,
 
 }  // namespace
 
-double CongestionEstimator::gcell_pin_capacity() const {
-  const double site_w = std::max(design_.tech.site_width, 1e-9);
-  const double row_h = std::max(design_.tech.row_height, 1e-9);
-  const double sites =
-      (grid_.gcell_w() / site_w) * (grid_.gcell_h() / row_h);
-  return std::max(1.0, sites * config_.pins_per_site);
-}
-
-// Pin penalty + crowding: a flat per-pin term plus the superlinear
-// crowding excess (pins beyond the Gcell's access capacity each need an
-// escape wire, split evenly between the two directions).
-void CongestionEstimator::add_pin_layer(Map2D<double>& dmd_h,
-                                        Map2D<double>& dmd_v) const {
-  if (config_.pin_penalty <= 0.0 && config_.pin_crowding <= 0.0) return;
-  Map2D<double> pin_cnt(grid_.nx(), grid_.ny());
-  for (const Pin& pin : design_.pins) {
-    const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-    const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-    pin_cnt.at(g.gx, g.gy) += 1.0;
-  }
-  const double pin_cap = gcell_pin_capacity();
-  for (int gy = 0; gy < grid_.ny(); ++gy) {
-    for (int gx = 0; gx < grid_.nx(); ++gx) {
-      const double cnt = pin_cnt.at(gx, gy);
-      if (cnt <= 0.0) continue;
-      const double excess = std::max(0.0, cnt - pin_cap);
-      const double add = quantize_demand(config_.pin_penalty * cnt +
-                                         0.5 * config_.pin_crowding * excess);
-      if (add <= 0.0) continue;
-      dmd_h.at(gx, gy) += add;
-      dmd_v.at(gx, gy) += add;
-    }
-  }
-}
-
 CongestionResult CongestionEstimator::estimate() const {
   // Trees and spans in parallel per net: each net writes only its own
   // slots.
@@ -260,7 +225,7 @@ CongestionResult CongestionEstimator::estimate() const {
 
   result.maps = RoutingMaps(grid_, capacity_);
   accumulate_spans(grid_, spans, result.maps.dmd_h, result.maps.dmd_v);
-  add_pin_layer(result.maps.dmd_h, result.maps.dmd_v);
+  add_pin_demand(design_, config_.pin_penalty, /*crowding=*/0.0, result.maps);
   result.expanded_segments =
       expand_all(config_, grid_, result.trees, result.maps);
   return result;

@@ -34,16 +34,10 @@ struct CongestionConfig {
   // Gcell height in standard-cell rows (global-routing granularity).
   double rows_per_gcell = 3.0;
   // Demand (track-equivalents, added to both directions) per pin in a
-  // Gcell; models local-net consumption. Strategy parameter.
+  // Gcell; models local-net consumption (add_pin_demand in
+  // grid/routing_maps.h, without the router's pin-crowding term).
+  // Strategy parameter.
   double pin_penalty = 0.04;
-  // Pin-crowding model: a Gcell has pin-access capacity for roughly
-  // pins_per_site pins per placement site; every pin beyond that needs an
-  // escape wire, adding pin_crowding/2 track-equivalents to each
-  // direction. Off by default here so the estimator keeps the paper's
-  // pure topology-demand conservation (the evaluation router enables it;
-  // strategy exploration may raise it for padding features too).
-  double pins_per_site = 2.0;
-  double pin_crowding = 0.0;
   // Detour expansion: search radius in Gcells and on/off switch (the
   // estimation-accuracy ablation toggles this).
   int expand_radius = 4;
@@ -73,12 +67,7 @@ class CongestionEstimator {
 
   const GcellGrid& grid() const { return grid_; }
 
-  // Pin-access capacity of one Gcell under the crowding model.
-  double gcell_pin_capacity() const;
-
  private:
-  void add_pin_layer(Map2D<double>& dmd_h, Map2D<double>& dmd_v) const;
-
   const Design& design_;
   CongestionConfig config_;
   GcellGrid grid_;

@@ -1,12 +1,22 @@
 #include "grid/routing_maps.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
+#include "grid/demand_quantum.h"
+
 namespace puffer {
+
+namespace {
+
+// Pins a placement site gives access to before its pins need escape wires.
+constexpr double kPinsPerSite = 2.0;
+
+}  // namespace
 
 RoutingMaps::RoutingMaps(const GcellGrid& g, CapacityMaps caps)
     : grid(g),
@@ -38,6 +48,35 @@ Map2D<double> RoutingMaps::cg_map() const {
     for (int gx = 0; gx < grid.nx(); ++gx) out.at(gx, gy) = cg(gx, gy);
   }
   return out;
+}
+
+void add_pin_demand(const Design& design, double pin_penalty, double crowding,
+                    RoutingMaps& maps) {
+  if (pin_penalty <= 0.0 && crowding <= 0.0) return;
+  const GcellGrid& grid = maps.grid;
+  Map2D<double> pin_cnt(grid.nx(), grid.ny());
+  for (const Pin& pin : design.pins) {
+    const Cell& c = design.cells[static_cast<std::size_t>(pin.cell)];
+    const GcellIndex g = grid.index_of(c.x + pin.dx, c.y + pin.dy);
+    pin_cnt.at(g.gx, g.gy) += 1.0;
+  }
+  const double site_w = std::max(design.tech.site_width, 1e-9);
+  const double row_h = std::max(design.tech.row_height, 1e-9);
+  const double pin_cap =
+      std::max(1.0, (grid.gcell_w() / site_w) * (grid.gcell_h() / row_h) *
+                        kPinsPerSite);
+  for (int gy = 0; gy < grid.ny(); ++gy) {
+    for (int gx = 0; gx < grid.nx(); ++gx) {
+      const double cnt = pin_cnt.at(gx, gy);
+      if (cnt <= 0.0) continue;
+      const double excess = std::max(0.0, cnt - pin_cap);
+      const double add =
+          quantize_demand(pin_penalty * cnt + 0.5 * crowding * excess);
+      if (add <= 0.0) continue;
+      maps.dmd_h.at(gx, gy) += add;
+      maps.dmd_v.at(gx, gy) += add;
+    }
+  }
 }
 
 OverflowStats compute_overflow(const RoutingMaps& maps) {

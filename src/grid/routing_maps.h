@@ -1,6 +1,7 @@
 // Aggregate routing-resource state: capacity + demand per Gcell, the
-// signed congestion measure of Eqs. (10)-(11), overflow statistics
-// (Eq. 7-style) and map export for Fig. 5-like congestion pictures.
+// signed congestion measure of Eqs. (10)-(11), the local-net pin demand
+// layer, overflow statistics (Eq. 7-style) and map export for Fig. 5-like
+// congestion pictures.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +10,7 @@
 #include "grid/capacity.h"
 #include "grid/gcell.h"
 #include "grid/map2d.h"
+#include "netlist/design.h"
 
 namespace puffer {
 
@@ -26,8 +28,8 @@ struct RoutingMaps {
   double cg_v(int gx, int gy) const;
 
   // Per-direction overflow predicate (dmd > cap, strict) -- the single
-  // definition shared by compute_overflow, the router's incremental
-  // overflow tracker and the history-cost growth.
+  // definition shared by compute_overflow and the router's per-round
+  // history growth and segment selection.
   bool overflowed_h(int gx, int gy) const {
     return dmd_h.at(gx, gy) > cap_h.at(gx, gy);
   }
@@ -42,6 +44,19 @@ struct RoutingMaps {
   // Map of cg() over all Gcells.
   Map2D<double> cg_map() const;
 };
+
+// Local-net pin demand, the one pin model of the congestion estimator and
+// the evaluation router: each Gcell holding pins gets pin_penalty per pin
+// plus, for every pin beyond its pin-access capacity (two pins per
+// placement site, at least one per Gcell), crowding/2 track-equivalents
+// -- the escape wiring a detailed router would need. The sum is quantized
+// (grid/demand_quantum.h) and added to both directions. The router uses
+// crowding 1.0, which keeps the evaluator honest on clumped placements
+// that would otherwise score better than spread ones because their nets
+// collapse into one Gcell; the estimator uses 0.0 to keep the paper's
+// pure topology demand.
+void add_pin_demand(const Design& design, double pin_penalty, double crowding,
+                    RoutingMaps& maps);
 
 // Overflow statistics used as the evaluation objective and the HOF/VOF
 // numbers of Table II: total overflow normalized by total capacity, in %.

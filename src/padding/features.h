@@ -50,7 +50,7 @@ struct FeatureVector {
 // Feature-map quantum: every map value entering a feature (combined
 // congestion Cg, pins-per-site density) is rounded to a multiple of
 // 2^-32 and handled as int64 -- the exact-demand trick of
-// congestion/demand_quantum.h at a coarser quantum. Integer maxima and
+// grid/demand_quantum.h at a coarser quantum. Integer maxima and
 // sums are associative and order-independent, so RMQ/SAT queries,
 // parallel folds and the scalar oracle all produce identical bits.
 // Headroom: |Cg| is bounded by the 8192 track-equivalents of exact

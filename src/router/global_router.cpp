@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/logger.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "congestion/demand_quantum.h"
 #include "router/maze.h"
-#include "router/overflow_tracker.h"
 #include "router/path_use.h"
 #include "rsmt/rsmt.h"
 
@@ -19,6 +16,16 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "router";
+
+// Fixed negotiation knobs. Entering a Gcell costs 1; past capacity the
+// cost grows by kOverflowSlope per unit of demand/capacity ratio plus the
+// Gcell's history, which grows by kHistoryStep in every round the
+// resource starts overflowed. A direction change costs kTurnCost more.
+constexpr double kOverflowSlope = 8.0;
+constexpr double kHistoryStep = 2.0;
+constexpr double kTurnCost = 0.2;
+// Pin-crowding weight of the local-net pin layer (add_pin_demand).
+constexpr double kPinCrowding = 1.0;
 
 struct Seg {
   GcellIndex a, b;
@@ -69,7 +76,6 @@ RouterConfig validate_router_config(RouterConfig config) {
   }
   config.rr_rounds = std::max(0, config.rr_rounds);
   config.bbox_margin = std::max(0, config.bbox_margin);
-  config.turn_cost = std::max(0.0, config.turn_cost);
   return config;
 }
 
@@ -87,37 +93,9 @@ RouteResult GlobalRouter::route() const {
   Map2D<double>& dmd_h = result.maps.dmd_h;
   Map2D<double>& dmd_v = result.maps.dmd_v;
 
-  // Local-net pin demand (not ripped up; same model as the estimator):
-  // a flat per-pin term plus the superlinear crowding excess for Gcells
-  // holding more pins than their access capacity.
-  if (config_.pin_penalty > 0.0 || config_.pin_crowding > 0.0) {
-    Map2D<double> pin_cnt(grid_.nx(), grid_.ny());
-    for (const Pin& pin : design_.pins) {
-      const Cell& c = design_.cells[static_cast<std::size_t>(pin.cell)];
-      const GcellIndex g = grid_.index_of(c.x + pin.dx, c.y + pin.dy);
-      pin_cnt.at(g.gx, g.gy) += 1.0;
-    }
-    const double site_w = std::max(design_.tech.site_width, 1e-9);
-    const double row_h = std::max(design_.tech.row_height, 1e-9);
-    const double pin_cap =
-        std::max(1.0, (grid_.gcell_w() / site_w) * (grid_.gcell_h() / row_h) *
-                          config_.pins_per_site);
-    for (int gy = 0; gy < grid_.ny(); ++gy) {
-      for (int gx = 0; gx < grid_.nx(); ++gx) {
-        const double cnt = pin_cnt.at(gx, gy);
-        if (cnt <= 0.0) continue;
-        const double excess = std::max(0.0, cnt - pin_cap);
-        // Quantized like the estimator's pin layer: every demand value is
-        // then a multiple of kDemandQuantum, so the +/-1 rip/re-apply
-        // arithmetic of the reroute rounds cancels bit-exactly.
-        const double add = quantize_demand(config_.pin_penalty * cnt +
-                                           0.5 * config_.pin_crowding * excess);
-        if (add <= 0.0) continue;
-        dmd_h.at(gx, gy) += add;
-        dmd_v.at(gx, gy) += add;
-      }
-    }
-  }
+  // Local-net pin demand: static (never ripped up), added before the
+  // initial pattern routing prices its L candidates.
+  add_pin_demand(design_, config_.pin_penalty, kPinCrowding, result.maps);
 
   // --- decompose nets into segments --------------------------------------
   // Parallel per net (each net owns its slot), flattened in net order so
@@ -168,7 +146,7 @@ RouteResult GlobalRouter::route() const {
     const double ratio = (dh + 1.0) / cap;
     double c = 1.0;
     if (ratio > 1.0) {
-      c += config_.overflow_slope * (ratio - 1.0) + hist_h.at(gx, gy);
+      c += kOverflowSlope * (ratio - 1.0) + hist_h.at(gx, gy);
     }
     return c;
   };
@@ -177,7 +155,7 @@ RouteResult GlobalRouter::route() const {
     const double ratio = (dv + 1.0) / cap;
     double c = 1.0;
     if (ratio > 1.0) {
-      c += config_.overflow_slope * (ratio - 1.0) + hist_v.at(gx, gy);
+      c += kOverflowSlope * (ratio - 1.0) + hist_v.at(gx, gy);
     }
     return c;
   };
@@ -244,20 +222,11 @@ RouteResult GlobalRouter::route() const {
     apply_path_demand(seg.path, dmd_h, dmd_v, +1.0);
   }
 
-  // Incremental overflow bookkeeping: one full scan here, then every
-  // overflow bit, overflowed-cell list and per-segment touch count is
-  // maintained from the +/-1 deltas of the commit path.
-  OverflowTracker tracker;
-  tracker.init(result.maps, segs.size());
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    tracker.register_path(i, segs[i].path, result.maps);
-  }
-
   // --- batched negotiated rip-up and reroute ------------------------------
   Timer rrr_timer;
   const int W = grid_.nx(), H = grid_.ny();
   const std::int32_t qturn = static_cast<std::int32_t>(
-      std::lround(config_.turn_cost * static_cast<double>(kQCostScale)));
+      std::lround(kTurnCost * static_cast<double>(kQCostScale)));
 
   // Quantized live cost of a path including turn penalties; used by the
   // serial commit to compare a candidate against the ripped old path
@@ -285,20 +254,34 @@ RouteResult GlobalRouter::route() const {
   std::vector<std::int16_t> eligible_round(static_cast<std::size_t>(n_segs),
                                            0);
   for (int round = 0; round < config_.rr_rounds; ++round) {
-    if (!tracker.any_overflow()) break;
-    // Grow history on overflowed Gcells (visits only the overflowed set).
-    tracker.grow_history(hist_h, hist_v, config_.history_step);
+    // Grow history on every overflowed resource; stop once none is.
+    std::int64_t overflowed = 0;
+    for (int gy = 0; gy < H; ++gy) {
+      for (int gx = 0; gx < W; ++gx) {
+        if (result.maps.overflowed_h(gx, gy)) {
+          hist_h.at(gx, gy) += kHistoryStep;
+          ++overflowed;
+        }
+        if (result.maps.overflowed_v(gx, gy)) {
+          hist_v.at(gx, gy) += kHistoryStep;
+          ++overflowed;
+        }
+      }
+    }
+    if (overflowed == 0) break;
 
-    // Select every segment whose path currently touches overflow (a flat
-    // integer scan over the incrementally maintained touch counts) and
-    // whose backoff has elapsed.
+    // Select every segment whose backoff has elapsed and whose path uses
+    // an overflowed resource in a direction it uses there.
     selected.clear();
     for (std::int64_t i = 0; i < n_segs; ++i) {
       const std::size_t s = static_cast<std::size_t>(i);
-      if (tracker.touches_overflow(s) &&
-          round >= static_cast<int>(eligible_round[s])) {
-        selected.push_back(static_cast<std::int32_t>(i));
-      }
+      if (round < static_cast<int>(eligible_round[s])) continue;
+      bool touches = false;
+      for_each_path_use(segs[s].path, [&](int gx, int gy, bool h, bool v) {
+        touches = touches || (h && result.maps.overflowed_h(gx, gy)) ||
+                  (v && result.maps.overflowed_v(gx, gy));
+      });
+      if (touches) selected.push_back(static_cast<std::int32_t>(i));
     }
     if (selected.empty()) continue;  // backed-off segments may wake later
     ++result.rounds_used;
@@ -374,13 +357,13 @@ RouteResult GlobalRouter::route() const {
       std::vector<GcellIndex>& cand = candidates[k];
       bool adopted = false;
       if (cand.size() >= 2) {  // bound-aborted / unreachable: keep old path
-        tracker.rip(i, seg.path, result.maps);
+        apply_path_demand(seg.path, dmd_h, dmd_v, -1.0);
         if (path_qcost(cand) < path_qcost(seg.path)) {
           seg.path = std::move(cand);
           adopted = true;
           ++rerouted;
         }
-        tracker.apply(i, seg.path, result.maps);
+        apply_path_demand(seg.path, dmd_h, dmd_v, +1.0);
       }
       if (adopted) {
         fail_streak[i] = 0;
@@ -397,10 +380,10 @@ RouteResult GlobalRouter::route() const {
     // improve anything, further rounds only reshuffle the residual --
     // stop instead of grinding out the budget.
     if (static_cast<std::size_t>(rerouted) * 64 < selected.size()) break;
-    PUFFER_LOG_DEBUG(kTag, "rrr round %d: %zu selected, %d rerouted, %lld "
-                     "overflowed resources",
-                     round, selected.size(), rerouted,
-                     static_cast<long long>(tracker.overflowed_resources()));
+    PUFFER_LOG_DEBUG(kTag, "rrr round %d: %lld overflowed resources, %zu "
+                     "selected, %d rerouted",
+                     round, static_cast<long long>(overflowed),
+                     selected.size(), rerouted);
   }
   result.rrr_time_s = rrr_timer.elapsed_seconds();
 

@@ -7,17 +7,20 @@
 //   2. every segment gets an initial route along the cheaper of its two
 //      L-shapes (candidates are priced concurrently against the frozen
 //      pin-demand field, then committed in segment order);
-//   3. batched rip-up-and-reroute rounds: the demand + history field is
-//      frozen at the top of the round, every segment whose path touches
-//      an overflowed Gcell (tracked incrementally -- see
-//      router/overflow_tracker.h) is maze-routed concurrently with the
-//      integer bucket-queue kernel (router/maze.h) inside an expanded
-//      bounding box, and the candidate paths are committed serially in
-//      segment order: each segment rips its old path and adopts the
-//      candidate only if it is cheaper under the *live* demand at commit
-//      time, which damps the herding oscillation batched negotiation is
-//      otherwise prone to. Per-Gcell history costs grow each round so
-//      persistent overflow is negotiated away (PathFinder-style).
+//   3. batched rip-up-and-reroute rounds. Each round starts with two
+//      passes over the current state: one over the maps grows the
+//      history cost of every overflowed resource (Gcell, direction) --
+//      so persistent overflow is negotiated away, PathFinder-style --
+//      and ends the rounds when none overflows; one over the segments
+//      whose backoff has elapsed selects those whose path uses an
+//      overflowed resource in a direction it uses. The demand + history
+//      field is then frozen, the selected segments are maze-routed
+//      concurrently with the integer bucket-queue kernel (router/maze.h)
+//      inside an expanded bounding box, and the candidate paths are
+//      committed serially in segment order: each segment rips its old
+//      path and adopts the candidate only if it is cheaper under the
+//      *live* demand at commit time, which damps the herding
+//      oscillation batched negotiation is otherwise prone to.
 //
 // Two scheduling policies keep the rounds from grinding on proven-
 // useless work (the dominant cost of naive negotiation, where ~95% of
@@ -45,7 +48,10 @@
 // Demand accounting matches the Gcell-based resource model used by the
 // congestion estimator: every Gcell a path crosses in a direction
 // consumes one track-equivalent of that direction's capacity, and a
-// turning Gcell consumes both.
+// turning Gcell consumes both. The static pin layer is the estimator's
+// (add_pin_demand in grid/routing_maps.h) with pin crowding on. The
+// negotiation costs (overflow slope, history step, turn cost) are fixed
+// constants of global_router.cpp.
 //
 // The router reports the Table II metrics: HOF/VOF (total overflow over
 // total capacity, per direction, in %) and the routed wirelength.
@@ -61,23 +67,12 @@ namespace puffer {
 struct RouterConfig {
   double rows_per_gcell = 3.0;  // Gcell granularity; must be > 0
   double pin_penalty = 0.04;    // local-net demand per pin (both dirs)
-  // Pin-crowding demand: pins beyond a Gcell's access capacity
-  // (pins_per_site per placement site) each add pin_crowding/2
-  // track-equivalents to both directions -- the escape wiring a real
-  // detailed router would need. Keeps the evaluator honest on degenerate
-  // clumped placements, which otherwise score *better* than spread ones
-  // because all their nets collapse into a single Gcell.
-  double pins_per_site = 2.0;
-  double pin_crowding = 1.0;
   int rr_rounds = 5;            // rip-up-and-reroute rounds (>= 0)
   int bbox_margin = 8;          // maze search window margin, in Gcells (>= 0)
-  double overflow_slope = 8.0;  // congestion price slope
-  double history_step = 2.0;    // history increment per overflowed round
-  double turn_cost = 0.2;       // via-ish cost for changing direction
 };
 
 // Returns `config` with out-of-range knobs clamped to sane values
-// (negative rr_rounds / bbox_margin / turn_cost -> 0); throws
+// (negative rr_rounds / bbox_margin -> 0); throws
 // std::invalid_argument for values no clamp can repair (non-positive or
 // non-finite rows_per_gcell). GlobalRouter validates on construction.
 RouterConfig validate_router_config(RouterConfig config);

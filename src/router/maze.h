@@ -44,7 +44,7 @@ namespace puffer {
 // kQCostScale * (path cost - Manhattan distance) empty buckets -- the
 // queue's only non-O(1) cost -- and halving the scale halves that walk.
 // 1/8 track-equivalent resolution is far finer than the negotiation
-// signal (history grows in steps of history_step = 2.0).
+// signal (the router's history grows in steps of 2.0).
 constexpr std::int32_t kQCostScale = 8;
 constexpr std::int32_t kQCostMax = 1 << 11;
 

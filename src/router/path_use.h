@@ -2,8 +2,7 @@
 // resource accounting): a path is an inclusive 4-connected Gcell
 // sequence, and each cell consumes the direction(s) of its adjacent
 // moves -- a turning cell consumes both. Exposed as a header so the
-// router, the incremental overflow tracker and the property tests all
-// agree on one definition.
+// router and the property tests agree on one definition.
 #pragma once
 
 #include <vector>
@@ -37,7 +36,7 @@ inline void for_each_path_use(const std::vector<GcellIndex>& path, Fn&& fn) {
 // Adds (sign=+1) or removes (sign=-1) one track-equivalent of demand
 // along the path. All contributions are +/-1.0 -- exact IEEE-double
 // integer arithmetic -- so apply followed by rip restores the maps
-// bit-identically (see congestion/demand_quantum.h).
+// bit-identically (see grid/demand_quantum.h).
 inline void apply_path_demand(const std::vector<GcellIndex>& path,
                               Map2D<double>& dmd_h, Map2D<double>& dmd_v,
                               double sign) {

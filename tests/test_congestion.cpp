@@ -255,9 +255,7 @@ TEST(Incremental, ThreadCountInvariance) {
     spec.num_macros = 2;
     spec.seed = 17;
     Design d = generate_synthetic(spec);
-    CongestionConfig cfg;
-    cfg.pin_crowding = 1.0;  // exercise the nonlinear pin layer too
-    CongestionEstimator est(d, cfg);
+    CongestionEstimator est(d, CongestionConfig{});
     Rng rng(99);
     for (int round = 0; round < 6; ++round) {
       for (Cell& c : d.cells) {
