@@ -28,12 +28,9 @@ std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   w.u64(config_.init.seed);
   w.i32(config_.gp.bin_dim);
   w.f64(config_.gp.target_density);
-  w.f64(config_.gp.stop_overflow);
   w.i32(config_.gp.max_iters);
   w.u8(config_.gp.use_fillers ? 1 : 0);
   w.u64(config_.gp.seed);
-  w.f64(config_.gp.mu_max);
-  w.f64(config_.gp.hpwl_ref_frac);
   w.f64(config_.gp.lambda_freeze_overflow);
   w.f64(fork_overflow);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());

@@ -23,6 +23,11 @@ constexpr int kMaxElemChunks = 64;
 constexpr int kMaxBands = 8;
 // Steplength-prediction trials per Nesterov iteration.
 constexpr int kMaxStepTrials = 10;
+// Lambda schedule (ePlace-style multiplicative update): lambda grows by
+// up to kMuMax per iteration, less as the iteration's HPWL increase
+// approaches kHpwlRefFrac of the initial HPWL.
+constexpr double kMuMax = 1.10;
+constexpr double kHpwlRefFrac = 0.008;
 
 std::shared_ptr<GpSoA> make_soa(const Design& design) {
   auto soa = std::make_shared<GpSoA>();
@@ -39,10 +44,6 @@ GpConfig validate_gp_config(GpConfig config) {
   }
   if (!(config.target_density > 0.0 && config.target_density <= 1.0)) {
     throw std::invalid_argument("GpConfig.target_density must be in (0, 1]");
-  }
-  if (!(std::isfinite(config.stop_overflow) && config.stop_overflow >= 0.0)) {
-    throw std::invalid_argument(
-        "GpConfig.stop_overflow must be finite and non-negative");
   }
   if (!(std::isfinite(config.lambda_freeze_overflow) &&
         config.lambda_freeze_overflow >= 0.0)) {
@@ -658,10 +659,10 @@ bool EPlaceEngine::step() {
   // so wirelength can recover, but lambda never shrinks -- this guarantees
   // the density term eventually dominates and the placement spreads.
   if (hpwl0_ <= 0.0) hpwl0_ = std::max(hpwl_, 1.0);
-  const double ref = std::max(config_.hpwl_ref_frac * hpwl0_, 1.0);
+  const double ref = std::max(kHpwlRefFrac * hpwl0_, 1.0);
   const double delta = hpwl_ - hpwl_prev;
-  double mu = std::pow(config_.mu_max, 1.0 - delta / ref);
-  mu = clamp(mu, 1.0, config_.mu_max);
+  double mu = std::pow(kMuMax, 1.0 - delta / ref);
+  mu = clamp(mu, 1.0, kMuMax);
   // Two-phase schedule: lambda grows monotonically while the placement
   // spreads, then latches permanently once the overflow first drops below
   // the freeze threshold. Past that point the density weight is strong

@@ -56,14 +56,10 @@ namespace puffer {
 struct GpConfig {
   int bin_dim = 0;              // bins per axis (power of 2); 0 = auto
   double target_density = 0.9;  // equilibrium density in free area
-  double stop_overflow = 0.07;  // final convergence overflow
   int max_iters = 1200;
   bool use_fillers = true;
   std::uint64_t seed = 11;
 
-  // Lambda schedule (ePlace-style multiplicative update).
-  double mu_max = 1.10;
-  double hpwl_ref_frac = 0.008;  // reference HPWL delta as fraction of HPWL0
   // Lambda latches (stops growing) once overflow first drops below this.
   double lambda_freeze_overflow = 0.15;
 
@@ -88,8 +84,8 @@ inline constexpr int kMaxBinDim = 1024;
 
 // Returns `config` unchanged when it is usable; throws
 // std::invalid_argument for bin_dim outside 0 (auto) or [1, kMaxBinDim],
-// target_density outside (0, 1], a negative or non-finite stop_overflow
-// or lambda_freeze_overflow, or a negative max_iters. EPlaceEngine and
+// target_density outside (0, 1], a negative or non-finite
+// lambda_freeze_overflow, or a negative max_iters. EPlaceEngine and
 // PufferFlow validate at construction, before allocating anything.
 GpConfig validate_gp_config(GpConfig config);
 

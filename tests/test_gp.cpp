@@ -311,9 +311,6 @@ TEST(Engine, ValidateGpConfigRejectsUnusableValues) {
   rejects("bins -1", [](GpConfig& c) { c.bin_dim = -1; });
   rejects("bins 1025", [](GpConfig& c) { c.bin_dim = kMaxBinDim + 1; });
   rejects("bins 8192", [](GpConfig& c) { c.bin_dim = 8192; });
-  rejects("stop -0.01", [](GpConfig& c) { c.stop_overflow = -0.01; });
-  rejects("stop nan", [&](GpConfig& c) { c.stop_overflow = nan; });
-  rejects("stop inf", [&](GpConfig& c) { c.stop_overflow = inf; });
   rejects("freeze nan", [&](GpConfig& c) { c.lambda_freeze_overflow = nan; });
   rejects("freeze inf", [&](GpConfig& c) { c.lambda_freeze_overflow = inf; });
   rejects("freeze -1", [](GpConfig& c) { c.lambda_freeze_overflow = -1.0; });
@@ -323,7 +320,6 @@ TEST(Engine, ValidateGpConfigRejectsUnusableValues) {
   EXPECT_NO_THROW(validate_gp_config(ok));
   ok.bin_dim = kMaxBinDim;
   ok.target_density = 1.0;
-  ok.stop_overflow = 0.0;
   ok.max_iters = 0;
   EXPECT_EQ(validate_gp_config(ok).bin_dim, kMaxBinDim);
 }

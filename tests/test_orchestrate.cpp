@@ -601,8 +601,9 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
 }
 
 // The prefix key of an engine older than kGpRevision: the same config
-// values without the revision word, plus the since-deleted
-// GpConfig::mu_min (0.80).
+// values without the revision word, plus the since-deleted GpConfig
+// fields stop_overflow (0.07), mu_max (1.10), mu_min (0.80) and
+// hpwl_ref_frac (0.008).
 std::uint64_t pre_revision_prefix_key(const PufferConfig& c,
                                       double fork_overflow) {
   BinaryWriter w;
@@ -612,13 +613,13 @@ std::uint64_t pre_revision_prefix_key(const PufferConfig& c,
   w.u64(c.init.seed);
   w.i32(c.gp.bin_dim);
   w.f64(c.gp.target_density);
-  w.f64(c.gp.stop_overflow);
+  w.f64(0.07);
   w.i32(c.gp.max_iters);
   w.u8(c.gp.use_fillers ? 1 : 0);
   w.u64(c.gp.seed);
-  w.f64(c.gp.mu_max);
+  w.f64(1.10);
   w.f64(0.80);
-  w.f64(c.gp.hpwl_ref_frac);
+  w.f64(0.008);
   w.f64(c.gp.lambda_freeze_overflow);
   w.f64(fork_overflow);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
