@@ -85,7 +85,7 @@ FlowMetrics run_replace_rc(Design& design, const ReplaceRcConfig& config) {
 
   {
     ScopedStageTimer t(metrics.stages, "legalize");
-    legalize(design, {}, config.legal);
+    metrics.legalize = legalize(design, {}, config.legal);
   }
   metrics.hpwl_legal = design.total_hpwl();
   metrics.legality = check_legality(design);
@@ -165,7 +165,7 @@ FlowMetrics run_commercial_proxy(Design& design,
     }
     const std::vector<int> levels =
         discretize_padding(design, pad_by_cell, config.discrete);
-    legalize(design, levels, config.legal);
+    metrics.legalize = legalize(design, levels, config.legal);
   }
   metrics.hpwl_legal = design.total_hpwl();
   metrics.legality = check_legality(design);

@@ -84,6 +84,8 @@ TEST(Integration, ReplaceRcBaselineRuns) {
   const FlowMetrics m = run_replace_rc(d, fast_config().replace_rc);
   EXPECT_TRUE(m.legality.legal) << m.legality.summary();
   EXPECT_GT(m.hpwl_legal, 0.0);
+  EXPECT_EQ(m.legalize.placed, static_cast<int>(d.num_movable()));
+  EXPECT_EQ(m.legalize.failed_cells, 0);
 }
 
 TEST(Integration, CommercialProxyRuns) {
@@ -91,6 +93,8 @@ TEST(Integration, CommercialProxyRuns) {
   const FlowMetrics m = run_commercial_proxy(d, fast_config().commercial);
   EXPECT_TRUE(m.legality.legal) << m.legality.summary();
   EXPECT_GT(m.padding_rounds, 0);
+  EXPECT_EQ(m.legalize.placed, static_cast<int>(d.num_movable()));
+  EXPECT_EQ(m.legalize.failed_cells, 0);
 }
 
 TEST(Integration, ExperimentHarnessReportsAllMetrics) {
