@@ -25,7 +25,7 @@ int main() {
     // Shared global placement with padding.
     Design gp_result = generate_synthetic(table1_spec(name, scale));
     PufferConfig cfg;
-    initial_place(gp_result, cfg.init);
+    initial_place(gp_result);
     EPlaceEngine engine(gp_result, cfg.gp);
     PaddingEngine padder(gp_result, engine.movable_cells(), cfg.padding);
     CongestionEstimator estimator(gp_result, cfg.congestion);

@@ -8,7 +8,7 @@
 // gradient/density checksums proving the kernel pairs are bit-identical
 // and stay so with the SIMD helpers disabled.
 //
-// Environment: PUFFER_SCALE, PUFFER_THREADS, PUFFER_SIMD.
+// Environment: PUFFER_SCALE, PUFFER_THREADS.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

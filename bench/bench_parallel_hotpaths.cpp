@@ -5,13 +5,12 @@
 // and machine. Results go to bench_results/BENCH_parallel_hotpaths.json
 // (puffer-bench-v1 schema) with placement checksums proving the SoA/SIMD
 // rewrite is bit-identical to the scalar path across PUFFER_THREADS
-// 1/2/8 and PUFFER_SIMD on/off. On a 1-core box the multi-thread legs
+// 1/2/8 and SIMD on/off. On a 1-core box the multi-thread legs
 // still execute the full pool machinery; speedups there are algorithmic
 // (same accounting as bench_router).
 //
 // Environment: PUFFER_SCALE (design size), PUFFER_THREADS (parallel leg's
-// worker count; default hardware concurrency), PUFFER_SIMD (0 disables
-// the vector kernels).
+// worker count; default hardware concurrency).
 #include <chrono>
 #include <cstdio>
 #include <cstring>

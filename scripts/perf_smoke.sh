@@ -7,7 +7,7 @@
 #
 #   1. bit_identical must be "yes" in both -- the final placement (and
 #      feature) checksums agree across PUFFER_THREADS 1/2/8, with
-#      PUFFER_SIMD off, with the legacy scalar GP kernels, and across the
+#      the SIMD helpers off, with the legacy scalar GP kernels, and across the
 #      padding feature extractors (fast path, legacy oracle), all within
 #      this run (machine-independent).
 #   2. Every checksum_* field must equal the committed reference, so a

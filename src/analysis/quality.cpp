@@ -8,6 +8,11 @@
 
 namespace puffer {
 
+namespace {
+// Side of a density bin, in standard-cell rows.
+constexpr double kRowsPerBin = 3.0;
+}  // namespace
+
 Percentiles compute_percentiles(std::vector<double> values) {
   Percentiles p;
   if (values.empty()) return p;
@@ -23,8 +28,7 @@ Percentiles compute_percentiles(std::vector<double> values) {
   return p;
 }
 
-QualityReport analyze_quality(const Design& design, const RoutingMaps* routed,
-                              const QualityConfig& config) {
+QualityReport analyze_quality(const Design& design, const RoutingMaps* routed) {
   QualityReport report;
 
   // --- wirelength ---------------------------------------------------------
@@ -41,7 +45,7 @@ QualityReport analyze_quality(const Design& design, const RoutingMaps* routed,
   // --- density -------------------------------------------------------------
   report.design_utilization = design.utilization();
   const GcellGrid bins = GcellGrid::from_row_pitch(
-      design.die, design.tech.row_height, config.rows_per_bin);
+      design.die, design.tech.row_height, kRowsPerBin);
   Map2D<double> movable(bins.nx(), bins.ny());
   Map2D<double> blocked(bins.nx(), bins.ny());
   for (const Cell& c : design.cells) {

@@ -25,7 +25,7 @@ struct QualityReport {
   Percentiles net_hpwl;   // per-net distribution
   std::size_t nets = 0;
 
-  // Density over a uniform bin grid (rows_per_bin x rows_per_bin rows).
+  // Density over a uniform bin grid of 3 x 3 rows.
   Percentiles bin_utilization;  // movable area / free bin area
   double design_utilization = 0.0;
 
@@ -38,13 +38,8 @@ struct QualityReport {
   std::string to_string() const;
 };
 
-struct QualityConfig {
-  double rows_per_bin = 3.0;
-};
-
 QualityReport analyze_quality(const Design& design,
-                              const RoutingMaps* routed = nullptr,
-                              const QualityConfig& config = {});
+                              const RoutingMaps* routed = nullptr);
 
 // Percentile helper over an arbitrary sample vector (sorted internally);
 // exposed for reuse and testing.

@@ -1,29 +1,11 @@
 #include "common/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace puffer::simd {
 namespace {
 
-#ifndef PUFFER_SIMD_DEFAULT
-#define PUFFER_SIMD_DEFAULT 1
-#endif
-
-bool initial_enabled() {
-  if (const char* env = std::getenv("PUFFER_SIMD")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      return false;
-    }
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0) {
-      return true;
-    }
-  }
-  return PUFFER_SIMD_DEFAULT != 0;
-}
-
-std::atomic<bool> g_enabled{initial_enabled()};
+std::atomic<bool> g_enabled{true};
 
 }  // namespace
 

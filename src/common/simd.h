@@ -3,15 +3,14 @@
 // Only operations that are bit-identical to the scalar loop are offered:
 // per-lane IEEE add/sub/mul/div/min/max on independent elements (no FMA
 // contraction, no reassociated reductions). That keeps the determinism
-// contract symmetric in PUFFER_SIMD: toggling the option -- or the
-// PUFFER_SIMD=0/1 env override -- never changes a single bit of any
-// kernel's output, so the SIMD path needs no separate golden data.
+// contract symmetric: switching the vector path off never changes a
+// single bit of any kernel's output, so the SIMD path needs no separate
+// golden data.
 //
 // Dispatch is runtime (simd::enabled()), compiled in only when the
 // target supports SSE2 (always true on x86-64); everything falls back to
-// the scalar loop otherwise. The CMake option PUFFER_SIMD picks the
-// compile-time default; the PUFFER_SIMD env var overrides at startup and
-// simd::set_enabled() overrides from tests.
+// the scalar loop otherwise. The vector path is on by default; tests and
+// benches switch it off with simd::set_enabled() to prove the contract.
 #pragma once
 
 #include <algorithm>
@@ -24,8 +23,7 @@
 
 namespace puffer::simd {
 
-// Runtime switch: compile-time default (PUFFER_SIMD CMake option),
-// overridden once by the PUFFER_SIMD env var, then by set_enabled().
+// Runtime switch, on until set_enabled(false).
 bool enabled();
 void set_enabled(bool on);
 

@@ -1,4 +1,7 @@
-// Comparator placers for the Table II experiments.
+// Comparator placers for the Table II experiments. Both are fixed
+// replicas: like the tools they stand in for, they run at one setting,
+// built inside run_replace_rc / run_commercial_proxy, and take no
+// configuration.
 //
 // * ReplaceRc: a RePlAce-style routability-driven placer [5] on the same
 //   electrostatic engine. Its optimizer uses only the local congestion
@@ -20,48 +23,8 @@
 
 namespace puffer {
 
-struct ReplaceRcConfig {
-  GpConfig gp;
+FlowMetrics run_replace_rc(Design& design);
 
-  ReplaceRcConfig() {
-    // RePlAce runs a fixed fine density grid regardless of design size
-    // (vs. our engine's adaptive choice), one source of its longer
-    // runtimes on small and mid-size designs. The finer grid raises the
-    // measurable overflow floor, so the lambda latch must engage earlier
-    // or congested designs never freeze and wirelength diverges.
-    gp.bin_dim = 128;
-    gp.max_iters = 1600;
-    gp.lambda_freeze_overflow = 0.25;
-  }
-  CongestionConfig congestion;
-  LegalizeConfig legal;
-  InitialPlaceConfig init;
-  double trigger_overflow = 0.28;  // optimizer trigger (fires above the lambda latch)
-  int max_rounds = 6;
-  double inflate_exponent = 2.0;  // ratio^k inflation
-  double max_inflate = 1.8;       // width multiplier cap
-  // Per-round cap on the added inflation area vs movable area (RePlAce's
-  // inflation-budget control); excess is scaled down.
-  double round_area_cap = 0.05;
-  double final_overflow = 0.10;
-};
-
-FlowMetrics run_replace_rc(Design& design, const ReplaceRcConfig& config);
-
-struct CommercialProxyConfig {
-  GpConfig gp;
-  CongestionConfig congestion;  // still used for net topologies/features
-  RouterConfig router;          // in-the-loop router
-  PaddingParams padding;        // conservative multi-feature padding
-  LegalizeConfig legal;
-  DiscretePaddingConfig discrete;
-  InitialPlaceConfig init;
-  double final_overflow = 0.09;
-
-  CommercialProxyConfig();
-};
-
-FlowMetrics run_commercial_proxy(Design& design,
-                                 const CommercialProxyConfig& config);
+FlowMetrics run_commercial_proxy(Design& design);
 
 }  // namespace puffer

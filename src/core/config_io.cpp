@@ -1,5 +1,6 @@
 #include "core/config_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <functional>
@@ -97,10 +98,6 @@ const std::map<std::string, Field>& registry() {
        {[](const PufferConfig& c) { return static_cast<double>(c.padding.feature.z_candidates); },
         [](PufferConfig& c, double v) { c.padding.feature.z_candidates = to_int(v); },
         "Z-path samples for pin congestion"}},
-      {"padding.use_legacy_extractor",
-       {[](const PufferConfig& c) { return c.padding.feature.use_legacy_extractor ? 1.0 : 0.0; },
-        [](PufferConfig& c, double v) { c.padding.feature.use_legacy_extractor = v >= 0.5; },
-        "0/1: serial oracle feature path"}},
       // Congestion estimation.
       {"congestion.pin_penalty",
        {[](const PufferConfig& c) { return c.congestion.pin_penalty; },
@@ -164,12 +161,17 @@ const std::map<std::string, Field>& registry() {
 }  // namespace
 
 std::string config_to_text(const PufferConfig& config) {
-  std::ostringstream os;
-  os << "# PUFFER strategy configuration\n";
+  std::string text = "# PUFFER strategy configuration\n";
   for (const auto& [key, field] : registry()) {
-    os << key << " = " << field.get(config) << "  # " << field.comment << '\n';
+    // The shortest form that parses back to the same double; no double
+    // needs more than 24 characters.
+    char value[32];
+    char* end =
+        std::to_chars(value, value + sizeof value, field.get(config)).ptr;
+    text += key + " = " + std::string(value, end) + "  # " + field.comment +
+            '\n';
   }
-  return os.str();
+  return text;
 }
 
 PufferConfig config_from_text(const std::string& text,

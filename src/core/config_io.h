@@ -19,7 +19,9 @@ struct ConfigError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Serializes the strategy-relevant fields, with comments.
+// Serializes the strategy-relevant fields, with comments. Each value is
+// written in its shortest exact form, so config_from_text restores every
+// field bit for bit.
 std::string config_to_text(const PufferConfig& config);
 
 // Parses `text`, overriding fields of `base`. Throws ConfigError, naming

@@ -29,11 +29,11 @@ ExperimentResult run_experiment(Design& design, PlacerKind kind,
       break;
     }
     case PlacerKind::kReplaceRc:
-      result.flow = run_replace_rc(design, config.replace_rc);
+      result.flow = run_replace_rc(design);
       result.route = evaluate_routability(design, config.eval_router);
       break;
     case PlacerKind::kCommercialProxy:
-      result.flow = run_commercial_proxy(design, config.commercial);
+      result.flow = run_commercial_proxy(design);
       result.route = evaluate_routability(design, config.eval_router);
       break;
   }

@@ -30,11 +30,11 @@ struct ExperimentResult {
   bool pass_v() const { return vof_pct() <= 1.0; }
 };
 
+// The baselines are fixed replicas (core/baselines.h); only PUFFER's
+// strategy and the neutral evaluator are configurable.
 struct ExperimentConfig {
-  PufferConfig puffer;                 // used by kPuffer
-  ReplaceRcConfig replace_rc;          // used by kReplaceRc
-  CommercialProxyConfig commercial;    // used by kCommercialProxy
-  RouterConfig eval_router;            // identical neutral evaluator
+  PufferConfig puffer;       // used by kPuffer
+  RouterConfig eval_router;  // identical neutral evaluator
 };
 
 // Logs the per-stage observability lines (legalization, detailed

@@ -22,15 +22,9 @@ FlowMetrics PufferFlow::run() { return run_internal(nullptr); }
 std::uint64_t PufferFlow::prefix_key(double fork_overflow) const {
   BinaryWriter w;
   w.u32(kGpRevision);
-  w.u8(config_.init.keep_existing ? 1 : 0);
-  w.i32(config_.init.sweeps);
-  w.f64(config_.init.jitter_frac);
-  w.u64(config_.init.seed);
   w.i32(config_.gp.bin_dim);
   w.f64(config_.gp.target_density);
   w.i32(config_.gp.max_iters);
-  w.u8(config_.gp.use_fillers ? 1 : 0);
-  w.u64(config_.gp.seed);
   w.f64(config_.gp.lambda_freeze_overflow);
   w.f64(fork_overflow);
   return fnv1a_bytes(w.buffer().data(), w.buffer().size());
@@ -42,7 +36,7 @@ FlowMetrics PufferFlow::run_prefix(double fork_overflow, FlowSnapshot* out) {
 
   {
     ScopedStageTimer t(metrics.stages, "initial_place");
-    initial_place(design_, config_.init);
+    initial_place(design_);
   }
   EPlaceEngine engine(design_, config_.gp);
   {
@@ -81,7 +75,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
 
   if (snapshot == nullptr) {
     ScopedStageTimer t(metrics.stages, "initial_place");
-    initial_place(design_, config_.init);
+    initial_place(design_);
   } else {
     ScopedStageTimer t(metrics.stages, "restore");
     if (snapshot->design_key != design_structure_key(design_)) {
@@ -206,7 +200,7 @@ FlowMetrics PufferFlow::run_internal(const FlowSnapshot* snapshot) {
   }
   if (config_.run_dp) {
     ScopedStageTimer t(metrics.stages, "detailed_place");
-    metrics.dp = detailed_place(design_, config_.dp);
+    metrics.dp = detailed_place(design_);
   }
   metrics.hpwl_legal = design_.total_hpwl();
   metrics.legality = check_legality(design_);

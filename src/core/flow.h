@@ -42,10 +42,9 @@ struct PufferConfig {
   PaddingParams padding;
   LegalizeConfig legal;
   DiscretePaddingConfig discrete;
-  InitialPlaceConfig init;
-  DetailedPlaceConfig dp;
-  // Run wirelength-driven detailed placement after legalization (off by
-  // default: the paper's flow evaluates directly after legalization).
+  // Run wirelength-driven detailed placement, at its default settings,
+  // after legalization (off by default: the paper's flow evaluates
+  // directly after legalization).
   bool run_dp = false;
   double final_overflow = 0.10;  // GP convergence target after padding
 };
@@ -147,10 +146,9 @@ class PufferFlow {
   FlowMetrics run_prefix(double fork_overflow, FlowSnapshot* out);
   FlowMetrics run_from(const FlowSnapshot& snapshot);
 
-  // Hash of the prefix-relevant configuration (initial placement, GP,
-  // fork point) and of the engine revision kGpRevision. Trials may only
-  // fork from a snapshot whose prefix_key matches their own flow config
-  // and engine.
+  // Hash of the prefix-relevant configuration (GP, fork point) and of
+  // the engine revision kGpRevision. Trials may only fork from a
+  // snapshot whose prefix_key matches their own flow config and engine.
   std::uint64_t prefix_key(double fork_overflow) const;
 
   // The flow's congestion estimator (valid after run() or run_from();

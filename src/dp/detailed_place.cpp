@@ -14,6 +14,7 @@ namespace puffer {
 namespace {
 
 constexpr const char* kTag = "dp";
+constexpr std::uint32_t kMaxPasses = 4;
 
 // HPWL over the union of nets touching cells a/b, with the two cells'
 // origins overridden. With the current origins this is the exact "before"
@@ -374,8 +375,7 @@ DetailedPlaceResult detailed_place(Design& design,
   std::vector<std::uint32_t> touched(design.cells.size(), 0);
   std::vector<std::uint32_t> active(design.cells.size(), 0);
   std::uint32_t epoch = 0;
-  for (std::uint32_t pass = 0;
-       pass < static_cast<std::uint32_t>(config.max_passes); ++pass) {
+  for (std::uint32_t pass = 0; pass < kMaxPasses; ++pass) {
     int accepted = 0;
     if (config.adjacent_reorder) {
       accepted += reorder_phase(design, macros, touched, ++epoch, active,

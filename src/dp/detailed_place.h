@@ -22,8 +22,9 @@
 
 namespace puffer {
 
+// The move classes and the swap window; every call runs at most four
+// passes.
 struct DetailedPlaceConfig {
-  int max_passes = 4;
   bool adjacent_reorder = true;
   bool cross_row_swaps = true;
   // Cross-row candidate search window around a cell's optimal position,

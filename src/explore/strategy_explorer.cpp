@@ -1,7 +1,6 @@
 #include "explore/strategy_explorer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -27,15 +26,6 @@ ExploreConfig validate_explore_config(ExploreConfig config) {
   }
   if (config.batch_size < 1) {
     throw std::invalid_argument("ExploreConfig.batch_size must be >= 1");
-  }
-  if (!std::isfinite(config.tpe.gamma) || config.tpe.gamma <= 0.0 ||
-      config.tpe.gamma >= 1.0) {
-    throw std::invalid_argument(
-        "ExploreConfig.tpe.gamma (good-set quantile) must lie in (0, 1)");
-  }
-  if (config.tpe.n_candidates < 1) {
-    throw std::invalid_argument(
-        "ExploreConfig.tpe.n_candidates must be positive");
   }
   if (config.tpe.n_startup < 0) {
     throw std::invalid_argument(

@@ -48,9 +48,9 @@ struct ExploreConfig {
 
 // Validate-and-clamp, matching validate_router_config /
 // validate_legalize_config: throws std::invalid_argument on nonsensical
-// values (non-positive trial counts, batch_size < 1, a good-set quantile
-// outside (0, 1), bad candidate counts). Called by explore_parameters()
-// and at StrategyExplorer construction.
+// values (non-positive trial counts, batch_size < 1, a negative TPE
+// startup count). Called by explore_parameters() and at
+// StrategyExplorer construction.
 ExploreConfig validate_explore_config(ExploreConfig config);
 
 struct ParamExplorationOutcome {

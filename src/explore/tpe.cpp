@@ -24,6 +24,9 @@ Assignment TpeSampler::random_assignment() {
 
 namespace {
 
+constexpr double kGamma = 0.25;  // good-set quantile
+constexpr int kCandidates = 24;  // EI candidates per suggestion
+
 double gauss_pdf(double x, double mu, double sigma) {
   const double z = (x - mu) / sigma;
   return std::exp(-0.5 * z * z) / (sigma * std::sqrt(2.0 * std::numbers::pi));
@@ -114,11 +117,11 @@ Assignment TpeSampler::suggest(const std::vector<Observation>& obs) {
               return a->loss < b->loss;
             });
   const std::size_t n_good = std::max<std::size_t>(
-      2, static_cast<std::size_t>(config_.gamma * static_cast<double>(sorted.size())));
+      2, static_cast<std::size_t>(kGamma * static_cast<double>(sorted.size())));
 
   Assignment best;
   double best_score = -1e300;
-  for (int cand = 0; cand < config_.n_candidates; ++cand) {
+  for (int cand = 0; cand < kCandidates; ++cand) {
     Assignment a(specs_.size());
     double score = 0.0;
     for (std::size_t d = 0; d < specs_.size(); ++d) {

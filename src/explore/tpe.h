@@ -1,13 +1,13 @@
 // Tree-structured Parzen estimator (TPE) sampler, after Bergstra et
 // al. [19], used as the getParam step of the SMBO loop in Algorithm 2.
 //
-// Observations are split at the gamma quantile of loss into a "good" and
+// Observations are split at the 0.25 quantile of loss into a "good" and
 // a "bad" set. Each continuous/integer dimension is modelled by Parzen
 // mixtures l(x) (good) and g(x) (bad) of Gaussians centered at the
 // observed values, with per-point bandwidths from neighbour spacing;
 // categorical dimensions use smoothed category frequencies. Candidates
-// are drawn from l and the one maximizing l(x)/g(x) -- equivalently the
-// expected improvement -- is suggested.
+// are drawn from l (24 per suggestion) and the one maximizing l(x)/g(x)
+// -- equivalently the expected improvement -- is suggested.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +18,7 @@
 namespace puffer {
 
 struct TpeConfig {
-  double gamma = 0.25;    // good-set quantile
-  int n_candidates = 24;  // EI candidates per suggestion
-  int n_startup = 8;      // random suggestions before modelling starts
+  int n_startup = 8;  // random suggestions before modelling starts
 };
 
 class TpeSampler {

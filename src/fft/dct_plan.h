@@ -21,8 +21,8 @@
 // inverse field evaluations of the Poisson solve into one row pass and
 // one column pass. Lines are transformed two at a time as the two lanes
 // of a simd pair (common/simd.h): each lane runs the single-line scalar
-// arithmetic unchanged, so pairing changes no bits, with PUFFER_SIMD on
-// or off. Every pass fans out with the deterministic chunk
+// arithmetic unchanged, so pairing changes no bits, with the SIMD
+// helpers on or off. Every pass fans out with the deterministic chunk
 // decomposition; chunk c writes only its own lines (or columns) and
 // scratch, so results are worker-count independent.
 #pragma once

@@ -28,6 +28,8 @@ constexpr int kMaxStepTrials = 10;
 // approaches kHpwlRefFrac of the initial HPWL.
 constexpr double kMuMax = 1.10;
 constexpr double kHpwlRefFrac = 0.008;
+// Seed of the filler cells' initial positions.
+constexpr std::uint64_t kFillerSeed = 11;
 
 std::shared_ptr<GpSoA> make_soa(const Design& design) {
   auto soa = std::make_shared<GpSoA>();
@@ -103,7 +105,7 @@ EPlaceEngine::EPlaceEngine(Design& design, GpConfig config)
   }
 
   rasterize_fixed();
-  if (config_.use_fillers) build_fillers();
+  build_fillers();
   update_raster_params();
   xv_ = xu_;
   yv_ = yu_;
@@ -192,7 +194,7 @@ void EPlaceEngine::build_fillers() {
   const double each_area = filler_total / static_cast<double>(count);
   const double w = each_area / side_h;
 
-  Rng rng(config_.seed);
+  Rng rng(kFillerSeed);
   for (std::size_t i = 0; i < count; ++i) {
     elem_w_.push_back(w);
     elem_h_.push_back(side_h);

@@ -36,9 +36,11 @@
 // each band touches only the elements overlapping it; the Nesterov
 // vector updates run element-parallel through the simd:: helpers.
 // Every kernel keeps the deterministic contract: results are
-// bit-identical across PUFFER_THREADS and PUFFER_SIMD, and the retired
-// scalar kernels (GpConfig::legacy_kernels, one-PR lifetime) reproduce
-// the SoA results bit-for-bit.
+// bit-identical across PUFFER_THREADS and with the SIMD helpers on or
+// off (simd::set_enabled), and the retired scalar kernels
+// (GpConfig::legacy_kernels, one-PR lifetime) reproduce the SoA results
+// bit-for-bit. Fillers are always built; their initial positions come
+// from a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +59,6 @@ struct GpConfig {
   int bin_dim = 0;              // bins per axis (power of 2); 0 = auto
   double target_density = 0.9;  // equilibrium density in free area
   int max_iters = 1200;
-  bool use_fillers = true;
-  std::uint64_t seed = 11;
 
   // Lambda latches (stops growing) once overflow first drops below this.
   double lambda_freeze_overflow = 0.15;
@@ -143,7 +143,6 @@ class EPlaceEngine {
   double density_overflow() const { return overflow_; }
   double last_hpwl() const { return hpwl_; }
   double lambda() const { return lambda_; }
-  double step_size() const { return step_; }
   // Nesterov momentum parameter a_k: 1 after construction and after
   // set_padding(), growing by one half per iteration.
   double momentum() const { return ak_; }

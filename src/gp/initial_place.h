@@ -5,22 +5,14 @@
 // sweeps of the quadratic star model -- each cell moves to the average
 // position of the pins it connects to -- which pulls cells toward their
 // fixed anchors (terminals, macro pins) and gives the Nesterov engine a
-// well-conditioned start.
+// well-conditioned start. The sweep count, jitter and seed are fixed
+// constants of initial_place.cpp.
 #pragma once
-
-#include <cstdint>
 
 #include "netlist/design.h"
 
 namespace puffer {
 
-struct InitialPlaceConfig {
-  bool keep_existing = false;  // true: refine the current positions instead
-  int sweeps = 12;             // Gauss-Seidel iterations
-  double jitter_frac = 0.003;  // jitter as a fraction of the die extent
-  std::uint64_t seed = 7;
-};
-
-void initial_place(Design& design, const InitialPlaceConfig& config = {});
+void initial_place(Design& design);
 
 }  // namespace puffer

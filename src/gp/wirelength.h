@@ -20,7 +20,7 @@
 // per-chunk-buffer merge produces, so the result is bit-identical to the
 // legacy kernel and, as always, to itself across PUFFER_THREADS. The
 // x and y derivative terms of a pin are the two lanes of one simd pair
-// (common/simd.h), bit-identical with PUFFER_SIMD on or off. The legacy
+// (common/simd.h), bit-identical with the SIMD helpers on or off. The legacy
 // scalar path (per-chunk gradient buffers + ordered merge) is kept
 // behind use_legacy_kernels() for one PR as the bit-identity oracle and
 // bench baseline replica.

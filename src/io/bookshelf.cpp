@@ -285,6 +285,10 @@ Design read_bookshelf(const std::string& aux_path) {
     die.include({row.x_hi(), row.y + row.height});
   }
   design.die = die;
+  const std::string problem = design.validate();
+  if (!problem.empty()) {
+    throw BookshelfError(aux_path + ": invalid design: " + problem);
+  }
   return design;
 }
 

@@ -23,7 +23,8 @@ struct BookshelfError : std::runtime_error {
 };
 
 // Reads a design given the .aux file path. Throws BookshelfError on
-// malformed input or missing files.
+// malformed input, missing files, or a design Design::validate() refuses
+// (the message names the .aux file).
 Design read_bookshelf(const std::string& aux_path);
 
 // Writes the design as <prefix>.aux/.nodes/.nets/.pl/.scl (and .route with

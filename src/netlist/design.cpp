@@ -1,5 +1,6 @@
 #include "netlist/design.h"
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
 #include <limits>
@@ -122,12 +123,17 @@ std::string Design::validate() const {
       !(die.xhi > die.xlo) || !(die.yhi > die.ylo)) {
     err << "die must be finite with positive extent\n";
   }
+  double widest_row = 0.0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     if (!all_finite({r.y, r.x_lo, r.site_width, r.height}) ||
         !(r.site_width > 0.0) || !(r.height > 0.0)) {
       err << "row " << i
           << " is not finite or has a non-positive height or site width\n";
+    } else if (r.num_sites < 1) {
+      err << "row " << i << " has fewer than one site\n";
+    } else {
+      widest_row = std::max(widest_row, r.num_sites * r.site_width);
     }
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -135,6 +141,8 @@ std::string Design::validate() const {
     if (!all_finite({c.x, c.y, c.width, c.height}) || c.width < 0.0 ||
         c.height < 0.0) {
       err << "cell " << i << " is not finite or has a negative size\n";
+    } else if (c.movable() && !rows.empty() && c.width > widest_row) {
+      err << "movable cell " << i << " is wider than the widest row\n";
     }
   }
   for (std::size_t i = 0; i < nets.size(); ++i) {

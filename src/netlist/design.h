@@ -110,9 +110,10 @@ class Design {
   // Checks that every number is finite, that cell sizes are non-negative
   // (zero-size terminals are valid), that the die has positive extent,
   // rows and technology a positive height and site width and every metal
-  // layer a positive pitch, and that the pin<->cell<->net
-  // cross-references agree. Returns an explanatory string, empty when
-  // valid.
+  // layer a positive pitch, that every row has at least one site and no
+  // movable cell is wider than the widest row, and that the
+  // pin<->cell<->net cross-references agree. Returns an explanatory
+  // string, empty when valid.
   std::string validate() const;
 
   // Clamp cell (x,y) so the cell stays inside the die.

@@ -76,8 +76,6 @@ std::uint64_t TrialOrchestrator::space_key() const {
   w.i32(config_.batch_size);
   w.i32(config_.early_stop);
   w.f64(config_.fork_overflow);
-  w.f64(config_.tpe.gamma);
-  w.i32(config_.tpe.n_candidates);
   w.i32(config_.tpe.n_startup);
   w.u8(config_.prune.enabled ? 1 : 0);
   w.i32(config_.prune.grace_rounds);

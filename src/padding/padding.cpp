@@ -86,7 +86,6 @@ const std::vector<double>& PaddingEngine::update(
   // to the free placement area. While below eta the process is healthy
   // and optimization continues.
   last_util_ = pad_area / avail_area_;
-  last_area_ = pad_area;
   peak_area_ = std::max(peak_area_, pad_area);
   if (positive > 0) ++applied_rounds_;
 

@@ -75,9 +75,8 @@ class PaddingEngine {
   int rounds() const { return applied_rounds_; }
   // Update() calls so far (the Eq. 15 / Eq. 16 round index).
   int attempts() const { return round_; }
-  // Current total padding area (pad width x cell height, post-scaling)
-  // and its maximum over all rounds so far.
-  double applied_area() const { return last_area_; }
+  // Maximum over all rounds so far of the total padding area (pad width
+  // x cell height, post-scaling).
   double peak_applied_area() const { return peak_area_; }
   const PaddingParams& params() const { return params_; }
   // Feature-extraction calls and wall time (see PaddingStageMetrics).
@@ -99,7 +98,6 @@ class PaddingEngine {
   int round_ = 0;            // update() calls (Eq. 15/16 index)
   int applied_rounds_ = 0;   // rounds with positive padding applied
   double last_util_ = 0.0;
-  double last_area_ = 0.0;
   double peak_area_ = 0.0;
   double avail_area_ = 1.0;
 };

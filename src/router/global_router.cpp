@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include "common/logger.h"
@@ -26,6 +25,8 @@ constexpr double kHistoryStep = 2.0;
 constexpr double kTurnCost = 0.2;
 // Pin-crowding weight of the local-net pin layer (add_pin_demand).
 constexpr double kPinCrowding = 1.0;
+// Gcell height in standard-cell rows.
+constexpr double kRowsPerGcell = 3.0;
 
 struct Seg {
   GcellIndex a, b;
@@ -69,11 +70,6 @@ struct OwnUseOverlay {
 }  // namespace
 
 RouterConfig validate_router_config(RouterConfig config) {
-  if (!(config.rows_per_gcell > 0.0) ||
-      !std::isfinite(config.rows_per_gcell)) {
-    throw std::invalid_argument(
-        "RouterConfig.rows_per_gcell must be positive and finite");
-  }
   config.rr_rounds = std::max(0, config.rr_rounds);
   config.bbox_margin = std::max(0, config.bbox_margin);
   return config;
@@ -83,7 +79,7 @@ GlobalRouter::GlobalRouter(const Design& design, RouterConfig config)
     : design_(design),
       config_(validate_router_config(config)),
       grid_(GcellGrid::from_row_pitch(design.die, design.tech.row_height,
-                                      config_.rows_per_gcell)),
+                                      kRowsPerGcell)),
       capacity_(build_capacity_maps(design, grid_)) {}
 
 RouteResult GlobalRouter::route() const {

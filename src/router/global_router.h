@@ -64,17 +64,17 @@
 
 namespace puffer {
 
+// The Gcell grid is fixed at three standard-cell rows per Gcell, the
+// congestion estimator's default.
 struct RouterConfig {
-  double rows_per_gcell = 3.0;  // Gcell granularity; must be > 0
-  double pin_penalty = 0.04;    // local-net demand per pin (both dirs)
-  int rr_rounds = 5;            // rip-up-and-reroute rounds (>= 0)
-  int bbox_margin = 8;          // maze search window margin, in Gcells (>= 0)
+  double pin_penalty = 0.04;  // local-net demand per pin (both dirs)
+  int rr_rounds = 5;          // rip-up-and-reroute rounds (>= 0)
+  int bbox_margin = 8;        // maze search window margin, in Gcells (>= 0)
 };
 
 // Returns `config` with out-of-range knobs clamped to sane values
-// (negative rr_rounds / bbox_margin -> 0); throws
-// std::invalid_argument for values no clamp can repair (non-positive or
-// non-finite rows_per_gcell). GlobalRouter validates on construction.
+// (negative rr_rounds / bbox_margin -> 0). GlobalRouter validates on
+// construction.
 RouterConfig validate_router_config(RouterConfig config);
 
 struct RouteResult {
@@ -91,8 +91,7 @@ struct RouteResult {
 
 class GlobalRouter {
  public:
-  // `config` is validated with validate_router_config (throws
-  // std::invalid_argument on a non-positive rows_per_gcell).
+  // `config` is validated with validate_router_config.
   GlobalRouter(const Design& design, RouterConfig config = {});
 
   // Routes all nets from the design's current cell positions.

@@ -273,6 +273,12 @@ void ServeSessionManager::run_session(Impl* impl) {
     fin.summary.padding_rounds = metrics.padding_rounds;
     if (metrics.aborted_early) {
       fin.summary.state = static_cast<std::uint8_t>(SessionState::kCancelled);
+    } else if (!metrics.legality.legal) {
+      // An illegal placement is no result: the session fails with the
+      // legality summary and spools nothing.
+      fin.summary.message = metrics.legality.summary() + ", " +
+                            std::to_string(metrics.legalize.failed_cells) +
+                            " cells not legalized";
     } else {
       ResultMsg result;
       result.session_id = sid;

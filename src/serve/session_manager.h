@@ -15,7 +15,9 @@
 // kernels therefore extends to the daemon: a job submitted over the
 // wire yields the same position_checksum as PufferFlow::run() on the
 // same design + config in-process, regardless of what else the daemon
-// is running.
+// is running. A flow whose legalized placement fails check_legality()
+// ends its session kFailed, with the legality summary as the message,
+// and spools no result.
 #pragma once
 
 #include <atomic>

@@ -2,6 +2,8 @@
 // serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <string>
 
@@ -71,15 +73,39 @@ TEST(ConfigIo, RoundTripPreservesAllFields) {
   a.gp.target_density = 0.87;
   a.discrete.theta = 12.5;
   a.final_overflow = 0.125;
-  const PufferConfig b = config_from_text(config_to_text(a));
-  EXPECT_DOUBLE_EQ(b.padding.mu, 7.25);
+  // Values a fixed number of significant digits would round.
+  a.padding.beta = 1.0 / 3.0;
+  a.padding.zeta = 7.123456789;
+  a.padding.alpha[0] = 0.1 + 0.2;
+  a.padding.pu_high = 1e-300 / 3.0;
+  a.congestion.pin_penalty = 123456789.123456789;
+  a.gp.lambda_freeze_overflow = 2.0 / 3.0;
+  a.gp.max_iters = 2147483647;
+  a.legal.max_row_search = 1234567;
+  const std::string text = config_to_text(a);
+  const PufferConfig b = config_from_text(text);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(b.padding.mu), bits(7.25));
   EXPECT_EQ(b.padding.xi, 11);
-  EXPECT_DOUBLE_EQ(b.padding.alpha[4], 0.625);
+  EXPECT_EQ(bits(b.padding.alpha[4]), bits(0.625));
   EXPECT_FALSE(b.congestion.enable_detour_expansion);
   EXPECT_EQ(b.congestion.expand_radius, 6);
-  EXPECT_DOUBLE_EQ(b.gp.target_density, 0.87);
-  EXPECT_DOUBLE_EQ(b.discrete.theta, 12.5);
-  EXPECT_DOUBLE_EQ(b.final_overflow, 0.125);
+  EXPECT_EQ(bits(b.gp.target_density), bits(0.87));
+  EXPECT_EQ(bits(b.discrete.theta), bits(12.5));
+  EXPECT_EQ(bits(b.final_overflow), bits(0.125));
+  EXPECT_EQ(bits(b.padding.beta), bits(a.padding.beta)) << text;
+  EXPECT_EQ(bits(b.padding.zeta), bits(a.padding.zeta)) << text;
+  EXPECT_EQ(bits(b.padding.alpha[0]), bits(a.padding.alpha[0])) << text;
+  EXPECT_EQ(bits(b.padding.pu_high), bits(a.padding.pu_high)) << text;
+  EXPECT_EQ(bits(b.congestion.pin_penalty), bits(a.congestion.pin_penalty))
+      << text;
+  EXPECT_EQ(bits(b.gp.lambda_freeze_overflow),
+            bits(a.gp.lambda_freeze_overflow))
+      << text;
+  EXPECT_EQ(b.gp.max_iters, 2147483647) << text;
+  EXPECT_EQ(b.legal.max_row_search, 1234567) << text;
+  // Every key, written again, reads the same.
+  EXPECT_EQ(config_to_text(b), text);
 }
 
 TEST(ConfigIo, PartialOverrideKeepsBase) {

@@ -310,7 +310,7 @@ TEST(ValidateExploreConfig, AcceptsDefaultsAndReturnsThemUnchanged) {
   EXPECT_EQ(v.time_limit, def.time_limit);
   EXPECT_EQ(v.early_stop, def.early_stop);
   EXPECT_EQ(v.batch_size, def.batch_size);
-  EXPECT_DOUBLE_EQ(v.tpe.gamma, def.tpe.gamma);
+  EXPECT_EQ(v.tpe.n_startup, def.tpe.n_startup);
 }
 
 TEST(ValidateExploreConfig, RejectsNonPositiveTimeLimit) {
@@ -339,21 +339,8 @@ TEST(ValidateExploreConfig, RejectsBatchSizeBelowOne) {
   EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
 }
 
-TEST(ValidateExploreConfig, RejectsGammaOutsideOpenUnitInterval) {
-  ExploreConfig cfg;
-  cfg.tpe.gamma = 0.0;
-  EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
-  cfg.tpe.gamma = 1.0;
-  EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
-  cfg.tpe.gamma = std::nan("");
-  EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
-}
-
 TEST(ValidateExploreConfig, RejectsBadCandidateCounts) {
   ExploreConfig cfg;
-  cfg.tpe.n_candidates = 0;
-  EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
-  cfg.tpe.n_candidates = 24;
   cfg.tpe.n_startup = -1;
   EXPECT_THROW(validate_explore_config(cfg), std::invalid_argument);
 }

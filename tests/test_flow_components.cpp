@@ -59,17 +59,6 @@ TEST(FlowComponents, StageTimesCoverAllPhases) {
   EXPECT_GE(m.runtime_s, m.stages.get("global_place"));
 }
 
-TEST(FlowComponents, EngineWithoutFillersStillSpreads) {
-  Design d = generate_synthetic(small_spec());
-  initial_place(d);
-  GpConfig cfg;
-  cfg.use_fillers = false;
-  cfg.max_iters = 400;
-  EPlaceEngine engine(d, cfg);
-  engine.run_to_overflow(0.25);
-  EXPECT_LT(engine.density_overflow(), 0.6);
-}
-
 TEST(FlowComponents, ExplicitBinDimHonored) {
   Design d = generate_synthetic(small_spec());
   GpConfig cfg;

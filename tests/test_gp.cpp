@@ -145,22 +145,10 @@ TEST(InitialPlace, PullsTowardFixedAnchors) {
   const CellId ct = d.add_cell(t);
   d.connect(ct, 0, 0, 0);
 
-  InitialPlaceConfig cfg;
-  cfg.sweeps = 30;
-  initial_place(d, cfg);
+  initial_place(d);
   // Cells end up pulled toward the anchor, away from the center.
   EXPECT_GT(d.cells[0].x, 50.0);
   EXPECT_GT(d.cells[0].y, 50.0);
-}
-
-TEST(InitialPlace, KeepExistingRefines) {
-  Design d = two_cell_design();
-  const double x0 = d.cells[0].x;
-  InitialPlaceConfig cfg;
-  cfg.keep_existing = true;
-  cfg.sweeps = 0;
-  initial_place(d, cfg);
-  EXPECT_DOUBLE_EQ(d.cells[0].x, x0);
 }
 
 SyntheticSpec engine_spec() {

@@ -1,7 +1,7 @@
 // SoA global-placement core tests: mirror<->Design sync at every commit
 // point (engine commit, legalization/DP commits, snapshot restores),
 // bit-identity of the SoA WA gradient and bucketed rasterization against
-// the retired scalar kernels across PUFFER_THREADS 1/2/8 and PUFFER_SIMD
+// the retired scalar kernels across PUFFER_THREADS 1/2/8 and SIMD
 // on/off, flow-level placement checksums across the same matrix, and
 // exact equality of the preplanned DctPlan2D transforms (the batched
 // field pair included) with the dct.h free functions, and of the

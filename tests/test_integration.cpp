@@ -25,10 +25,6 @@ ExperimentConfig fast_config() {
   ExperimentConfig cfg;
   cfg.puffer.gp.max_iters = 500;
   cfg.puffer.padding.xi = 4;
-  cfg.replace_rc.gp.max_iters = 500;
-  cfg.replace_rc.max_rounds = 3;
-  cfg.commercial.gp.max_iters = 500;
-  cfg.commercial.padding.xi = 4;
   cfg.eval_router.rr_rounds = 3;
   return cfg;
 }
@@ -81,7 +77,7 @@ TEST(Integration, PaddingImprovesRoutabilityOverNoPadding) {
 
 TEST(Integration, ReplaceRcBaselineRuns) {
   Design d = generate_synthetic(tiny_spec());
-  const FlowMetrics m = run_replace_rc(d, fast_config().replace_rc);
+  const FlowMetrics m = run_replace_rc(d);
   EXPECT_TRUE(m.legality.legal) << m.legality.summary();
   EXPECT_GT(m.hpwl_legal, 0.0);
   EXPECT_EQ(m.legalize.placed, static_cast<int>(d.num_movable()));
@@ -90,7 +86,7 @@ TEST(Integration, ReplaceRcBaselineRuns) {
 
 TEST(Integration, CommercialProxyRuns) {
   Design d = generate_synthetic(tiny_spec());
-  const FlowMetrics m = run_commercial_proxy(d, fast_config().commercial);
+  const FlowMetrics m = run_commercial_proxy(d);
   EXPECT_TRUE(m.legality.legal) << m.legality.summary();
   EXPECT_GT(m.padding_rounds, 0);
   EXPECT_EQ(m.legalize.placed, static_cast<int>(d.num_movable()));

@@ -227,6 +227,28 @@ TEST(Bookshelf, UnknownCellInNetsThrows) {
   EXPECT_THROW(read_bookshelf(tmp.path("t.aux")), BookshelfError);
 }
 
+TEST(Bookshelf, InvalidDesignThrowsNamingTheFile) {
+  TempDir tmp;
+  std::ofstream(tmp.path("v.aux"))
+      << "RowBasedPlacement : v.nodes v.nets v.pl v.scl\n";
+  std::ofstream(tmp.path("v.nodes")) << "UCLA nodes 1.0\n a nan 8\n b 2 8\n";
+  std::ofstream(tmp.path("v.nets"))
+      << "UCLA nets 1.0\nNetDegree : 2 n\n a B : 0 0\n b B : 0 0\n";
+  std::ofstream(tmp.path("v.pl")) << "UCLA pl 1.0\n a 0 0 : N\n b 4 0 : N\n";
+  std::ofstream(tmp.path("v.scl"))
+      << "UCLA scl 1.0\nCoreRow Horizontal\n Coordinate : 0\n Height : 8\n"
+      << " Sitewidth : 1\n SubrowOrigin : 0 NumSites : 10\nEnd\n";
+  try {
+    read_bookshelf(tmp.path("v.aux"));
+    FAIL() << "accepted a nan width";
+  } catch (const BookshelfError& e) {
+    EXPECT_NE(std::string(e.what()).find(tmp.path("v.aux")), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("cell 0"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Bookshelf, ParsesMinimalHandWrittenDesign) {
   TempDir tmp;
   std::ofstream(tmp.path("m.aux"))

@@ -404,7 +404,7 @@ TEST(Orchestrator, ValidatesConfig) {
   bad.prune.quantile = 2.0;
   EXPECT_THROW(validate_orchestrator_config(bad), std::invalid_argument);
   bad = OrchestratorConfig{};
-  bad.tpe.gamma = 0.0;
+  bad.tpe.n_startup = -1;
   EXPECT_THROW(validate_orchestrator_config(bad), std::invalid_argument);
 }
 
@@ -601,22 +601,24 @@ TEST_F(OrchestrateTest, ResumeReplaysJournalWithoutReevaluation) {
 }
 
 // The prefix key of an engine older than kGpRevision: the same config
-// values without the revision word, plus the since-deleted GpConfig
-// fields stop_overflow (0.07), mu_max (1.10), mu_min (0.80) and
-// hpwl_ref_frac (0.008).
+// values without the revision word, plus the since-deleted or constant
+// settings InitialPlaceConfig::{keep_existing (0), sweeps (12),
+// jitter_frac (0.003), seed (7)} and GpConfig::{stop_overflow (0.07),
+// use_fillers (1), seed (11), mu_max (1.10), mu_min (0.80),
+// hpwl_ref_frac (0.008)}.
 std::uint64_t pre_revision_prefix_key(const PufferConfig& c,
                                       double fork_overflow) {
   BinaryWriter w;
-  w.u8(c.init.keep_existing ? 1 : 0);
-  w.i32(c.init.sweeps);
-  w.f64(c.init.jitter_frac);
-  w.u64(c.init.seed);
+  w.u8(0);
+  w.i32(12);
+  w.f64(0.003);
+  w.u64(7);
   w.i32(c.gp.bin_dim);
   w.f64(c.gp.target_density);
   w.f64(0.07);
   w.i32(c.gp.max_iters);
-  w.u8(c.gp.use_fillers ? 1 : 0);
-  w.u64(c.gp.seed);
+  w.u8(1);
+  w.u64(11);
   w.f64(1.10);
   w.f64(0.80);
   w.f64(0.008);

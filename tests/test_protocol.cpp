@@ -463,6 +463,44 @@ TEST_F(ProtocolTest, DistributedMatchesInProcessBitExactly) {
   }
 }
 
+// With no worker ever attaching, the coordinator waits attach_timeout_s
+// per batch and then evaluates the batch itself: every trial runs
+// in-process, with the same results as the local executor.
+TEST_F(ProtocolTest, NoWorkerFallsBackToInProcessTrials) {
+  OrchestrationResult ref;
+  {
+    Design d = generate_synthetic(tiny_spec());
+    TrialOrchestrator orch(d, puffer_param_specs(), tiny_experiment_config(),
+                           tiny_orch_config());
+    LocalTrialExecutor local(tiny_orch_config().concurrency);
+    ref = orch.run(local);
+  }
+
+  Design d = generate_synthetic(tiny_spec());
+  TrialOrchestrator orchestrator(d, puffer_param_specs(),
+                                 tiny_experiment_config(), tiny_orch_config());
+  CoordinatorConfig coord;
+  coord.listen = temp_socket("puffer_proto_no_worker.sock");
+  coord.min_workers = 1;
+  coord.attach_timeout_s = 0.2;
+  CoordinatorExecutor executor(coord);
+  const OrchestrationResult dist = orchestrator.run(executor);
+  EXPECT_EQ(executor.workers_attached(), 0);
+  EXPECT_EQ(executor.trials_in_process(), tiny_orch_config().trials);
+  EXPECT_EQ(executor.trials_reassigned(), 0);
+
+  EXPECT_EQ(dist.best_trial, ref.best_trial);
+  EXPECT_EQ(std::memcmp(&dist.best_loss, &ref.best_loss, 8), 0);
+  EXPECT_EQ(dist.best, ref.best);
+  EXPECT_EQ(dist.best_checksum, ref.best_checksum);
+  ASSERT_EQ(dist.observations.size(), ref.observations.size());
+  for (std::size_t i = 0; i < ref.observations.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&dist.observations[i].loss,
+                          &ref.observations[i].loss, 8), 0)
+        << i;
+  }
+}
+
 TEST_F(ProtocolTest, WorkerDeathMidTrialReassigned) {
   // In-process reference.
   OrchestrationResult ref;

@@ -836,6 +836,9 @@ TEST(ServeSessionManager, RejectsUnusableDesignNumbersAtAdmission) {
            [](Design& d) {
              d.tech.layers[0].wire_spacing = -d.tech.layers[0].wire_width;
            }},
+          {"movable cell twice the die width",
+           [&](Design& d) { movable(d).width = 2.0 * d.die.width(); }},
+          {"row without sites", [](Design& d) { d.rows[0].num_sites = 0; }},
       };
   for (const auto& [what, edit] : cases) {
     Design d = generate_synthetic(small_spec());
@@ -849,6 +852,38 @@ TEST(ServeSessionManager, RejectsUnusableDesignNumbersAtAdmission) {
   EXPECT_TRUE(h.mgr().idle());
   // The generator's I/O terminals have zero size; they stay valid.
   EXPECT_EQ(generate_synthetic(small_spec()).validate(), "");
+}
+
+// A flow whose legalization leaves the placement illegal has no result:
+// the session fails with the legality summary and spools nothing.
+TEST(ServeSessionManager, IllegalPlacementFailsTheSession) {
+  SyntheticSpec spec = small_spec();
+  spec.target_utilization = 0.9;
+  PufferConfig cfg = small_flow_config();
+  cfg.legal.max_row_search = 1;
+  {
+    // The same job in-process: legalization cannot place every cell.
+    Design d = generate_synthetic(spec);
+    const FlowMetrics m = PufferFlow(d, cfg).run();
+    ASSERT_FALSE(m.legality.legal);
+    ASSERT_GT(m.legalize.failed_cells, 0);
+  }
+  const ServeConfig mc = manager_config("serve_mgr_illegal");
+  ManagerHarness h(mc);
+  SubmitMsg job = small_job("illegal");
+  job.design_blob = encode_design(generate_synthetic(spec));
+  job.config_text = config_to_text(cfg);
+  const auto res = h.mgr().submit(encode_submit(job));
+  ASSERT_TRUE(res.accepted);
+  const ServeSession* s = h.settle(res.session_id);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->state, SessionState::kFailed);
+  EXPECT_NE(s->summary.message.find("ILLEGAL"), std::string::npos)
+      << s->summary.message;
+  std::string body;
+  EXPECT_FALSE(h.mgr().result_body(res.session_id, &body));
+  EXPECT_FALSE(std::filesystem::exists(
+      mc.spool_dir + "/result_" + std::to_string(res.session_id) + ".bin"));
 }
 
 TEST(ServeSessionManager, BadConfigFailsTheSession) {
